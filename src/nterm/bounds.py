@@ -100,10 +100,16 @@ class CumulativeWeightTable:
         return float(self.sums_p[m - 1] ** np.longdouble(1.0 / self.p))
 
     def log_W(self, m: int) -> float:
-        self._check_index(m)
+        return float(self.log_W_slice(m, m)[0])
+
+    def log_W_slice(self, m_lo: int, m_hi: int) -> np.ndarray:
+        """log W_m for m in [m_lo, m_hi] as a float64 array."""
+        self._check_index(m_lo)
+        self._check_index(m_hi)
         if self.log_domain:
-            return float(self.log_sums_p[m - 1] / self.p)
-        return float(np.log(self.sums_p[m - 1]) / self.p)
+            return self.log_sums_p[m_lo - 1:m_hi] / self.p
+        seg = self.sums_p[m_lo - 1:m_hi]
+        return (np.log(seg) / self.p).astype(np.float64)
 
     def inv_sq(self, m: int) -> float:
         """W_m**-2."""

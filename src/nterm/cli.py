@@ -34,7 +34,7 @@ import numpy as np
 from .bounds import class_bounds, class_error_infty, default_m_max
 from .oracle import OracleConfig, certify, random_search_oracle, structure_oracle
 from .ratefit import class_error_samples, fit_rate, ratio_envelope
-from .sequences import CoefficientSequence, extremal_sequence, sigma_n_exact
+from .sequences import CoefficientSequence, extremal_sequence, scaled_tail_sq
 from .weights import (
     TabulatedWeights,
     UnsupportedFamilyError,
@@ -129,8 +129,6 @@ class RunSpec:
     fmt: str = "table"
     seed: int = 0
     iters: int = 20000
-    grid_points: int = 512
-    refine_tol: float = 1e-12
     max_support: int = 64
     fit_model: str = "poly-log"
     fix_log: str = "auto"
@@ -154,8 +152,6 @@ class RunSpec:
         if self.command in ("oracle", "certify"):
             argv += [
                 "--iters", str(self.iters),
-                "--grid-points", str(self.grid_points),
-                "--refine-tol", repr(self.refine_tol),
                 "--max-support", str(self.max_support),
             ]
         if self.command == "ratefit":
@@ -206,10 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
         common(sp)
         sp.add_argument("--m-max", dest="m_max", type=int, default=None)
         sp.add_argument("--iters", type=int, default=20000)
-        sp.add_argument("--grid-points", dest="grid_points", type=int,
-                        default=512)
-        sp.add_argument("--refine-tol", dest="refine_tol", type=float,
-                        default=1e-12)
         sp.add_argument("--max-support", dest="max_support", type=int,
                         default=64)
 
@@ -285,8 +277,9 @@ def _run_exact(spec: RunSpec) -> dict:
     x = CoefficientSequence(np.asarray(entries))
     rows = []
     for n in parse_n_spec(spec.n):
-        sigma = sigma_n_exact(x, n)
-        rows.append({"n": n, "sigma_sq": sigma * sigma, "sigma": sigma,
+        s, e = scaled_tail_sq(x, n)
+        rows.append({"n": n, "sigma_sq": math.ldexp(s, 2 * e),
+                     "sigma": math.ldexp(math.sqrt(s), e),
                      "support_len": x.support_len})
     return {"rows": rows, "columns": ["n", "sigma_sq", "sigma", "support_len"]}
 
@@ -300,8 +293,7 @@ def _run_extremal(spec: RunSpec) -> dict:
 def _run_oracle(spec: RunSpec) -> dict:
     w = _weights_of(spec)
     cfg = OracleConfig(
-        m_max=spec.m_max, grid_points=spec.grid_points,
-        refine_tol=spec.refine_tol, iters=spec.iters, seed=spec.seed,
+        m_max=spec.m_max, iters=spec.iters, seed=spec.seed,
         max_support=spec.max_support)
     rows = []
     witnesses = {}
@@ -320,8 +312,7 @@ def _run_oracle(spec: RunSpec) -> dict:
 def _run_certify(spec: RunSpec) -> tuple[dict, int]:
     w = _weights_of(spec)
     cfg = OracleConfig(
-        m_max=spec.m_max, grid_points=spec.grid_points,
-        refine_tol=spec.refine_tol, iters=spec.iters, seed=spec.seed,
+        m_max=spec.m_max, iters=spec.iters, seed=spec.seed,
         max_support=spec.max_support)
     reports = [certify(w, spec.p, n, cfg) for n in parse_n_spec(spec.n)]
     payload = {"reports": [r.as_dict() for r in reports]}
@@ -471,8 +462,6 @@ def _params_dict(spec: RunSpec) -> dict:
         params["sequence"] = spec.sequence
     if spec.command in ("oracle", "certify"):
         params.update(seed=spec.seed, iters=spec.iters,
-                      grid_points=spec.grid_points,
-                      refine_tol=spec.refine_tol,
                       max_support=spec.max_support)
     if spec.command == "ratefit":
         params.update(model=spec.fit_model, fix_log=spec.fix_log)

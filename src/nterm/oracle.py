@@ -5,23 +5,18 @@ Two independent engines certify the analytic bounds:
 * ``structure_oracle`` optimizes over sequences of the form
   (b, ..., b, c, 0, ...) with m leading entries b >= c and one overflow
   entry c, which is the shape a worst-case element must take.  For each m
-  the one-dimensional problem in b is solved by a coarse grid scan followed
-  by golden-section refinement (the inner problem is not provably unimodal,
-  so the grid guards against local maxima).
+  the one-dimensional problem in b is solved in closed form: its maximizer
+  is one of at most three candidates, evaluated for every m at once (see
+  ``structure_oracle``).
 * ``random_search_oracle`` samples random nonincreasing sequences scaled to
   the unit sphere; every sample is a valid lower bound.
 
-Both engines are bitwise reproducible given a seed and configuration.  The
-scan over m is partitioned into fixed-size chunks; set ``NTERM_THREADS``
-to spread chunks over a thread pool (results are merged in chunk order, so
-the answer does not depend on scheduling).
+Both engines are bitwise reproducible given a seed and configuration.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,7 +30,7 @@ from .bounds import (
     class_bounds,
     default_m_max,
 )
-from .sequences import CoefficientSequence, sigma_n_exact, weighted_lp_norm
+from .sequences import CoefficientSequence, sigma_n_exact
 from .weights import WeightModel
 
 __all__ = [
@@ -46,9 +41,6 @@ __all__ = [
     "certify",
 ]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
-_CHUNK = 8192
 _BATCH = 32768
 
 
@@ -57,28 +49,15 @@ class OracleConfig:
     """Shared oracle configuration; ``m_max=None`` means max(1024, 64n)."""
 
     m_max: int | None = None
-    grid_points: int = 512
-    refine_tol: float = 1e-12
     iters: int = 20000
     seed: int = 0
     max_support: int = 64
 
     def __post_init__(self):
-        if self.grid_points < 16:
-            raise ValueError(f"grid_points must be >= 16, got {self.grid_points}")
-        if not self.refine_tol > 0:
-            raise ValueError(f"refine_tol must be > 0, got {self.refine_tol}")
         if self.iters < 1:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
         if self.max_support < 1:
             raise ValueError(f"max_support must be >= 1, got {self.max_support}")
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("NTERM_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _resolve_m_max(cfg: OracleConfig, n: int, w: WeightModel) -> int:
@@ -91,51 +70,9 @@ def _resolve_m_max(cfg: OracleConfig, n: int, w: WeightModel) -> int:
     return int(m_max)
 
 
-def _scan_chunk(p, n, s_grid, s_sq, v_grid, marr, winv, rho, refine_tol):
-    """Best (value, m, s) over one chunk of head lengths m."""
-    coef = marr - n
-
-    def h_at(s):
-        vv = np.clip(1.0 - s ** p, 0.0, None) ** (1.0 / p)
-        ct = np.minimum(s, rho * vv)
-        return coef * s * s + ct * ct
-
-    cterm = np.minimum(s_grid[None, :], rho[:, None] * v_grid[None, :])
-    h = coef[:, None] * s_sq[None, :] + cterm * cterm
-    j = np.argmax(h, axis=1)
-    rows = np.arange(marr.size)
-    h_best = h[rows, j]
-    s_best = s_grid[j]
-
-    a = s_grid[np.maximum(j - 1, 0)]
-    b = s_grid[np.minimum(j + 1, s_grid.size - 1)]
-    width = float(np.max(b - a))
-    if width > refine_tol:
-        iters = min(200, int(math.ceil(
-            math.log(refine_tol / width) / math.log(_INV_PHI))))
-        h_w = b - a
-        c = a + _INV_PHI_SQ * h_w
-        d = a + _INV_PHI * h_w
-        yc = h_at(c)
-        yd = h_at(d)
-        for _ in range(iters):
-            cond = yc > yd
-            a = np.where(cond, a, c)
-            h_w = h_w * _INV_PHI
-            c = a + _INV_PHI_SQ * h_w
-            d = a + _INV_PHI * h_w
-            probe = np.where(cond, c, d)
-            yp = h_at(probe)
-            yc, yd = np.where(cond, yp, yd), np.where(cond, yc, yp)
-        s_ref = np.where(yc > yd, c, d)
-        y_ref = np.maximum(yc, yd)
-        better = y_ref > h_best
-        h_best = np.where(better, y_ref, h_best)
-        s_best = np.where(better, s_ref, s_best)
-
-    f = winv * winv * h_best
-    i = int(np.argmax(f))
-    return float(f[i]), int(marr[i]), float(s_best[i])
+def _softplus(x):
+    """log(1 + exp(x)); -_softplus(-L) is the log of the logistic of L."""
+    return np.logaddexp(0.0, x)
 
 
 def structure_oracle(
@@ -147,6 +84,21 @@ def structure_oracle(
     table: CumulativeWeightTable | None = None,
 ) -> tuple[float, CoefficientSequence]:
     """Maximize the squared tail error over the structured witness family.
+
+    With b = s / W_m, head length m and overflow entry c = min(b, rho *
+    (1 - s**p)**(1/p) / W_m), where rho = W_m / w_{m+1}, the squared error is
+    W_m**-2 * h(s) with h(s) = (m-n) s**2 + min(s, rho (1 - s**p)**(1/p))**2
+    on [0, 1].  In u = s**p, with u_c = rho**p / (1 + rho**p):
+
+    * on u <= u_c, h = (m-n+1) u**(2/p), which increases;
+    * on u >= u_c, h = g(u) = (m-n) u**(2/p) + rho**2 (1-u)**(2/p).  For
+      p <= 2, g is convex, so its maximum sits at u_c or at 1.  For p > 2 it
+      is concave and peaks at u* = K / (1+K), K = (rho**2/(m-n))**(p/(2-p)),
+      clipped to [u_c, 1] (for m = n, K = 0 and the clip gives u_c).
+
+    The best of these candidates is taken for every m at once.  rho, u and
+    K are carried as logarithms and logits, so neither rho**p nor an
+    underflowing W_m**-2 of a log-domain table can overflow or produce NaN.
 
     Returns the best squared value together with the witness sequence; the
     value is recomputed from the witness through ``sigma_n_exact``, so the
@@ -162,35 +114,29 @@ def structure_oracle(
         table = build_table(w, p, m_max)
     wvals = w.values(m_max + 1)
 
-    s_grid = np.linspace(0.0, 1.0, cfg.grid_points)
-    s_sq = s_grid * s_grid
-    v_grid = np.clip(1.0 - s_grid ** p, 0.0, None) ** (1.0 / p)
-
     m_lo = max(n, 1)
-    chunks = []
-    for start in range(m_lo, m_max + 1, _CHUNK):
-        stop = min(start + _CHUNK - 1, m_max)
-        marr = np.arange(start, stop + 1, dtype=np.float64)
-        winv = np.sqrt(table.inv_sq_slice(start, stop))
-        rho = 1.0 / (winv * wvals[start:stop + 1])  # W_m / w_{m+1}
-        chunks.append((marr, winv, rho))
+    log_W = table.log_W_slice(m_lo, m_max)
+    log_rho = log_W - np.log(wvals[m_lo:m_max + 1])
+    excess = np.arange(m_lo - n, m_max - n + 1, dtype=np.float64)  # m - n
+    log_excess = np.log(
+        excess, out=np.full_like(excess, -np.inf), where=excess > 0)
 
-    def run(chunk):
-        marr, winv, rho = chunk
-        return _scan_chunk(
-            p, n, s_grid, s_sq, v_grid, marr, winv, rho, cfg.refine_tol)
-
-    threads = _thread_count()
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            candidates = list(pool.map(run, chunks))
-    else:
-        candidates = [run(chunk) for chunk in chunks]
-
-    best_f, best_m, best_s = candidates[0]
-    for f, m, s in candidates[1:]:
-        if f > best_f:
-            best_f, best_m, best_s = f, m, s
+    # candidates as logits of u, with log h at each: u_c, 1, clip(u*)
+    logit_c = p * log_rho
+    logits = [logit_c, np.full_like(excess, np.inf)]
+    log_h = [np.log1p(excess) - (2.0 / p) * _softplus(-logit_c), log_excess]
+    if p > 2:
+        logit_star = np.maximum(
+            (p / (2.0 - p)) * (2.0 * log_rho - log_excess), logit_c)
+        logits.append(logit_star)
+        log_h.append(np.logaddexp(
+            log_excess - (2.0 / p) * _softplus(-logit_star),
+            2.0 * log_rho - (2.0 / p) * _softplus(logit_star)))
+    log_h = np.array(log_h)
+    i = int(np.argmax(log_h.max(axis=0) - 2.0 * log_W))
+    best_m = m_lo + i
+    best_logit = logits[int(np.argmax(log_h[:, i]))][i]
+    best_s = math.exp(-float(_softplus(-best_logit)) / p)
 
     w_inv_star = math.sqrt(table.inv_sq(best_m))
     b = best_s * w_inv_star
@@ -341,8 +287,10 @@ def certify(
     m_max = _resolve_m_max(cfg, n, w)
     cfg = replace(cfg, m_max=m_max)
 
-    bounds_result: BoundResult = class_bounds(w, p, n, m_max=m_max)
-    structure_sq, _ = structure_oracle(w, p, n, cfg)
+    table = build_table(w, p, m_max)
+    bounds_result: BoundResult = class_bounds(w, p, n, m_max=m_max,
+                                              table=table)
+    structure_sq, _ = structure_oracle(w, p, n, cfg, table=table)
     random_sq, _ = random_search_oracle(w, p, n, cfg)
 
     upper_ref = bounds_result.upper_sq

@@ -23,6 +23,7 @@ __all__ = [
     "as_sequence",
     "decreasing_rearrangement",
     "weighted_lp_norm",
+    "scaled_tail_sq",
     "sigma_n_exact",
     "sigma_tail_profile",
     "extremal_sequence",
@@ -102,6 +103,25 @@ def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(a, -e), e
 
 
+def scaled_tail_sq(x, n: int) -> tuple[float, int]:
+    """(S, e) with sigma_n(x)**2 = S * 2**(2e), for the exact l2 error.
+
+    The tail past the n largest magnitudes is scaled by 2**-e, as in
+    ``_unit_scaled``, and its squares are summed with ``math.fsum``, which
+    rounds the sum once.  sigma_n**2 = ldexp(S, 2e) and sigma_n =
+    ldexp(sqrt(S), e) both come from this one pass, so sigma_n**2 is not
+    the square of a rounded root.  n at or beyond the support gives (0.0, 0).
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    a = np.sort(np.abs(as_sequence(x).entries))  # ascending
+    keep = a.size - int(n)
+    if keep <= 0:
+        return 0.0, 0
+    tail, e = _unit_scaled(a[:keep])
+    return math.fsum((tail * tail).tolist()), e
+
+
 def sigma_n_exact(x, n: int) -> float:
     """Exact l2 error after keeping the n largest magnitudes.
 
@@ -113,14 +133,8 @@ def sigma_n_exact(x, n: int) -> float:
     exact and neither result is subnormal.  A subnormal result carries fewer
     bits, so there the identity can fail.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    a = np.sort(np.abs(as_sequence(x).entries))  # ascending
-    keep = a.size - int(n)
-    if keep <= 0:
-        return 0.0
-    tail, e = _unit_scaled(a[:keep])
-    return math.ldexp(math.sqrt(math.fsum((tail * tail).tolist())), e)
+    s, e = scaled_tail_sq(x, n)
+    return math.ldexp(math.sqrt(s), e)
 
 
 def sigma_tail_profile(x) -> np.ndarray:

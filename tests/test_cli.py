@@ -110,6 +110,14 @@ class TestExact:
         doc = run_json(capsys, ["exact", "--sequence", str(path), "--n", "0"])
         assert doc["rows"][0]["sigma"] == 5.0
 
+    def test_sigma_sq_is_the_exact_sum(self, capsys, tmp_path):
+        # sqrt(10) squared rounds to 10.000000000000002
+        path = tmp_path / "seq.txt"
+        path.write_text("1\n3\n")
+        doc = run_json(capsys, ["exact", "--sequence", str(path), "--n", "0"])
+        assert doc["rows"][0]["sigma_sq"] == 10.0
+        assert doc["rows"][0]["sigma"] == math.sqrt(10.0)
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, ["exact", "--sequence", "/missing",
                                         "--n", "0"])
@@ -146,6 +154,13 @@ class TestOracleCommand:
                                 "powlog:alpha=1,beta=0", "--p", "inf",
                                 "--n", "1", "--iters", "500", "--seed", "1"])
         assert [r["engine"] for r in doc["rows"]] == ["random"]
+
+    @pytest.mark.parametrize("flag", [["--grid-points", "512"],
+                                      ["--refine-tol", "1e-12"]])
+    def test_search_tuning_flags_are_gone(self, capsys, flag):
+        code, _, _ = run_cli(capsys, ["oracle", "--weights", "const",
+                                      "--p", "1", "--n", "1"] + flag)
+        assert code == EXIT_BAD_SPEC
 
 
 class TestCertifyCommand:
