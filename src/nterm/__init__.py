@@ -2,7 +2,7 @@
 
 Exact errors for concrete sequences, two-sided worst-case bounds over unit
 balls of weighted lp spaces, brute-force certification oracles, and decay
-rate fitting.  See the README for the CLI.
+rate fitting.  See ``nterm.cli`` for the command-line interface.
 """
 
 from .bounds import (

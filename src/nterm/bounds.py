@@ -196,14 +196,13 @@ def _extrapolate_limit(t: np.ndarray, m_lo: int, m_eff: int) -> float | None:
     return limit
 
 
-def _trailing_slope(t: np.ndarray, m_lo: int, m_eff: int) -> float | None:
-    """Least-squares slope of log t vs log m over the last scanned decade."""
-    start = max(m_lo, m_eff // 10)
-    seg = t[start - m_lo:]
-    if seg.size < 8 or np.any(seg <= 0):
+def _loglog_slope(j: np.ndarray, t: np.ndarray) -> float | None:
+    """Least-squares slope of log t vs log j; None below 8 points or when
+    a term is not positive."""
+    if t.size < 8 or np.any(t <= 0):
         return None
-    x = np.log(np.arange(start, m_eff + 1, dtype=np.float64))
-    y = np.log(seg)
+    x = np.log(j)
+    y = np.log(t)
     x = x - x.mean()
     denom = float(np.dot(x, x))
     if denom == 0:
@@ -302,7 +301,10 @@ def class_bounds(
     # tabulated model: scan heuristics only
     if trailing_confirmed:
         return result(STATUS_ATTAINED, scan_lower, scan_upper, argmax=m_star)
-    slope = _trailing_slope(t_up, m_lo, m_eff)
+    # over the last scanned decade
+    start = max(m_lo, m_eff // 10)
+    slope = _loglog_slope(np.arange(start, m_eff + 1, dtype=np.float64),
+                          t_up[start - m_lo:])
     if not table_truncated and slope is not None and slope >= slope_eps:
         return result(STATUS_DIVERGENT, math.inf, math.inf)
     if (not table_truncated and slope is not None and slope < slope_eps
@@ -387,16 +389,12 @@ def class_error_infty(
             return InftyTailResult(0.0, math.inf, STATUS_TRUNCATED, 0)
         terms = w.values(known)[n:] ** -2.0
         j = np.arange(n + 1, known + 1, dtype=np.float64)
+        # over the last half of the terms
         start = max(0, terms.size - max(8, terms.size // 2))
-        seg_t, seg_j = terms[start:], j[start:]
-        if seg_t.size >= 8 and np.all(seg_t > 0):
-            x = np.log(seg_j)
-            y = np.log(seg_t)
-            x = x - x.mean()
-            slope = float(np.dot(x, y) / np.dot(x, x))
-            if slope >= -1.0 + 0.05:
-                return InftyTailResult(
-                    math.inf, math.inf, STATUS_DIVERGENT, int(terms.size))
+        slope = _loglog_slope(j[start:], terms[start:])
+        if slope is not None and slope >= -1.0 + 0.05:
+            return InftyTailResult(
+                math.inf, math.inf, STATUS_DIVERGENT, int(terms.size))
         value = math.fsum(terms.tolist())
         return InftyTailResult(
             value, math.inf, STATUS_TRUNCATED, int(terms.size))

@@ -30,7 +30,7 @@ from .bounds import (
     class_bounds,
     default_m_max,
 )
-from .sequences import CoefficientSequence, sigma_n_exact
+from .sequences import CoefficientSequence, sigma_sq_exact
 from .weights import WeightModel
 
 __all__ = [
@@ -101,7 +101,7 @@ def structure_oracle(
     underflowing W_m**-2 of a log-domain table can overflow or produce NaN.
 
     Returns the best squared value together with the witness sequence; the
-    value is recomputed from the witness through ``sigma_n_exact``, so the
+    value is recomputed from the witness through ``sigma_sq_exact``, so the
     pair is always self-consistent.
     """
     if not 0 < p < math.inf:
@@ -147,8 +147,7 @@ def structure_oracle(
     if c == 0.0:
         entries = entries[:-1]
     witness = CoefficientSequence(entries)
-    value_sq = sigma_n_exact(witness, n) ** 2
-    return float(value_sq), witness
+    return sigma_sq_exact(witness, n), witness
 
 
 def random_search_oracle(
@@ -216,8 +215,7 @@ def random_search_oracle(
         nz = np.nonzero(best_row)[0]
         witness = CoefficientSequence(
             best_row[:nz[-1] + 1] if nz.size else np.zeros(0))
-    value_sq = sigma_n_exact(witness, n) ** 2
-    return float(value_sq), witness
+    return sigma_sq_exact(witness, n), witness
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ __all__ = [
     "decreasing_rearrangement",
     "weighted_lp_norm",
     "scaled_tail_sq",
+    "sigma_sq_exact",
     "sigma_n_exact",
     "sigma_tail_profile",
     "extremal_sequence",
@@ -33,12 +34,19 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSequence:
-    """Finite-support coefficient sequence; zero beyond ``support_len``."""
+    """Finite-support coefficient sequence; zero beyond ``support_len``.
+
+    Entries must be finite; a NaN or infinite entry raises ``ValueError``.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=np.float64).reshape(-1)
+        bad = np.nonzero(~np.isfinite(arr))[0]
+        if bad.size:
+            raise ValueError(
+                f"entry {int(bad[0]) + 1} is {arr[bad[0]]}, not finite")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -120,6 +128,12 @@ def scaled_tail_sq(x, n: int) -> tuple[float, int]:
         return 0.0, 0
     tail, e = _unit_scaled(a[:keep])
     return math.fsum((tail * tail).tolist()), e
+
+
+def sigma_sq_exact(x, n: int) -> float:
+    """sigma_n(x)**2 from one exact sum, not the square of a rounded root."""
+    s, e = scaled_tail_sq(x, n)
+    return math.ldexp(s, 2 * e)
 
 
 def sigma_n_exact(x, n: int) -> float:

@@ -54,7 +54,7 @@ _SAMPLE_GRID = np.unique(np.concatenate([
 
 
 class WeightValidationError(ValueError):
-    """A weight sequence is not nondecreasing or starts below 1."""
+    """A weight sequence is not finite, not nondecreasing or starts below 1."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
@@ -67,6 +67,24 @@ class UnsupportedFamilyError(ValueError):
 
 class WeightSpecError(ValueError):
     """A textual weight spec could not be parsed."""
+
+
+def _check_values(vals: np.ndarray, index: np.ndarray) -> None:
+    """Raise unless vals (w_j at the 1-based ``index``) are finite,
+    start at 1 or above and never decrease."""
+    bad = np.nonzero(~np.isfinite(vals))[0]
+    if bad.size:
+        j = int(index[bad[0]])
+        raise WeightValidationError(
+            f"w_{j} = {vals[bad[0]]} is not finite", index=j)
+    if vals[0] < 1.0:
+        raise WeightValidationError(
+            f"w_1 = {vals[0]} is below 1", index=1)
+    bad = np.nonzero(np.diff(vals) < 0)[0]
+    if bad.size:
+        j = int(index[bad[0] + 1])
+        raise WeightValidationError(
+            f"weights decrease at index {j}", index=j)
 
 
 class WeightModel:
@@ -95,16 +113,10 @@ class WeightModel:
         raise NotImplementedError
 
     def _check(self) -> None:
-        """Verify w_1 >= 1 and monotonicity on a sample grid."""
-        vals = self.values(int(_SAMPLE_GRID[-1]))[_SAMPLE_GRID - 1]
-        if vals[0] < 1.0:
-            raise WeightValidationError(
-                f"w_1 = {vals[0]} is below 1", index=1)
-        bad = np.nonzero(np.diff(vals) < 0)[0]
-        if bad.size:
-            j = int(_SAMPLE_GRID[bad[0] + 1])
-            raise WeightValidationError(
-                f"weights decrease at index {j}", index=j)
+        """Verify finite values, w_1 >= 1 and monotonicity on a sample grid."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = self.values(int(_SAMPLE_GRID[-1]))[_SAMPLE_GRID - 1]
+        _check_values(vals, _SAMPLE_GRID)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec_string()!r})"
@@ -164,6 +176,12 @@ class PowLogWeights(WeightModel):
     def __init__(self, alpha: float, beta: float):
         self.alpha = float(alpha)
         self.beta = float(beta)
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            # an infinite exponent flattens the weights to 1 while
+            # asymptotic_exponents still reports it
+            raise WeightValidationError(
+                f"powlog requires finite alpha and beta, got "
+                f"alpha={self.alpha}, beta={self.beta}")
         self._lock = threading.Lock()
         self._cache = np.empty(0)
         self._check()
@@ -214,14 +232,7 @@ class TabulatedWeights(WeightModel):
         arr = np.asarray(values, dtype=np.float64).reshape(-1)
         if arr.size == 0:
             raise WeightValidationError("weight table is empty")
-        if arr[0] < 1.0:
-            raise WeightValidationError(
-                f"w_1 = {arr[0]} is below 1", index=1)
-        bad = np.nonzero(np.diff(arr) < 0)[0]
-        if bad.size:
-            j = int(bad[0]) + 2  # 1-based index of the violating entry
-            raise WeightValidationError(
-                f"weights decrease at index {j}", index=j)
+        _check_values(arr, np.arange(1, arr.size + 1))
         arr.setflags(write=False)
         self._values = arr
         self._source = source

@@ -311,6 +311,17 @@ class TestClassErrorInfty:
         assert r.status == STATUS_TRUNCATED
         assert math.isinf(r.truncation_bound)
 
+    @pytest.mark.parametrize("exponent, status", [
+        (0.0, STATUS_DIVERGENT),    # terms 1: trailing slope 0
+        (0.5, STATUS_TRUNCATED),    # terms j**-1: slope -1, below -0.95
+        (0.4, STATUS_DIVERGENT),    # terms j**-0.8: slope -0.8
+    ])
+    def test_tabulated_trailing_slope(self, exponent, status):
+        j = np.arange(1, 4097, dtype=np.float64)
+        r = class_error_infty(TabulatedWeights(j ** exponent), 0)
+        assert r.status == status
+        assert r.terms_summed == 4096
+
     def test_n_beyond_table(self):
         w = TabulatedWeights([1.0, 2.0])
         r = class_error_infty(w, 5)

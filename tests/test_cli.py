@@ -6,14 +6,15 @@ import jsonschema
 import pytest
 
 from nterm.cli import (
+    COMMANDS,
     EXIT_BAD_SPEC,
     EXIT_DOMAIN,
     EXIT_IO,
     EXIT_OK,
-    RunSpec,
     main,
     parse_argv,
     parse_n_spec,
+    render,
 )
 
 SCHEMA = json.loads(
@@ -44,31 +45,66 @@ class TestNSpec:
         assert parse_n_spec("2^4..2^6:dyadic") == [16, 32, 64]
         assert parse_n_spec("3..50:dyadic") == [3, 6, 12, 24, 48]
 
-    @pytest.mark.parametrize("bad", ["", "x", "4..2:dyadic", "1..8", "2^^3"])
+    @pytest.mark.parametrize("bad", ["", "x", "4..2:dyadic", "1..8", "2^^3",
+                                     "0..2^4:dyadic"])
     def test_errors(self, bad):
         with pytest.raises(ValueError):
             parse_n_spec(bad)
 
 
-class TestRoundTrip:
+class TestParams:
+    """The JSON ``params`` object: "format" plus every flag of the command
+    that has a value, with ``p`` as a number."""
+
+    @pytest.mark.parametrize("argv, params", [
+        (["bounds", "--weights", "const", "--p", "1", "--n", "1",
+          "--m-max", "1024", "--format", "json"],
+         {"format": "json", "m_max": 1024, "n": "1", "p": 1.0,
+          "weights": "const"}),
+        (["bounds", "--weights", "logpow:beta=1", "--p", "inf",
+          "--n", "2^2..2^8:dyadic"],
+         {"format": "json", "n": "2^2..2^8:dyadic", "p": "inf",
+          "weights": "logpow:beta=1"}),
+        (["exact", "--sequence", "x.txt", "--n", "3", "--format", "csv"],
+         {"format": "json", "n": "3", "sequence": "x.txt"}),
+        (["extremal", "--weights", "const", "--p", "2", "--m", "4"],
+         {"format": "json", "m": 4, "p": 2.0, "weights": "const"}),
+        (["oracle", "--weights", "powlog:alpha=1,beta=0", "--p", "0.5",
+          "--n", "2", "--seed", "7", "--iters", "100"],
+         {"format": "json", "iters": 100, "max_support": 64, "n": "2",
+          "p": 0.5, "seed": 7, "weights": "powlog:alpha=1,beta=0"}),
+        (["certify", "--weights", "const", "--p", "1.5", "--n", "4",
+          "--seed", "3", "--output", "out.json"],
+         {"format": "json", "iters": 20000, "max_support": 64, "n": "4",
+          "p": 1.5, "seed": 3, "weights": "const"}),
+        (["ratefit", "--weights", "const", "--p", "1",
+          "--n", "2^6..2^16:dyadic", "--fix-log", "none",
+          "--model", "poly-only"],
+         {"fix_log": "none", "format": "json", "model": "poly-only",
+          "n": "2^6..2^16:dyadic", "p": 1.0, "weights": "const"}),
+    ])
+    def test_params_encoding(self, argv, params):
+        # the last --format wins, so every argv renders as JSON
+        doc = json.loads(render(parse_argv(argv + ["--format", "json"]), {}))
+        assert doc["params"] == params
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help_for_every_command(self, capsys, command):
+        code, out, _ = run_cli(capsys, [command, "--help"])
+        assert code == EXIT_OK
+        assert out.startswith(f"usage: nterm {command}")
+
     @pytest.mark.parametrize("argv", [
         ["bounds", "--weights", "const", "--p", "1", "--n", "1",
-         "--m-max", "1024", "--format", "json"],
-        ["bounds", "--weights", "logpow:beta=1", "--p", "inf",
-         "--n", "2^2..2^8:dyadic"],
-        ["exact", "--sequence", "x.txt", "--n", "3", "--format", "csv"],
-        ["extremal", "--weights", "const", "--p", "2", "--m", "4"],
-        ["oracle", "--weights", "powlog:alpha=1,beta=0", "--p", "0.5",
-         "--n", "2", "--seed", "7", "--iters", "100"],
-        ["certify", "--weights", "const", "--p", "1.5", "--n", "4",
-         "--seed", "3", "--output", "out.json"],
+         "--seed", "1"],
         ["ratefit", "--weights", "const", "--p", "1",
-         "--n", "2^6..2^16:dyadic", "--fix-log", "none",
-         "--model", "poly-only"],
+         "--n", "2^6..2^14:dyadic", "--iters", "5"],
     ])
-    def test_spec_round_trips(self, argv):
-        spec = parse_argv(argv)
-        assert parse_argv(spec.to_argv()) == spec
+    def test_flag_of_another_command_is_rejected(self, capsys, argv):
+        code, _, _ = run_cli(capsys, argv)
+        assert code == EXIT_BAD_SPEC
 
 
 class TestBounds:
@@ -246,6 +282,59 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, ["bounds", "--weights", "const",
                                         "--p", "1", "--n", "8..4:dyadic"])
         assert code == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("command, extra", [
+        ("bounds", ["--weights", "const", "--p", "1"]),
+        ("exact", ["--sequence", "{tmp}/seq.txt"]),
+        ("ratefit", ["--weights", "const", "--p", "1"]),
+    ])
+    def test_dyadic_range_from_zero(self, capsys, tmp_path, command, extra):
+        # doubling from 0 never reaches the upper end
+        (tmp_path / "seq.txt").write_text("3\n-4\n")
+        extra = [a.format(tmp=tmp_path) for a in extra]
+        code, _, err = run_cli(capsys, [command, *extra,
+                                        "--n", "0..2^4:dyadic"])
+        assert code == EXIT_DOMAIN
+        assert err.startswith("nterm: error=domain")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", [
+        "powlog:alpha=nan,beta=0", "powlog:alpha=1e308,beta=0",
+        "logpow:beta=inf", "file:{tmp}/w.txt"])
+    def test_non_finite_weights(self, capsys, tmp_path, spec):
+        (tmp_path / "w.txt").write_text("1\n2\nnan\n4\n")
+        code, _, err = run_cli(capsys, [
+            "bounds", "--weights", spec.format(tmp=tmp_path), "--p", "1",
+            "--n", "1"])
+        assert code == EXIT_BAD_SPEC
+        assert err.startswith("nterm: error=weight-spec")
+        assert err.count("\n") == 1
+
+    def test_non_finite_sequence_entry(self, capsys, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_text("1\nnan\n3\n")
+        code, _, err = run_cli(capsys, ["exact", "--sequence", str(path),
+                                        "--n", "0"])
+        assert code == EXIT_DOMAIN
+        assert err.startswith("nterm: error=domain")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "x"])
+    def test_fix_log_must_be_finite(self, capsys, value):
+        code, _, err = run_cli(capsys, [
+            "ratefit", "--weights", "const", "--p", "1",
+            "--n", "2^6..2^14:dyadic", "--fix-log", value])
+        assert code == EXIT_DOMAIN
+        assert err.startswith("nterm: error=domain")
+        assert err.count("\n") == 1
+
+    def test_index_too_large_to_allocate(self, capsys):
+        # m_max = 64 n = 2^46 float64 entries fit in no 64-bit address space
+        code, out, err = run_cli(capsys, ["bounds", "--weights", "const",
+                                          "--p", "1", "--n", "2^40"])
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.startswith("nterm: error=domain")
+        assert err.count("\n") == 1
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, ["bounds", "--wat", "1"])

@@ -19,6 +19,7 @@ from nterm import (
     weighted_lp_norm,
 )
 from nterm.bounds import STATUS_DIVERGENT
+from nterm.sequences import sigma_sq_exact
 
 from conftest import builtin_families
 
@@ -132,6 +133,13 @@ class TestStructureOracle:
                     assert value == pytest.approx(
                         sigma_n_exact(witness, n) ** 2, rel=1e-10)
 
+    def test_value_is_the_exact_tail_sum(self):
+        # squaring the rounded root sigma_n_exact gives 0.012505348267817715
+        value, witness = structure_oracle(LINEAR, 3.0, 8,
+                                          OracleConfig(m_max=200))
+        assert value == 0.012505348267817717
+        assert value == sigma_sq_exact(witness, 8)
+
     def test_determinism(self):
         cfg = OracleConfig(m_max=512, seed=123)
         a = structure_oracle(LINEAR, 1.5, 3, cfg)
@@ -174,7 +182,7 @@ class TestRandomSearchOracle:
             w = LogPowerWeights(1.0)
             value, witness = random_search_oracle(w, p, 2, cfg)
             assert weighted_lp_norm(witness, w, p) <= 1 + 1e-12
-            assert value == sigma_n_exact(witness, 2) ** 2
+            assert value == sigma_sq_exact(witness, 2)
 
     def test_nonincreasing_witness(self):
         cfg = OracleConfig(iters=2_000, seed=3)

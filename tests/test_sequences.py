@@ -94,6 +94,13 @@ class TestWeightedNorm:
             weighted_lp_norm([1.0], ConstantWeights(), p)
 
 
+class TestCoefficientSequence:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="entry 2"):
+            CoefficientSequence(np.array([1.0, bad, 3.0]))
+
+
 class TestSigmaExact:
     def test_drop_largest(self):
         assert sigma_n_exact([0.6, 0.8, 0], 1) == pytest.approx(0.6)

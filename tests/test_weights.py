@@ -61,6 +61,23 @@ class TestValidation:
             TabulatedWeights([0.5, 1, 2])
         assert exc.value.index == 1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_tabulated_non_finite_names_index(self, bad):
+        with pytest.raises(WeightValidationError) as exc:
+            TabulatedWeights([1, 2, bad, 4])
+        assert exc.value.index == 3
+
+    @pytest.mark.parametrize("make", [
+        lambda: PowLogWeights(math.nan, 0.0),
+        lambda: PowLogWeights(1.0, -math.inf),
+        lambda: PowLogWeights(1e308, 0.0),    # w_2 overflows to inf
+        lambda: LogPowerWeights(math.inf),
+        lambda: LogPowerWeights(math.nan),
+    ])
+    def test_closed_form_non_finite_rejected(self, make):
+        with pytest.raises(WeightValidationError):
+            make()
+
     def test_logpow_negative_beta_rejected(self):
         with pytest.raises(WeightValidationError):
             LogPowerWeights(-0.5)
