@@ -80,10 +80,12 @@ class TableTruncationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class CumulativeWeightTable:
-    """Prefix sums of w_j**p, kept in extended precision or log-domain.
+    """Prefix sums of w_j**p as float64, or their logarithms.
 
-    ``sums_p[k]`` is w_1**p + ... + w_{k+1}**p (empty in log-domain mode,
-    where ``log_sums_p`` holds the logarithms instead).
+    ``sums_p[k]`` is w_1**p + ... + w_{k+1}**p: the terms are float64, the
+    running sum is accumulated in long double and rounded once to float64.
+    It is empty in log-domain mode, where ``log_sums_p`` holds the
+    logarithms instead.
     """
 
     p: float
@@ -97,7 +99,7 @@ class CumulativeWeightTable:
         self._check_index(m)
         if self.log_domain:
             return float(np.exp(self.log_sums_p[m - 1] / self.p))
-        return float(self.sums_p[m - 1] ** np.longdouble(1.0 / self.p))
+        return float(self.sums_p[m - 1] ** (1.0 / self.p))
 
     def log_W(self, m: int) -> float:
         return float(self.log_W_slice(m, m)[0])
@@ -108,8 +110,7 @@ class CumulativeWeightTable:
         self._check_index(m_hi)
         if self.log_domain:
             return self.log_sums_p[m_lo - 1:m_hi] / self.p
-        seg = self.sums_p[m_lo - 1:m_hi]
-        return (np.log(seg) / self.p).astype(np.float64)
+        return np.log(self.sums_p[m_lo - 1:m_hi]) / self.p
 
     def inv_sq(self, m: int) -> float:
         """W_m**-2."""
@@ -122,8 +123,7 @@ class CumulativeWeightTable:
         if self.log_domain:
             seg = self.log_sums_p[m_lo - 1:m_hi]
             return np.exp((-2.0 / self.p) * seg)
-        seg = self.sums_p[m_lo - 1:m_hi]
-        return (seg ** np.longdouble(-2.0 / self.p)).astype(np.float64)
+        return self.sums_p[m_lo - 1:m_hi] ** (-2.0 / self.p)
 
     def _check_index(self, m: int) -> None:
         if not 1 <= m <= self.length:
@@ -143,12 +143,18 @@ def build_table(w: WeightModel, p: float, M: int) -> CumulativeWeightTable:
         raise TableTruncationError(requested=M, available=known)
     vals = w.values(M)
     logs = np.log(vals)
-    if p * float(logs.max()) > LOG_DOMAIN_THRESHOLD:
+    top = float(logs.max())
+    if not math.isfinite(top):
+        j = int(np.argmin(np.isfinite(logs))) + 1
+        raise ValueError(f"weight w_{j} is not finite")
+    if p * top > LOG_DOMAIN_THRESHOLD:
         log_sums = np.logaddexp.accumulate(p * logs)
         return CumulativeWeightTable(
             p=float(p), sums_p=np.empty(0), log_sums_p=log_sums,
             log_domain=True, length=M)
-    sums = np.cumsum(vals.astype(np.longdouble) ** np.longdouble(p))
+    # values() hands out a fresh array, so the powers may overwrite it
+    np.power(vals, p, out=vals)
+    sums = np.cumsum(vals, dtype=np.longdouble).astype(np.float64)
     return CumulativeWeightTable(
         p=float(p), sums_p=sums, log_sums_p=None, log_domain=False, length=M)
 

@@ -91,7 +91,7 @@ class WeightModel:
     """Base class; concrete families implement ``values``."""
 
     def values(self, m: int) -> np.ndarray:
-        """Return w_1..w_m as a float64 array."""
+        """Return w_1..w_m as a new float64 array the caller may modify."""
         raise NotImplementedError
 
     def value(self, j: int) -> float:
@@ -198,7 +198,9 @@ class PowLogWeights(WeightModel):
                 return
             grow = max(m, 2 * have, 1024)
             new_j = np.arange(have + 1, grow + 1, dtype=np.float64)
-            raw = self.raw_value(new_j)
+            # a large alpha overflows to inf; build_table reports the index
+            with np.errstate(over="ignore"):
+                raw = self.raw_value(new_j)
             if have:
                 raw[0] = max(raw[0], self._cache[-1])
             self._cache = np.concatenate(

@@ -26,6 +26,7 @@ from nterm.bounds import (
     STATUS_TRUNCATED,
 )
 
+import _ref
 from conftest import builtin_families, random_monotone_weights
 
 LINEAR = PowLogWeights(1.0, 0.0)  # w_j = j
@@ -98,6 +99,98 @@ class TestBuildTable:
 
     def test_small_weights_stay_linear(self):
         assert not build_table(LINEAR, 2.0, 1024).log_domain
+
+    def test_non_finite_weight_is_named(self):
+        # j**50 overflows to inf at j = 1462495
+        with pytest.raises(ValueError, match="w_1462495 is not finite"):
+            build_table(PowLogWeights(50.0, 0.0), 1.0, 2 ** 21)
+
+
+# Error budget of the table against the 50-digit reference (tests/_ref.py),
+# to first order in U.  C_F ulps are allowed for each elementary function
+# (pow, log, exp, log1p), which covers libm and NumPy's vectorised kernels.
+U = 2.0 ** -53
+LONG_U = float(np.finfo(np.longdouble).eps) / 2
+C_F = 4
+REF_M = 1500
+REF_FAMILIES = {
+    "const": ConstantWeights(),
+    "logpow:beta=1": LogPowerWeights(1.0),
+    "powlog:alpha=1,beta=0": LINEAR,
+    "powlog:alpha=0.5,beta=-1": PowLogWeights(0.5, -1.0),
+    "powlog:alpha=12,beta=0": PowLogWeights(12.0, 0.0),
+}
+# prefix sums of w_j**p past exp(700), as in test_log_domain_switch
+LOG_DOMAIN_WEIGHTS = TabulatedWeights(np.exp(np.linspace(10, 200, REF_M)))
+
+
+def _ref_arrays(w, p):
+    """Reference W, W**-2 and log W as float64, and the weights' largest
+    relative error."""
+    ref = _ref.table(w, p, REF_M)
+    w_err = float(_ref.rel_errors(w.values(REF_M), ref.pop("w")).max())
+    floats = {k: np.array([float(v) for v in vals]) for k, vals in ref.items()}
+    return floats, w_err
+
+
+class TestTableAgainstReference:
+    """W_m, W_m**-2 and log W_m against 50 digits, m = 1..1500."""
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("name", list(REF_FAMILIES))
+    def test_float_path(self, name, p):
+        w = REF_FAMILIES[name]
+        t = build_table(w, p, REF_M)
+        assert not t.log_domain
+        ref, w_err = _ref_arrays(w, p)
+        # each weight costs a few elementary functions and a product
+        beta = getattr(w, "beta", 0.0)
+        assert w_err <= (2 + abs(beta)) * C_F * U + U
+        m = np.arange(1, REF_M + 1)
+        log_S = np.abs(p * ref["log_W"])
+        # S_m: the terms w**p carry p*w_err + C_F ulps, the long double
+        # running sum m ulps of long double, the final rounding one ulp
+        rel_S = p * w_err + (C_F + 1) * U + m * LONG_U
+        # S**y with y = fl(-2/p) or fl(1/p): the rounding of y costs
+        # |y ln S| ulps, on top of |y| rel_S and the pow call itself
+        inv_sq_bound = (2 / p) * (rel_S + log_S * U) + C_F * U
+        W_bound = (1 / p) * (rel_S + log_S * U) + C_F * U
+        log_W_bound = rel_S / p + (C_F + 1) * U * np.abs(ref["log_W"])
+
+        inv_sq = t.inv_sq_slice(1, REF_M)
+        assert np.all(_ref.rel_errors(inv_sq, ref["inv_sq"]) <= inv_sq_bound)
+        W = [t.W(int(k)) for k in m]
+        assert np.all(_ref.rel_errors(W, ref["W"]) <= W_bound)
+        log_W = t.log_W_slice(1, REF_M)
+        assert np.all(_ref.abs_errors(log_W, ref["log_W"]) <= log_W_bound)
+
+    @pytest.mark.parametrize("p", [5.0, 8.0])
+    def test_log_domain_path(self, p):
+        w = LOG_DOMAIN_WEIGHTS
+        t = build_table(w, p, REF_M)
+        assert t.log_domain
+        ref, w_err = _ref_arrays(w, p)
+        assert w_err == 0.0   # tabulated values are the reference
+        m = np.arange(1, REF_M + 1)
+        L = p * np.abs(ref["log_W"])          # |ln S_m|
+        # p * ln w_j costs C_F + 1 ulps of p |ln w_j|; each logaddexp step
+        # adds C_F + 2 ulps of the largest magnitude so far
+        log_w = np.log(w.values(REF_M))
+        scale = np.maximum.accumulate(np.maximum(L, p * np.abs(log_w)))
+        abs_L = (p * w_err + (C_F + 1) * U * scale
+                 + m * (C_F + 2) * U * scale)
+        # exp(fl(-2/p) * L): the rounded factor and product cost 2 ulps of
+        # the argument
+        inv_sq_bound = (2 / p) * abs_L + 2 * U * (2 / p) * L + C_F * U
+        W_bound = abs_L / p + U * L / p + C_F * U
+        log_W_bound = abs_L / p + U * L / p
+
+        inv_sq = t.inv_sq_slice(1, REF_M)
+        assert np.all(_ref.rel_errors(inv_sq, ref["inv_sq"]) <= inv_sq_bound)
+        W = [t.W(int(k)) for k in m]
+        assert np.all(_ref.rel_errors(W, ref["W"]) <= W_bound)
+        log_W = t.log_W_slice(1, REF_M)
+        assert np.all(_ref.abs_errors(log_W, ref["log_W"]) <= log_W_bound)
 
 
 class TestClassBounds:

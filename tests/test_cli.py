@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -335,6 +336,28 @@ class TestErrorPaths:
         assert code == EXIT_DOMAIN and out == ""
         assert err.startswith("nterm: error=domain")
         assert err.count("\n") == 1
+
+    def test_weights_overflowing_to_inf(self, capsys):
+        # m_max = 2^21, and j**50 overflows to inf near j = 1.4e6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                "bounds", "--weights", "powlog:alpha=50,beta=0", "--p", "1",
+                "--n", "2^15"])
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.startswith("nterm: error=domain")
+        assert "w_1462495 is not finite" in err
+        assert err.count("\n") == 1
+
+    def test_weights_below_overflow(self, capsys):
+        # m_max = 2^16 keeps every j**50 finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                "bounds", "--weights", "powlog:alpha=50,beta=0", "--p", "1",
+                "--n", "2^10"])
+        assert code == EXIT_OK and err == ""
+        assert "attained" in out
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, ["bounds", "--wat", "1"])

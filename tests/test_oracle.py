@@ -134,11 +134,11 @@ class TestStructureOracle:
                         sigma_n_exact(witness, n) ** 2, rel=1e-10)
 
     def test_value_is_the_exact_tail_sum(self):
-        # squaring the rounded root sigma_n_exact gives 0.012505348267817715
-        value, witness = structure_oracle(LINEAR, 3.0, 8,
+        # squaring the rounded root sigma_n_exact gives 0.12500000000000003
+        value, witness = structure_oracle(ConstantWeights(), 1.0, 2,
                                           OracleConfig(m_max=200))
-        assert value == 0.012505348267817717
-        assert value == sigma_sq_exact(witness, 8)
+        assert value == 0.125
+        assert value == sigma_sq_exact(witness, 2)
 
     def test_determinism(self):
         cfg = OracleConfig(m_max=512, seed=123)
