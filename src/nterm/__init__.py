@@ -12,6 +12,7 @@ from .bounds import (
     TableTruncationError,
     build_table,
     class_bounds,
+    class_bounds_grid,
     class_error_infty,
     sandwich_width,
 )

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -45,6 +46,7 @@ __all__ = [
     "build_table",
     "default_m_max",
     "class_bounds",
+    "class_bounds_grid",
     "class_error_infty",
     "sandwich_width",
     "STATUS_ATTAINED",
@@ -85,7 +87,8 @@ class CumulativeWeightTable:
     ``sums_p[k]`` is w_1**p + ... + w_{k+1}**p: the terms are float64, the
     running sum is accumulated in long double and rounded once to float64.
     It is empty in log-domain mode, where ``log_sums_p`` holds the
-    logarithms instead.
+    logarithms instead; that mode is taken when a term or the sum would
+    leave the float64 range.
     """
 
     p: float
@@ -147,16 +150,19 @@ def build_table(w: WeightModel, p: float, M: int) -> CumulativeWeightTable:
     if not math.isfinite(top):
         j = int(np.argmin(np.isfinite(logs))) + 1
         raise ValueError(f"weight w_{j} is not finite")
-    if p * top > LOG_DOMAIN_THRESHOLD:
-        log_sums = np.logaddexp.accumulate(p * logs)
-        return CumulativeWeightTable(
-            p=float(p), sums_p=np.empty(0), log_sums_p=log_sums,
-            log_domain=True, length=M)
-    # values() hands out a fresh array, so the powers may overwrite it
-    np.power(vals, p, out=vals)
-    sums = np.cumsum(vals, dtype=np.longdouble).astype(np.float64)
+    if p * top <= LOG_DOMAIN_THRESHOLD:
+        # values() hands out a fresh array, so the powers may overwrite it
+        np.power(vals, p, out=vals)
+        sums = np.cumsum(vals, dtype=np.longdouble)
+        # every term is below e**700, but their sum may pass float64's range
+        if sums[-1] <= np.finfo(np.float64).max:
+            return CumulativeWeightTable(
+                p=float(p), sums_p=sums.astype(np.float64), log_sums_p=None,
+                log_domain=False, length=M)
+    log_sums = np.logaddexp.accumulate(p * logs)
     return CumulativeWeightTable(
-        p=float(p), sums_p=sums, log_sums_p=None, log_domain=False, length=M)
+        p=float(p), sums_p=np.empty(0), log_sums_p=log_sums,
+        log_domain=True, length=M)
 
 
 @dataclass(frozen=True)
@@ -320,6 +326,28 @@ def class_bounds(
             limit = max(limit, scan_upper)
             return result(STATUS_LIMIT, limit, limit, limit=limit)
     return result(STATUS_TRUNCATED, scan_lower, scan_upper)
+
+
+def class_bounds_grid(
+    w: WeightModel,
+    p: float,
+    n_values: Sequence[int],
+    m_max: int | None = None,
+) -> list[BoundResult]:
+    """``class_bounds`` for every n of a grid, read from one shared table.
+
+    The table is as long as the longest scan: ``m_max``, or the default for
+    the largest n, clipped to the length of a tabulated model.
+    """
+    n_values = [int(n) for n in n_values]
+    if not n_values:
+        return []
+    size = default_m_max(max(n_values)) if m_max is None else int(m_max)
+    if w.known_length is not None:
+        size = min(size, w.known_length)
+    # a bad m_max is left to class_bounds, which names it
+    table = build_table(w, p, size) if size >= 1 else None
+    return [class_bounds(w, p, n, m_max, table=table) for n in n_values]
 
 
 def sandwich_width(r: BoundResult) -> float:

@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import build_table, class_bounds, class_error_infty, default_m_max
+from .bounds import class_bounds_grid, class_error_infty
 from .oracle import OracleConfig, certify, random_search_oracle, structure_oracle
 from .ratefit import class_error_samples, dyadic_grid, fit_rate, ratio_envelope
 from .sequences import CoefficientSequence, extremal_sequence, scaled_tail_sq
@@ -130,14 +130,7 @@ def _run_bounds(ns) -> tuple[dict, int]:
         columns = ["n", "value_sq", "truncation_bound", "status",
                    "terms_summed"]
     else:
-        # one table for every n, as long as the longest scan needs
-        size = default_m_max(max(n_values)) if ns.m_max is None else ns.m_max
-        if w.known_length is not None:
-            size = min(size, w.known_length)
-        # a bad --m-max is left to class_bounds, which names it
-        table = build_table(w, ns.p, size) if size >= 1 else None
-        results = [class_bounds(w, ns.p, n, m_max=ns.m_max, table=table)
-                   for n in n_values]
+        results = class_bounds_grid(w, ns.p, n_values, ns.m_max)
         columns = ["n", "lower_sq", "upper_sq", "status", "argmax_m",
                    "m_scanned"]
     rows = [{"n": n, **{c: getattr(r, c) for c in columns[1:]}}

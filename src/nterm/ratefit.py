@@ -25,10 +25,8 @@ from .bounds import (
     STATUS_CONVERGED,
     STATUS_LIMIT,
     STATUS_TRUNCATED,
-    build_table,
-    class_bounds,
+    class_bounds_grid,
     class_error_infty,
-    default_m_max,
 )
 from .weights import RatePrediction, WeightModel
 
@@ -156,16 +154,12 @@ def class_error_samples(
             out.append((n, math.sqrt(r.value_sq)))
         return out
 
-    per_n = {n: (m_max if m_max is not None else default_m_max(n))
-             for n in n_values}
-    table = build_table(w, p, max(per_n.values()))
     out = []
-    for n in n_values:
-        r = class_bounds(w, p, n, m_max=per_n[n], table=table)
+    for r in class_bounds_grid(w, p, n_values, m_max):
         if r.status not in (STATUS_ATTAINED, STATUS_LIMIT):
             raise ValueError(
-                f"bounds not finite at n={n} (status {r.status})")
-        out.append((n, math.sqrt(r.upper_sq)))
+                f"bounds not finite at n={r.n} (status {r.status})")
+        out.append((r.n, math.sqrt(r.upper_sq)))
     return out
 
 

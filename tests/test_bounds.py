@@ -12,7 +12,9 @@ from nterm import (
     TableTruncationError,
     build_table,
     class_bounds,
+    class_bounds_grid,
     class_error_infty,
+    dyadic_grid,
     extremal_sequence,
     sandwich_width,
     sigma_n_exact,
@@ -122,13 +124,17 @@ REF_FAMILIES = {
 }
 # prefix sums of w_j**p past exp(700), as in test_log_domain_switch
 LOG_DOMAIN_WEIGHTS = TabulatedWeights(np.exp(np.linspace(10, 200, REF_M)))
+# every term 33.1**200 = e**699.9 is below the threshold, but the prefix
+# sums leave the float64 range at m = 19,521
+SUM_OVERFLOW_M = 20000
+SUM_OVERFLOW_WEIGHTS = TabulatedWeights(np.full(SUM_OVERFLOW_M, 33.1))
 
 
-def _ref_arrays(w, p):
+def _ref_arrays(w, p, M=REF_M):
     """Reference W, W**-2 and log W as float64, and the weights' largest
     relative error."""
-    ref = _ref.table(w, p, REF_M)
-    w_err = float(_ref.rel_errors(w.values(REF_M), ref.pop("w")).max())
+    ref = _ref.table(w, p, M)
+    w_err = float(_ref.rel_errors(w.values(M), ref.pop("w")).max())
     floats = {k: np.array([float(v) for v in vals]) for k, vals in ref.items()}
     return floats, w_err
 
@@ -166,16 +172,23 @@ class TestTableAgainstReference:
 
     @pytest.mark.parametrize("p", [5.0, 8.0])
     def test_log_domain_path(self, p):
-        w = LOG_DOMAIN_WEIGHTS
-        t = build_table(w, p, REF_M)
+        self._check_log_domain(LOG_DOMAIN_WEIGHTS, p, REF_M)
+
+    def test_sum_past_float64_range(self):
+        # a float64 table would give W_m = inf and W_m**-2 = 0 past m = 19,521
+        self._check_log_domain(SUM_OVERFLOW_WEIGHTS, 200.0, SUM_OVERFLOW_M)
+
+    @staticmethod
+    def _check_log_domain(w, p, M):
+        t = build_table(w, p, M)
         assert t.log_domain
-        ref, w_err = _ref_arrays(w, p)
+        ref, w_err = _ref_arrays(w, p, M)
         assert w_err == 0.0   # tabulated values are the reference
-        m = np.arange(1, REF_M + 1)
+        m = np.arange(1, M + 1)
         L = p * np.abs(ref["log_W"])          # |ln S_m|
         # p * ln w_j costs C_F + 1 ulps of p |ln w_j|; each logaddexp step
         # adds C_F + 2 ulps of the largest magnitude so far
-        log_w = np.log(w.values(REF_M))
+        log_w = np.log(w.values(M))
         scale = np.maximum.accumulate(np.maximum(L, p * np.abs(log_w)))
         abs_L = (p * w_err + (C_F + 1) * U * scale
                  + m * (C_F + 2) * U * scale)
@@ -185,11 +198,11 @@ class TestTableAgainstReference:
         W_bound = abs_L / p + U * L / p + C_F * U
         log_W_bound = abs_L / p + U * L / p
 
-        inv_sq = t.inv_sq_slice(1, REF_M)
+        inv_sq = t.inv_sq_slice(1, M)
         assert np.all(_ref.rel_errors(inv_sq, ref["inv_sq"]) <= inv_sq_bound)
         W = [t.W(int(k)) for k in m]
         assert np.all(_ref.rel_errors(W, ref["W"]) <= W_bound)
-        log_W = t.log_W_slice(1, REF_M)
+        log_W = t.log_W_slice(1, M)
         assert np.all(_ref.abs_errors(log_W, ref["log_W"]) <= log_W_bound)
 
 
@@ -280,6 +293,15 @@ class TestClassBounds:
                     assert r.lower_sq <= prev.lower_sq + 1e-15
                 prev = r
 
+    def test_sum_past_float64_range_diverges(self):
+        # W_m**p = m * e**699.9 leaves the float64 range near m = 19,500,
+        # while the envelope (m - n + 1) / W_m**2 keeps growing like m**0.99
+        w = TabulatedWeights(np.full(2 ** 16, 33.1))
+        r = class_bounds(w, 200.0, 1024)
+        assert r.m_scanned == 2 ** 16
+        assert r.status == STATUS_DIVERGENT
+        assert r.upper_sq == r.lower_sq == math.inf
+
     def test_reused_table(self):
         table = build_table(LINEAR, 1.0, 4096)
         a = class_bounds(LINEAR, 1.0, 3, m_max=4096, table=table)
@@ -309,6 +331,34 @@ class TestClassBounds:
             x = rng.exponential(size=size)
             x /= weighted_lp_norm(x, w, p)
             assert sigma_n_exact(x, n) ** 2 <= r.upper_sq + 1e-9
+
+
+class TestClassBoundsGrid:
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_matches_class_bounds_per_n(self, p):
+        grid = dyadic_grid(1, 256)
+        for w in (ConstantWeights(), LINEAR, LogPowerWeights(1.0)):
+            assert class_bounds_grid(w, p, grid) == [
+                class_bounds(w, p, n) for n in grid]
+            assert class_bounds_grid(w, p, grid, 8192) == [
+                class_bounds(w, p, n, m_max=8192) for n in grid]
+
+    def test_clipped_to_tabulated_length(self):
+        # default_m_max(2048) = 131072 is past the end of the weights
+        w = TabulatedWeights(np.arange(1.0, 4097.0))
+        grid = dyadic_grid(16, 2048)
+        got = class_bounds_grid(w, 1.5, grid)
+        assert [r.m_scanned for r in got] == [1024, 2048] + [4096] * 6
+        assert got == [class_bounds(w, 1.5, n) for n in grid]
+
+    def test_bad_m_max_is_named(self):
+        with pytest.raises(ValueError, match="m_max must be >= n"):
+            class_bounds_grid(ConstantWeights(), 1.0, [16, 64], 0)
+        with pytest.raises(ValueError, match="m_max must be >= n"):
+            class_bounds_grid(ConstantWeights(), 1.0, [16, 64], 40)
+
+    def test_empty_grid(self):
+        assert class_bounds_grid(ConstantWeights(), 1.0, []) == []
 
 
 class TestSandwichWidth:

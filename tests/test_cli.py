@@ -381,3 +381,17 @@ class TestWeightFileThroughCli:
         doc = run_json(capsys, ["bounds", "--weights", f"file:{path}",
                                 "--p", "1", "--n", "1", "--m-max", "2000"])
         assert doc["rows"][0]["status"] == "attained"
+
+    def test_tabulated_ratefit_shorter_than_scan(self, capsys, tmp_path):
+        # the default scan for n = 2^11 reaches 131072, past the 4096 weights
+        path = tmp_path / "w.txt"
+        path.write_text("".join(f"{float(j)}\n" for j in range(1, 4097)))
+        argv = ["--weights", f"file:{path}", "--p", "1.5",
+                "--n", "2^4..2^11:dyadic"]
+        bounds = run_json(capsys, ["bounds"] + argv)
+        fit = run_json(capsys, ["ratefit"] + argv)
+        assert [r["m_scanned"] for r in bounds["rows"]] == (
+            [1024, 2048] + [4096] * 6)
+        assert fit["samples"] == [
+            {"n": r["n"], "sigma": math.sqrt(r["upper_sq"])}
+            for r in bounds["rows"]]

@@ -7,6 +7,7 @@ from nterm import (
     ConstantWeights,
     LogPowerWeights,
     PowLogWeights,
+    TabulatedWeights,
     class_bounds,
     class_error_infty,
     class_error_samples,
@@ -105,6 +106,15 @@ class TestClassErrorSamples:
         for n, sigma in samples:
             r = class_error_infty(PowLogWeights(1.0, 0.0), n)
             assert sigma == pytest.approx(math.sqrt(r.value_sq), rel=1e-15)
+
+    def test_tabulated_shorter_than_default_scan(self):
+        # default_m_max(2048) = 131072 is past the end of the weights
+        w = TabulatedWeights(np.arange(1.0, 4097.0))
+        grid = dyadic_grid(16, 2048)
+        samples = class_error_samples(w, 1.5, grid)
+        for n, sigma in samples:
+            r = class_bounds(w, 1.5, n)
+            assert sigma == math.sqrt(r.upper_sq)
 
     def test_divergent_rejected(self):
         with pytest.raises(ValueError):
