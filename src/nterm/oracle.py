@@ -195,7 +195,11 @@ def random_search_oracle(
         elif p == 2.0:
             norms = np.sqrt((t * t).sum(axis=1))
         else:
-            norms = (t ** p).sum(axis=1) ** (1.0 / p)
+            # scaled in place by the row maximum, so that t ** p cannot
+            # overflow
+            top = t.max(axis=1)
+            t /= np.where(top > 0, top, 1.0)[:, None]
+            norms = top * np.power(t, p, out=t).sum(axis=1) ** (1.0 / p)
         good = norms > 0
         vals[good] /= norms[good, None]
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import logsumexp, polygamma
@@ -26,6 +27,7 @@ from nterm.bounds import (
     STATUS_DIVERGENT,
     STATUS_LIMIT,
     STATUS_TRUNCATED,
+    _tail_integral,
 )
 
 import _ref
@@ -473,3 +475,40 @@ class TestClassErrorInfty:
     def test_requested_tolerance_reached(self):
         r = class_error_infty(LINEAR, 3, tail_tol=1e-12)
         assert r.truncation_bound <= 1e-12
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-6, 1e-3, 1.0, 2.0])
+    @pytest.mark.parametrize("X", [64.5, 1e6 + 0.5, 2.0 ** 17 + 0.5])
+    def test_tail_integral_beta_zero_closed_form(self, c, X):
+        # beta = 0: the integral of x**(-2a) over [X, oo) is X**-c / c
+        alpha = (1.0 + c) / 2.0
+        value, err = _tail_integral(alpha, 0.0, X, epsabs=0.0)
+        with mpmath.workdps(30):
+            c_exact = 2 * mpmath.mpf(alpha) - 1
+            ref = mpmath.mpf(X) ** -c_exact / c_exact
+            gap = float(abs(mpmath.mpf(value) - ref))
+            assert gap <= 1e-13 * float(ref)
+        assert gap <= err
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-6, 1e-3, 1.0, 2.0])
+    def test_power_tail_matches_hurwitz_zeta(self, c):
+        # sum_{j > n} j**-(1 + c) is the Hurwitz zeta value zeta(1 + c, n + 1)
+        alpha = (1.0 + c) / 2.0
+        r = class_error_infty(PowLogWeights(alpha, 0.0), 10)
+        assert r.status == STATUS_CONVERGED
+        with mpmath.workdps(30):
+            ref = mpmath.zeta(2 * mpmath.mpf(alpha), 11)
+            gap = float(abs(mpmath.mpf(r.value_sq) - ref))
+        assert gap <= r.truncation_bound
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [0.5000001, 0.505, 0.51, 0.6, 1.0])
+    def test_boundary_tail_near_half_beta(self, beta):
+        # 2 alpha = 1: the terms decay like 1/(j log2(j)**(2 beta)), and as
+        # beta -> 1/2 almost all of the sum lies past the head (the integral
+        # past 131072.5 is 3.47e6 at beta = 0.5000001)
+        r = class_error_infty(PowLogWeights(0.5, beta), 16)
+        assert r.status == STATUS_CONVERGED
+        ref = _ref.powlog_tail_sq(0.5, beta, 16)
+        with mpmath.workdps(_ref.DIGITS):
+            gap = float(abs(mpmath.mpf(r.value_sq) - ref))
+        assert gap <= r.truncation_bound

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -138,6 +141,32 @@ class TestBounds:
         assert doc["rows"][0]["status"] == "converged"
         assert {"n", "value_sq", "truncation_bound", "status",
                 "terms_summed"} == set(doc["rows"][0])
+
+    def test_inf_p_near_boundary_is_quiet(self, capsys):
+        # 2 alpha = 1 with beta just above 1/2: the tail past the head is
+        # 3.47e6 and must not be lost with a warning on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                "bounds", "--weights", "powlog:alpha=0.5,beta=0.5000001",
+                "--p", "inf", "--n", "16", "--format", "json"])
+        assert code == EXIT_OK and err == ""
+        row = json.loads(out)["rows"][0]
+        assert row["status"] == "converged"
+        assert row["value_sq"] == pytest.approx(3465734.93276236, rel=1e-12)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [x for x in [env.get("PYTHONPATH")] if x])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nterm.cli; print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestExact:

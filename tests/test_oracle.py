@@ -195,6 +195,20 @@ class TestRandomSearchOracle:
         assert value > 0
         assert weighted_lp_norm(witness, LINEAR, math.inf) <= 1 + 1e-12
 
+    @pytest.mark.parametrize("level", [33.1, 1e3])
+    def test_constant_weight_level_factors_out(self, level):
+        # at p = 200, (w_j x_j)**p overflows float64 for w_j = 33.1 unless
+        # each row is scaled by its maximum first; the value must scale as
+        # level**-2, draw for draw
+        cfg = OracleConfig(iters=500, seed=23)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled, _ = random_search_oracle(
+                TabulatedWeights([level] * 40_000), 200.0, 16, cfg)
+            unit, _ = random_search_oracle(
+                TabulatedWeights([1.0] * 40_000), 200.0, 16, cfg)
+        assert scaled == pytest.approx(unit / level ** 2, rel=1e-12)
+
 
 class TestCertify:
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
