@@ -476,8 +476,10 @@ def class_error_infty(
     if prof is None:
         raise ValueError(f"unsupported weight model {type(w).__name__}")
     alpha, beta = prof
+    # below 2 alpha = 1 the power alone diverges, whatever beta; only at
+    # 2 alpha in [1, 1 + _EXPONENT_EPS] does the log factor decide
     convergent = 2 * alpha > 1 + _EXPONENT_EPS or (
-        abs(2 * alpha - 1) <= _EXPONENT_EPS and 2 * beta > 1 + _EXPONENT_EPS)
+        2 * alpha >= 1 and 2 * beta > 1 + _EXPONENT_EPS)
     if not convergent:
         return InftyTailResult(math.inf, math.inf, STATUS_DIVERGENT, 0)
 

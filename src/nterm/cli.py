@@ -281,7 +281,11 @@ _FLAGS = {
                      help="text file, one coefficient per line"),
     "seed": dict(type=int, default=0),
     "iters": dict(type=int, default=20000),
-    "max_support": dict(type=int, default=64),
+    "max_support": dict(type=int, default=64,
+                        help="random samples live on the first "
+                             "MAX_SUPPORT indices (fewer if the weight file "
+                             "is shorter); at or past that n the random "
+                             "value is 0.0 with an empty witness"),
     "model": dict(default="poly-log", choices=("poly-only", "poly-log")),
     "fix_log": dict(default="auto",
                     help="'auto' pins s to the predicted log exponent, "

@@ -4,12 +4,16 @@ Two independent engines certify the analytic bounds:
 
 * ``structure_oracle`` optimizes over sequences of the form
   (b, ..., b, c, 0, ...) with m leading entries b >= c and one overflow
-  entry c, which is the shape a worst-case element must take.  For each m
-  the one-dimensional problem in b is solved in closed form: its maximizer
-  is one of at most three candidates, evaluated for every m at once (see
+  entry c.  For p <= 2 this is the shape a worst-case element takes.  For
+  p > 2 it is not: the worst case there has a flat block followed by a
+  Hoelder tail x_j ~ w_j**(-p/(p-2)), which this family cannot express, so
+  a ``certify`` pass at p > 2 is not a proof.  For each m the
+  one-dimensional problem in b is solved in closed form: its maximizer is
+  one of at most three candidates, evaluated for every m at once (see
   ``structure_oracle``).
 * ``random_search_oracle`` samples random nonincreasing sequences scaled to
-  the unit sphere; every sample is a valid lower bound.
+  the unit sphere on the first ``max_support`` indices; every sample is a
+  valid lower bound.
 
 Both engines are bitwise reproducible given a seed and configuration.
 """
@@ -160,7 +164,10 @@ def random_search_oracle(
 
     Samples are nonincreasing mixtures of sorted exponential and uniform
     draws with random support, rescaled to unit weighted lp norm; each one
-    is a valid lower bound on the class error.
+    is a valid lower bound on the class error.  Every sample lives on the
+    first support = min(cfg.max_support, known_length) indices, so for
+    n >= support each tail is empty: the result is 0.0 with an empty
+    witness, returned without drawing.
     """
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
@@ -172,6 +179,8 @@ def random_search_oracle(
     if known is not None:
         support = min(support, known)
     wrow = w.values(support)
+    if n >= support:
+        return 0.0, CoefficientSequence(np.zeros(0))
 
     rng = np.random.default_rng(cfg.seed)
     best_val = -1.0
@@ -181,11 +190,14 @@ def random_search_oracle(
         batch = min(_BATCH, remaining)
         remaining -= batch
         k = rng.integers(1, support + 1, size=batch)
-        use_exp = rng.random(batch) < 0.5
-        u = rng.random((batch, support))
-        vals = np.where(use_exp[:, None], -np.log1p(-u), u)
-        vals *= np.arange(support)[None, :] < k[:, None]
-        vals = np.sort(vals, axis=1)[:, ::-1]
+        use_exp = (rng.random(batch) < 0.5)[:, None]
+        vals = rng.random((batch, support))
+        # -log1p(-u) on the exponential rows only; the others keep u
+        for op in (np.negative, np.log1p, np.negative):
+            op(vals, out=vals, where=use_exp)
+        vals[np.arange(support)[None, :] >= k[:, None]] = 0.0
+        vals.sort(axis=1)
+        vals = vals[:, ::-1]
 
         t = vals * wrow[None, :]
         if math.isinf(p):
@@ -201,12 +213,14 @@ def random_search_oracle(
             t /= np.where(top > 0, top, 1.0)[:, None]
             norms = top * np.power(t, p, out=t).sum(axis=1) ** (1.0 / p)
         good = norms > 0
-        vals[good] /= norms[good, None]
+        vals = vals / np.where(good, norms, 1.0)[:, None]
 
-        sq = vals * vals
+        # sig = total - head, not a direct tail sum: the two round
+        # differently and can change which row wins a near-tie
+        sq = np.multiply(vals, vals, out=t)
         sig = sq.sum(axis=1)
         if n > 0:
-            sig -= sq[:, :min(n, support)].sum(axis=1)
+            sig -= sq[:, :n].sum(axis=1)
         sig[~good] = -1.0
         i = int(np.argmax(sig))
         if sig[i] > best_val:

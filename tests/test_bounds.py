@@ -410,6 +410,14 @@ class TestClassErrorInfty:
         # 2*alpha == 1 with no log help
         assert class_error_infty(PowLogWeights(0.5, 0.0), 1).status == STATUS_DIVERGENT
 
+    @pytest.mark.parametrize("alpha", [0.4999999999996, 0.5 - 1e-13])
+    def test_just_below_boundary_diverges_despite_log(self, alpha):
+        # sum j**(-2 alpha) log2(j+1)**(-2 beta) diverges for every beta
+        # once 2 alpha < 1, however close to 1
+        r = class_error_infty(PowLogWeights(alpha, 1.0), 16)
+        assert r.status == STATUS_DIVERGENT
+        assert math.isinf(r.value_sq)
+
     def test_inverse_square_tail_matches_polygamma(self):
         r = class_error_infty(LINEAR, 10)
         ref = float(polygamma(1, 11))

@@ -221,6 +221,13 @@ class TestOracleCommand:
                                 "--n", "1", "--iters", "500", "--seed", "1"])
         assert [r["engine"] for r in doc["rows"]] == ["random"]
 
+    def test_n_at_max_support_has_empty_random_witness(self, capsys):
+        doc = run_json(capsys, ["oracle", "--weights", "const", "--p", "1",
+                                "--n", "2^6"])
+        assert doc["witnesses"]["random:64"] == []
+        random_rows = [r for r in doc["rows"] if r["engine"] == "random"]
+        assert [r["value_sq"] for r in random_rows] == [0.0]
+
     @pytest.mark.parametrize("flag", [["--grid-points", "512"],
                                       ["--refine-tol", "1e-12"]])
     def test_search_tuning_flags_are_gone(self, capsys, flag):

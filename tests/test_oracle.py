@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,16 @@ from nterm.sequences import sigma_sq_exact
 from conftest import builtin_families
 
 LINEAR = PowLogWeights(1.0, 0.0)
+
+# random_search_oracle at OracleConfig(seed=7), recorded at commit 4165cee;
+# value_sq and every witness entry are float.hex strings
+RANDOM_PIN = json.loads(
+    (Path(__file__).resolve().parent / "data" / "random_oracle_seed7.json")
+    .read_text())
+RANDOM_PIN_WEIGHTS = {
+    "powlog:alpha=1,beta=0": LINEAR,
+    "table17": TabulatedWeights([1.0 + 0.25 * j for j in range(17)]),
+}
 
 
 def exhaustive_grid_oracle(weight_vals, p, n, m_max, grid=10_000):
@@ -208,6 +220,37 @@ class TestRandomSearchOracle:
             unit, _ = random_search_oracle(
                 TabulatedWeights([1.0] * 40_000), 200.0, 16, cfg)
         assert scaled == pytest.approx(unit / level ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "case", RANDOM_PIN,
+        ids=[f"{c['weights']}-p{c['p']}-n{c['n']}" for c in RANDOM_PIN])
+    def test_recorded_draws_bit_for_bit(self, case):
+        # any change to the RNG stream or to the order of the arithmetic
+        # moves some value or witness entry by at least one ulp
+        w = RANDOM_PIN_WEIGHTS[case["weights"]]
+        value, witness = random_search_oracle(
+            w, float(case["p"]), case["n"], OracleConfig(seed=7))
+        assert value == float.fromhex(case["value_sq"])
+        assert np.array_equal(
+            witness.entries,
+            np.array([float.fromhex(x) for x in case["witness"]]))
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("w, max_support, n", [
+        (LINEAR, 64, 64),
+        (LINEAR, 64, 65),
+        (LINEAR, 17, 17),
+        (TabulatedWeights([1.0, 1.5, 2.0, 2.5, 3.0]), 64, 5),
+        (TabulatedWeights([1.0, 1.5, 2.0, 2.5, 3.0]), 64, 9),
+    ], ids=["linear-64-n64", "linear-64-n65", "linear-17-n17",
+            "table5-n5", "table5-n9"])
+    def test_n_at_or_past_support_is_zero(self, w, max_support, n, p):
+        # every sample lives on the first min(max_support, known_length)
+        # indices, so its tail past n is empty
+        cfg = OracleConfig(seed=7, max_support=max_support)
+        value, witness = random_search_oracle(w, p, n, cfg)
+        assert value == 0.0
+        assert witness.entries.size == 0
 
 
 class TestCertify:
