@@ -14,7 +14,6 @@ from .bounds import (
     class_bounds,
     class_bounds_grid,
     class_error_infty,
-    sandwich_width,
 )
 from .oracle import (
     CertificationReport,
@@ -32,13 +31,9 @@ from .ratefit import (
 )
 from .sequences import (
     CoefficientSequence,
-    Rearranged,
     as_sequence,
-    decreasing_rearrangement,
     extremal_sequence,
-    flatten_head,
     sigma_n_exact,
-    sigma_tail_profile,
     weighted_lp_norm,
 )
 from .weights import (
@@ -53,8 +48,6 @@ from .weights import (
     WeightValidationError,
     parse_weight_spec,
     predicted_rate,
-    validate,
-    weight_value,
 )
 
 __version__ = "0.1.0"

@@ -34,12 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .weights import (
-    ConstantWeights,
-    LogPowerWeights,
-    PowLogWeights,
-    WeightModel,
-)
+from .weights import PowLogWeights, WeightModel
 
 __all__ = [
     "CumulativeWeightTable",
@@ -48,10 +43,10 @@ __all__ = [
     "TableTruncationError",
     "build_table",
     "default_m_max",
+    "scan_length",
     "class_bounds",
     "class_bounds_grid",
     "class_error_infty",
-    "sandwich_width",
     "STATUS_ATTAINED",
     "STATUS_LIMIT",
     "STATUS_DIVERGENT",
@@ -70,6 +65,8 @@ LOG_DOMAIN_THRESHOLD = 700.0
 # trailing log-log slope above which a scanned envelope counts as divergent
 SLOPE_EPS = 0.01
 _EXPONENT_EPS = 1e-12
+# longest p = oo head; past it truncation_bound may exceed tail_tol
+_MAX_TERMS = 10_000_000
 # exp-sinh rule for the p = oo tail integral (Takahasi & Mori 1974)
 _DE_T_MAX = 6.0          # nodes t in [-6, 6] of u = ln X + exp(pi/2 sinh t)
 _DE_LEVELS = 8           # step halvings after h = 1: at most 3073 nodes
@@ -112,9 +109,6 @@ class CumulativeWeightTable:
         if self.log_domain:
             return float(np.exp(self.log_sums_p[m - 1] / self.p))
         return float(self.sums_p[m - 1] ** (1.0 / self.p))
-
-    def log_W(self, m: int) -> float:
-        return float(self.log_W_slice(m, m)[0])
 
     def log_W_slice(self, m_lo: int, m_hi: int) -> np.ndarray:
         """log W_m for m in [m_lo, m_hi] as a float64 array."""
@@ -201,6 +195,19 @@ def default_m_max(n: int) -> int:
     return max(1024, 64 * int(n))
 
 
+def scan_length(w: WeightModel, n: int, m_max: int | None = None, *,
+                lookahead: int = 0) -> int:
+    """Last index of the scan for n: ``m_max``, or ``default_m_max(n)``.
+
+    For a tabulated model it is clipped to ``known_length - lookahead``, so
+    that a scan reading w_{m + lookahead} stays inside the table.
+    """
+    size = default_m_max(n) if m_max is None else int(m_max)
+    if w.known_length is not None:
+        size = min(size, w.known_length - lookahead)
+    return size
+
+
 def _extrapolate_limit(t: np.ndarray, m_lo: int, m_eff: int) -> float | None:
     """Aitken step on t at m_eff/4, m_eff/2, m_eff (geometric ladder)."""
     m0, m1, m2 = m_eff // 4, m_eff // 2, m_eff
@@ -238,7 +245,6 @@ def class_bounds(
     m_max: int | None = None,
     *,
     table: CumulativeWeightTable | None = None,
-    slope_eps: float = SLOPE_EPS,
 ) -> BoundResult:
     """Scan the two worst-case envelopes over m in [n, m_max] and classify.
 
@@ -257,8 +263,7 @@ def class_bounds(
     if m_max < n + 1:
         raise ValueError(f"m_max must be >= n + 1, got {m_max} < {n + 1}")
 
-    known = w.known_length
-    m_eff = m_max if known is None else min(m_max, known)
+    m_eff = scan_length(w, n, m_max)
     if m_eff < max(n, 1):
         return BoundResult(
             n=n, lower_sq=0.0, upper_sq=0.0, argmax_m=None,
@@ -298,10 +303,12 @@ def class_bounds(
         alpha, beta = prof
         growth = 1.0 - 2.0 * (alpha + 1.0 / p)   # power of m in t_m
         log_growth = -2.0 * beta                 # power of log m in t_m
-        if growth > _EXPONENT_EPS or (
-                abs(growth) <= _EXPONENT_EPS and log_growth > _EXPONENT_EPS):
+        # t_m grows for any growth > 0, whatever beta; only at growth in
+        # [-_EXPONENT_EPS, 0] does the log factor decide
+        boundary = -_EXPONENT_EPS <= growth <= 0
+        if growth > 0 or (boundary and log_growth > _EXPONENT_EPS):
             return result(STATUS_DIVERGENT, math.inf, math.inf)
-        if abs(growth) <= _EXPONENT_EPS and abs(log_growth) <= _EXPONENT_EPS:
+        if boundary and abs(log_growth) <= _EXPONENT_EPS:
             # bounded envelope with a positive limit
             limit = _extrapolate_limit(t_up, m_lo, m_eff)
             if limit is not None and limit > scan_upper * (1 + 1e-12):
@@ -326,9 +333,9 @@ def class_bounds(
     start = max(m_lo, m_eff // 10)
     slope = _loglog_slope(np.arange(start, m_eff + 1, dtype=np.float64),
                           t_up[start - m_lo:])
-    if not table_truncated and slope is not None and slope >= slope_eps:
+    if not table_truncated and slope is not None and slope >= SLOPE_EPS:
         return result(STATUS_DIVERGENT, math.inf, math.inf)
-    if (not table_truncated and slope is not None and slope < slope_eps
+    if (not table_truncated and slope is not None and slope < SLOPE_EPS
             and trailing_nondecreasing):
         limit = _extrapolate_limit(t_up, m_lo, m_eff)
         if limit is not None:
@@ -351,20 +358,10 @@ def class_bounds_grid(
     n_values = [int(n) for n in n_values]
     if not n_values:
         return []
-    size = default_m_max(max(n_values)) if m_max is None else int(m_max)
-    if w.known_length is not None:
-        size = min(size, w.known_length)
+    size = scan_length(w, max(n_values), m_max)
     # a bad m_max is left to class_bounds, which names it
     table = build_table(w, p, size) if size >= 1 else None
     return [class_bounds(w, p, n, m_max, table=table) for n in n_values]
-
-
-def sandwich_width(r: BoundResult) -> float:
-    """upper_sq - lower_sq; guaranteed at most W_n**-2 when both are finite."""
-    if not (math.isfinite(r.lower_sq) and math.isfinite(r.upper_sq)):
-        raise ValueError(
-            f"width undefined for non-finite bounds (status {r.status})")
-    return r.upper_sq - r.lower_sq
 
 
 @dataclass(frozen=True)
@@ -377,14 +374,9 @@ class InftyTailResult:
     terms_summed: int
 
 
-def _tail_integrand(alpha: float, beta: float):
-    def g(x: float) -> float:
-        return x ** (-2.0 * alpha) * math.log2(x + 1.0) ** (-2.0 * beta)
-    return g
-
-
 def _tail_integrand_derivative(alpha: float, beta: float, x: float) -> float:
-    g = _tail_integrand(alpha, beta)(x)
+    """g'(x) for g(x) = x**(-2 alpha) * log2(x + 1)**(-2 beta)."""
+    g = x ** (-2.0 * alpha) * math.log2(x + 1.0) ** (-2.0 * beta)
     return g * (-2.0 * alpha / x - 2.0 * beta / ((x + 1.0) * math.log(x + 1.0)))
 
 
@@ -437,7 +429,6 @@ def class_error_infty(
     n: int,
     *,
     tail_tol: float = 1e-12,
-    max_terms: int = 10_000_000,
 ) -> InftyTailResult:
     """Sum w_j**-2 for j > n to a requested absolute truncation bound.
 
@@ -499,7 +490,7 @@ def class_error_infty(
         return raw == w.value(J_) and float(w.raw_value(np.float64(J_ + 1))) > raw
 
     while (em_bound(J) > 0.5 * tail_tol or not past_plateau(J)):
-        if 2 * J > max_terms:
+        if 2 * J > _MAX_TERMS:
             break
         J *= 2
 

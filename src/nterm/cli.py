@@ -45,7 +45,8 @@ from typing import Callable
 import numpy as np
 
 from .bounds import class_bounds_grid, class_error_infty
-from .oracle import OracleConfig, certify, random_search_oracle, structure_oracle
+from .oracle import (OracleConfig, certify, oracle_table,
+                     random_search_oracle, structure_oracle)
 from .ratefit import class_error_samples, dyadic_grid, fit_rate, ratio_envelope
 from .sequences import CoefficientSequence, extremal_sequence, scaled_tail_sq
 from .weights import (
@@ -170,11 +171,13 @@ def _oracle_config(ns) -> OracleConfig:
 def _run_oracle(ns) -> tuple[dict, int]:
     w = parse_weight_spec(ns.weights)
     cfg = _oracle_config(ns)
+    n_values = parse_n_spec(ns.n)
+    table = None if math.isinf(ns.p) else oracle_table(w, ns.p, n_values, cfg)
     rows = []
     witnesses = {}
-    for n in parse_n_spec(ns.n):
+    for n in n_values:
         if not math.isinf(ns.p):
-            s_sq, s_wit = structure_oracle(w, ns.p, n, cfg)
+            s_sq, s_wit = structure_oracle(w, ns.p, n, cfg, table=table)
             rows.append({"n": n, "engine": "structure", "value_sq": s_sq})
             witnesses[f"structure:{n}"] = s_wit.entries.tolist()
         r_sq, r_wit = random_search_oracle(w, ns.p, n, cfg)
@@ -187,7 +190,7 @@ def _run_oracle(ns) -> tuple[dict, int]:
 def _run_certify(ns) -> tuple[dict, int]:
     w = parse_weight_spec(ns.weights)
     cfg = _oracle_config(ns)
-    reports = [certify(w, ns.p, n, cfg) for n in parse_n_spec(ns.n)]
+    reports = certify(w, ns.p, parse_n_spec(ns.n), cfg)
     payload = {"reports": [r.as_dict() for r in reports]}
     code = EXIT_OK if all(r.passed for r in reports) else EXIT_CERTIFY_FAIL
     return payload, code
@@ -276,7 +279,10 @@ _FLAGS = {
     "n": dict(required=True, metavar="N",
               help="index or dyadic range like 2^4..2^12:dyadic"),
     "m": dict(type=int, required=True),
-    "m_max": dict(type=int, default=None),
+    "m_max": dict(type=int, default=None,
+                  help="last index of the scan, default max(1024, 64n); "
+                       "clipped to a weight file's length L (bounds, "
+                       "ratefit) or to L - 1 (oracle, certify)"),
     "sequence": dict(required=True, metavar="PATH",
                      help="text file, one coefficient per line"),
     "seed": dict(type=int, default=0),

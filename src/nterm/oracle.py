@@ -16,23 +16,26 @@ Two independent engines certify the analytic bounds:
   valid lower bound.
 
 Both engines are bitwise reproducible given a seed and configuration.
+
+``certify`` and the ``oracle`` command read one cumulative weight table per
+run, ``oracle_table``, sized for the largest n and shared by every n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .bounds import (
     STATUS_ATTAINED,
     STATUS_LIMIT,
-    BoundResult,
     CumulativeWeightTable,
     build_table,
     class_bounds,
-    default_m_max,
+    scan_length,
 )
 from .sequences import CoefficientSequence, sigma_sq_exact
 from .weights import WeightModel
@@ -40,6 +43,7 @@ from .weights import WeightModel
 __all__ = [
     "OracleConfig",
     "CertificationReport",
+    "oracle_table",
     "structure_oracle",
     "random_search_oracle",
     "certify",
@@ -50,7 +54,10 @@ _BATCH = 32768
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Shared oracle configuration; ``m_max=None`` means max(1024, 64n)."""
+    """Shared oracle configuration; ``m_max=None`` means max(1024, 64n).
+
+    Either is clipped to ``known_length - 1``: the scan also reads w_{m+1}.
+    """
 
     m_max: int | None = None
     iters: int = 20000
@@ -65,13 +72,20 @@ class OracleConfig:
 
 
 def _resolve_m_max(cfg: OracleConfig, n: int, w: WeightModel) -> int:
-    m_max = cfg.m_max if cfg.m_max is not None else default_m_max(n)
-    known = w.known_length
-    if known is not None:
-        m_max = min(m_max, known - 1)  # the scan also reads w_{m+1}
+    m_max = scan_length(w, n, cfg.m_max, lookahead=1)
     if m_max < n + 1:
         raise ValueError(f"m_max must be >= n + 1, got {m_max} < {n + 1}")
-    return int(m_max)
+    return m_max
+
+
+def oracle_table(w: WeightModel, p: float, n_values: Sequence[int],
+                 cfg: OracleConfig) -> CumulativeWeightTable | None:
+    """The table the scans of every n share, sized for the largest n.
+
+    None below length 1, where the per-n check names the bad m_max.
+    """
+    size = scan_length(w, max(n_values), cfg.m_max, lookahead=1)
+    return build_table(w, p, size) if size >= 1 else None
 
 
 def _softplus(x):
@@ -288,52 +302,56 @@ class CertificationReport:
 def certify(
     w: WeightModel,
     p: float,
-    n: int,
+    n_values: Sequence[int],
     cfg: OracleConfig | None = None,
     *,
     tol: float = 1e-9,
-) -> CertificationReport:
+) -> list[CertificationReport]:
     """Run bounds, structure oracle, and random oracle; check containment.
 
+    One report per n of the grid, all read from one ``oracle_table``.
     Check failures set the report's ``passed`` flag instead of raising, so
     harnesses can collect every combination before deciding.
     """
     if cfg is None:
         cfg = OracleConfig()
-    m_max = _resolve_m_max(cfg, n, w)
-    cfg = replace(cfg, m_max=m_max)
+    n_values = [int(n) for n in n_values]
+    if not n_values:
+        return []
+    table = oracle_table(w, p, n_values, cfg)
+    reports = []
+    for n in n_values:
+        m_max = _resolve_m_max(cfg, n, w)
+        bounds_result = class_bounds(w, p, n, m_max=m_max, table=table)
+        structure_sq, _ = structure_oracle(w, p, n, cfg, table=table)
+        random_sq, _ = random_search_oracle(w, p, n, cfg)
 
-    table = build_table(w, p, m_max)
-    bounds_result: BoundResult = class_bounds(w, p, n, m_max=m_max,
-                                              table=table)
-    structure_sq, _ = structure_oracle(w, p, n, cfg, table=table)
-    random_sq, _ = random_search_oracle(w, p, n, cfg)
-
-    upper_ref = bounds_result.upper_sq
-    if bounds_result.status not in (STATUS_ATTAINED, STATUS_LIMIT):
-        upper_ref = bounds_result.scan_upper_sq
-    checks = (
-        ("structure_ge_scan_lower",
-         structure_sq >= bounds_result.scan_lower_sq - tol),
-        ("structure_le_upper", structure_sq <= upper_ref + tol),
-        ("random_le_structure", random_sq <= structure_sq + tol),
-    )
-    return CertificationReport(
-        weights=w.spec_string(),
-        p=float(p),
-        n=int(n),
-        m_max=m_max,
-        seed=cfg.seed,
-        iters=cfg.iters,
-        tol=tol,
-        bound_status=bounds_result.status,
-        lower_sq=bounds_result.lower_sq,
-        upper_sq=bounds_result.upper_sq,
-        scan_lower_sq=bounds_result.scan_lower_sq,
-        scan_upper_sq=bounds_result.scan_upper_sq,
-        limit_estimate=bounds_result.limit_estimate,
-        structure_sq=structure_sq,
-        random_sq=random_sq,
-        checks=checks,
-        passed=all(ok for _, ok in checks),
-    )
+        upper_ref = bounds_result.upper_sq
+        if bounds_result.status not in (STATUS_ATTAINED, STATUS_LIMIT):
+            upper_ref = bounds_result.scan_upper_sq
+        checks = (
+            ("structure_ge_scan_lower",
+             structure_sq >= bounds_result.scan_lower_sq - tol),
+            ("structure_le_upper", structure_sq <= upper_ref + tol),
+            ("random_le_structure", random_sq <= structure_sq + tol),
+        )
+        reports.append(CertificationReport(
+            weights=w.spec_string(),
+            p=float(p),
+            n=n,
+            m_max=m_max,
+            seed=cfg.seed,
+            iters=cfg.iters,
+            tol=tol,
+            bound_status=bounds_result.status,
+            lower_sq=bounds_result.lower_sq,
+            upper_sq=bounds_result.upper_sq,
+            scan_lower_sq=bounds_result.scan_lower_sq,
+            scan_upper_sq=bounds_result.scan_upper_sq,
+            limit_estimate=bounds_result.limit_estimate,
+            structure_sq=structure_sq,
+            random_sq=random_sq,
+            checks=checks,
+            passed=all(ok for _, ok in checks),
+        ))
+    return reports

@@ -139,14 +139,13 @@ def class_error_samples(
     n_values: Sequence[int],
     *,
     m_max: int | None = None,
-    tail_tol: float = 1e-12,
 ) -> list[tuple[int, float]]:
     """sigma_n samples from the bounds engine over an n grid."""
     n_values = [int(n) for n in n_values]
     if math.isinf(p):
         out = []
         for n in n_values:
-            r = class_error_infty(w, n, tail_tol=tail_tol)
+            r = class_error_infty(w, n)
             if r.status not in (STATUS_CONVERGED, STATUS_TRUNCATED) \
                     or not math.isfinite(r.value_sq):
                 raise ValueError(

@@ -19,16 +19,12 @@ from .weights import WeightModel
 
 __all__ = [
     "CoefficientSequence",
-    "Rearranged",
     "as_sequence",
-    "decreasing_rearrangement",
     "weighted_lp_norm",
     "scaled_tail_sq",
     "sigma_sq_exact",
     "sigma_n_exact",
-    "sigma_tail_profile",
     "extremal_sequence",
-    "flatten_head",
 ]
 
 
@@ -61,30 +57,11 @@ class CoefficientSequence:
         return f"CoefficientSequence({self.entries.tolist()!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class Rearranged:
-    """Magnitudes sorted nonincreasing plus the rank -> source position map."""
-
-    values: np.ndarray
-    source_perm: np.ndarray
-
-
 def as_sequence(x) -> CoefficientSequence:
-    """Coerce array-likes, ``Rearranged``, or pass a sequence through."""
+    """Coerce array-likes, or pass a sequence through."""
     if isinstance(x, CoefficientSequence):
         return x
-    if isinstance(x, Rearranged):
-        return CoefficientSequence(x.values)
     return CoefficientSequence(np.asarray(x, dtype=np.float64))
-
-
-def decreasing_rearrangement(x) -> Rearranged:
-    """Sort |x| nonincreasing; ties keep ascending original (0-based) index."""
-    a = np.abs(as_sequence(x).entries)
-    perm = np.argsort(-a, kind="stable")
-    values = a[perm]
-    values.setflags(write=False)
-    return Rearranged(values=values, source_perm=perm)
 
 
 def weighted_lp_norm(x, w: WeightModel, p: float) -> float:
@@ -151,14 +128,6 @@ def sigma_n_exact(x, n: int) -> float:
     return math.ldexp(math.sqrt(s), e)
 
 
-def sigma_tail_profile(x) -> np.ndarray:
-    """sigma_n**2 for n = 0..support_len in one pass of suffix sums."""
-    a, e = _unit_scaled(np.sort(np.abs(as_sequence(x).entries)))
-    sq = (a * a).astype(np.longdouble)
-    prefix = np.concatenate([[np.longdouble(0.0)], np.cumsum(sq)])
-    return np.ldexp(prefix[::-1], 2 * e).astype(np.float64)
-
-
 def extremal_sequence(w: WeightModel, p: float, m: int) -> CoefficientSequence:
     """m equal entries 1/W_m: a unit-sphere element of the weighted lp ball."""
     if math.isinf(p):
@@ -168,24 +137,3 @@ def extremal_sequence(w: WeightModel, p: float, m: int) -> CoefficientSequence:
     m = int(m)
     W = build_table(w, p, m).W(m)
     return CoefficientSequence(np.full(m, 1.0 / W))
-
-
-def flatten_head(x, n: int) -> CoefficientSequence:
-    """Replace the first n magnitudes by the n-th largest; keep the tail.
-
-    Requires the input to be nonincreasing in magnitude already.  The result
-    never has a larger weighted lp norm than the input (weights are
-    nondecreasing) and has the same sigma_n.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    v = np.abs(as_sequence(x).entries)
-    if np.any(np.diff(v) > 0):
-        raise ValueError("input must be nonincreasing in magnitude")
-    n = int(n)
-    if n >= v.size:
-        head_val = v[n - 1] if n == v.size else 0.0
-        return CoefficientSequence(np.full(v.size, head_val))
-    out = v.copy()
-    out[:n] = v[n - 1]
-    return CoefficientSequence(out)

@@ -40,8 +40,6 @@ __all__ = [
     "WeightValidationError",
     "UnsupportedFamilyError",
     "WeightSpecError",
-    "validate",
-    "weight_value",
     "predicted_rate",
     "parse_weight_spec",
 ]
@@ -256,24 +254,6 @@ class TabulatedWeights(WeightModel):
         if self._source is not None:
             return f"file:{self._source}"
         return f"tabulated[{self._values.size}]"
-
-
-def validate(w: WeightModel) -> WeightModel:
-    """Re-check a model and hand it back; raises ``WeightValidationError``.
-
-    Construction already validates, so this mainly serves call sites that
-    receive a model of unknown provenance.
-    """
-    if isinstance(w, TabulatedWeights):
-        TabulatedWeights(w.values(w.known_length))
-    else:
-        w._check()
-    return w
-
-
-def weight_value(w: WeightModel, j: int) -> float:
-    """w_j for a validated model; j runs from 1."""
-    return w.value(j)
 
 
 @dataclass(frozen=True)

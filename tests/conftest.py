@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import nterm.bounds
+import nterm.oracle
 from nterm import (
     ConstantWeights,
     LogPowerWeights,
@@ -29,3 +31,18 @@ def random_monotone_weights(rng: np.random.Generator, size: int) -> TabulatedWei
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def table_sizes(monkeypatch) -> list[int]:
+    """The length of every table ``build_table`` builds during the test."""
+    sizes = []
+    real = nterm.bounds.build_table
+
+    def counting(w, p, M):
+        sizes.append(M)
+        return real(w, p, M)
+
+    for module in (nterm.bounds, nterm.oracle):
+        monkeypatch.setattr(module, "build_table", counting)
+    return sizes

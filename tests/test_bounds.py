@@ -17,7 +17,6 @@ from nterm import (
     class_error_infty,
     dyadic_grid,
     extremal_sequence,
-    sandwich_width,
     sigma_n_exact,
     weighted_lp_norm,
 )
@@ -96,10 +95,11 @@ class TestBuildTable:
         assert t.log_domain
         # prefix log-sum-exp against an independent reference
         logs = 8.0 * np.log(w.values(32))
+        log_W = t.log_W_slice(1, 32)
         for m in (1, 7, 32):
             ref = float(logsumexp(logs[:m])) / 8.0
-            assert t.log_W(m) == pytest.approx(ref, rel=1e-12)
-        assert t.inv_sq(32) == pytest.approx(math.exp(-2 * t.log_W(32)))
+            assert log_W[m - 1] == pytest.approx(ref, rel=1e-12)
+        assert t.inv_sq(32) == pytest.approx(math.exp(-2 * log_W[-1]))
 
     def test_small_weights_stay_linear(self):
         assert not build_table(LINEAR, 2.0, 1024).log_domain
@@ -246,6 +246,19 @@ class TestClassBounds:
         assert math.isinf(r.upper_sq) and math.isinf(r.lower_sq)
         assert math.isfinite(r.scan_upper_sq)
 
+    @pytest.mark.parametrize("alpha", [0.2499999999999, 0.25 - 1e-15])
+    def test_growth_just_above_zero_diverges(self, alpha):
+        # growth = 1 - 2 (alpha + 1/p) = 2 (0.25 - alpha) > 0 is below
+        # _EXPONENT_EPS, yet the envelope grows like m**growth without bound
+        r = class_bounds(PowLogWeights(alpha, 0.0), 4.0, 16)
+        assert r.status == STATUS_DIVERGENT
+        assert r.upper_sq == r.lower_sq == math.inf
+
+    @pytest.mark.parametrize("w, p", [(PowLogWeights(0.25, 0.0), 4.0),
+                                      (ConstantWeights(), 2.0)])
+    def test_zero_growth_has_a_limit(self, w, p):
+        assert class_bounds(w, p, 16).status == STATUS_LIMIT
+
     def test_logpow_boundary_negative_log_attained(self):
         # growth exponent 0 with decaying log factor: max at finite m
         r = class_bounds(LogPowerWeights(1.0), 2.0, 4, m_max=8192)
@@ -364,31 +377,40 @@ class TestClassBoundsGrid:
 
 
 class TestSandwichWidth:
+    """upper_sq - lower_sq is at most W_n**-2 (W_1**-2 at n = 0): the two
+    envelopes differ by W_m**-2 at each m, and W_m >= W_n past n."""
+
     def test_const_p1_n1(self):
         r = class_bounds(ConstantWeights(), 1.0, 1, m_max=1024)
-        assert sandwich_width(r) == pytest.approx(0.75)
-        assert sandwich_width(r) <= 1.0  # W_1**-2
+        assert r.upper_sq - r.lower_sq == pytest.approx(0.75)
+        assert r.upper_sq - r.lower_sq <= 1.0  # W_1**-2
 
     def test_limit_case_zero_width(self):
         r = class_bounds(ConstantWeights(), 2.0, 5, m_max=4096)
-        assert sandwich_width(r) == 0.0
+        assert r.upper_sq - r.lower_sq == 0.0
 
     def test_linear_weights_gap_below_first_inverse_square(self):
         r = class_bounds(LINEAR, 1.0, 1, m_max=1024)
-        assert sandwich_width(r) <= 1.0
+        assert r.upper_sq - r.lower_sq <= 1.0
 
-    def test_width_bound_holds_broadly(self):
-        for name, w in builtin_families().items():
-            for p in (0.5, 1.0):
-                for n in (1, 4, 16):
-                    r = class_bounds(w, p, n, m_max=4096)
-                    table = build_table(w, p, max(n, 1))
-                    assert sandwich_width(r) <= table.inv_sq(max(n, 1)) + 1e-15
+    def test_width_bound_holds_broadly(self, rng):
+        families = dict(builtin_families(),
+                        random=random_monotone_weights(rng, 4096))
+        for name, w in families.items():
+            for p in (0.5, 1.0, 1.5, 2.0):
+                table = build_table(w, p, 4096)
+                for r in class_bounds_grid(w, p, [0, 1, 4, 16, 64], 4096):
+                    if r.status == STATUS_DIVERGENT:
+                        continue
+                    width = r.upper_sq - r.lower_sq
+                    assert 0.0 <= width, (name, p, r.n)
+                    assert width <= table.inv_sq(max(r.n, 1)) + 1e-15, (
+                        name, p, r.n)
 
-    def test_divergent_is_an_error(self):
+    def test_divergent_has_no_width(self):
         r = class_bounds(ConstantWeights(), 3.0, 1, m_max=1024)
-        with pytest.raises(ValueError):
-            sandwich_width(r)
+        assert r.status == STATUS_DIVERGENT
+        assert r.upper_sq == r.lower_sq == math.inf
 
 
 class TestClassErrorInfty:

@@ -40,6 +40,32 @@ def run_json(capsys, argv):
     return doc
 
 
+# oracle and certify on w_j = j**0.75, j = 1..300, at p = 1.5 over
+# 2^0..2^8:dyadic with --iters 500 --seed 3, recorded at commit 0167457,
+# when each n built its own table: n -> (structure_sq, random_sq,
+# scan_lower_sq, scan_upper_sq, bound_status)
+TABLE300 = {
+    1: (0.21375303636486628, 0.20384956620192218,
+        0.2137530363648663, 1.0, "attained"),
+    2: (0.08040688586094774, 0.06581380442182502,
+        0.08040688586094775, 0.2137530363648663, "attained"),
+    4: (0.027359797325300913, 0.021887894343231393,
+        0.02735979732530091, 0.04404080679971459, "attained"),
+    8: (0.008579610790643552, 0.0063282416670042575,
+        0.008579610790643552, 0.010817005112011033, "attained"),
+    16: (0.0025450367255237943, 0.0018895524270142918,
+         0.0025450367255237943, 0.0028515278329265866, "attained"),
+    32: (0.0007341765759259137, 0.0004849218001622707,
+         0.0007341765759259139, 0.0007775074015703581, "attained"),
+    64: (0.00020895762881915404, 0.0,
+         0.0002089576288191541, 0.0002150244558002829, "attained"),
+    128: (5.905513607187201e-05, 0.0,
+          5.9055136071872e-05, 5.990628185491374e-05, "attained"),
+    256: (1.1464971394774701e-05, 0.0,
+          1.1310724802255095e-05, 1.1573764913935446e-05, "divergent"),
+}
+
+
 class TestNSpec:
     def test_single(self):
         assert parse_n_spec("17") == [17]
@@ -234,6 +260,42 @@ class TestOracleCommand:
         code, _, _ = run_cli(capsys, ["oracle", "--weights", "const",
                                       "--p", "1", "--n", "1"] + flag)
         assert code == EXIT_BAD_SPEC
+
+
+class TestOneTablePerRun:
+    @pytest.mark.parametrize("command", ["oracle", "certify"])
+    def test_one_table_for_the_grid(self, capsys, table_sizes, command):
+        run_json(capsys, [command, "--weights", "powlog:alpha=1,beta=0",
+                          "--p", "2", "--n", "2^4..2^10:dyadic",
+                          "--iters", "200"])
+        assert table_sizes == [64 * 2 ** 10]
+
+    def test_tabulated_values_unchanged(self, capsys, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("".join(f"{float(j) ** 0.75!r}\n"
+                                for j in range(1, 301)))
+        argv = ["--weights", f"file:{path}", "--p", "1.5",
+                "--n", "2^0..2^8:dyadic", "--iters", "500", "--seed", "3"]
+        rows = run_json(capsys, ["oracle"] + argv)["rows"]
+        assert [(r["n"], r["engine"], r["value_sq"]) for r in rows] == [
+            (n, engine, rec[i]) for n, rec in TABLE300.items()
+            for i, engine in enumerate(("structure", "random"))]
+        reports = run_json(capsys, ["certify"] + argv)["reports"]
+        assert {r["n"]: (r["structure_sq"], r["random_sq"],
+                         r["scan_lower_sq"], r["scan_upper_sq"],
+                         r["bound_status"]) for r in reports} == TABLE300
+        # the oracle scan reads w_{m+1}, so it ends one short of the table
+        assert [r["m_max"] for r in reports] == [299] * 9
+        assert all(r["passed"] for r in reports)
+
+    @pytest.mark.parametrize("command", ["oracle", "certify"])
+    def test_m_max_below_largest_n(self, capsys, command):
+        code, out, err = run_cli(capsys, [
+            command, "--weights", "const", "--p", "1",
+            "--n", "2^4..2^6:dyadic", "--m-max", "40", "--iters", "100"])
+        assert code == EXIT_DOMAIN and out == ""
+        assert "got 40 < 65" in err
+        assert err.count("\n") == 1
 
 
 class TestCertifyCommand:

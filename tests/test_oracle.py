@@ -14,6 +14,7 @@ from nterm import (
     TabulatedWeights,
     certify,
     class_bounds,
+    dyadic_grid,
     extremal_sequence,
     random_search_oracle,
     sigma_n_exact,
@@ -256,19 +257,30 @@ class TestRandomSearchOracle:
 class TestCertify:
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_const_p1(self, n):
-        rep = certify(ConstantWeights(), 1.0, n,
-                      OracleConfig(iters=10_000, seed=1))
+        [rep] = certify(ConstantWeights(), 1.0, [n],
+                        OracleConfig(iters=10_000, seed=1))
         assert rep.passed, rep.as_dict()
 
     @pytest.mark.parametrize("n", [1, 3, 9, 32])
     def test_powlog_p2(self, n):
-        rep = certify(PowLogWeights(1.0, 0.0), 2.0, n,
-                      OracleConfig(iters=10_000, seed=2))
+        [rep] = certify(PowLogWeights(1.0, 0.0), 2.0, [n],
+                        OracleConfig(iters=10_000, seed=2))
         assert rep.passed, rep.as_dict()
 
+    def test_one_table_per_grid(self, table_sizes):
+        grid = dyadic_grid(16, 1024)
+        cfg = OracleConfig(iters=200, seed=4)
+        per_n = [certify(LINEAR, 2.0, [n], cfg)[0] for n in grid]
+        table_sizes.clear()
+        assert certify(LINEAR, 2.0, grid, cfg) == per_n
+        assert table_sizes == [64 * 1024]
+
+    def test_empty_grid(self):
+        assert certify(LINEAR, 2.0, []) == []
+
     def test_divergent_consistency_mode(self):
-        rep = certify(ConstantWeights(), 3.0, 1,
-                      OracleConfig(iters=5_000, seed=3))
+        [rep] = certify(ConstantWeights(), 3.0, [1],
+                        OracleConfig(iters=5_000, seed=3))
         assert rep.bound_status == STATUS_DIVERGENT
         assert math.isinf(rep.upper_sq)
         assert rep.passed
@@ -284,18 +296,18 @@ class TestCertify:
         # the structured optimum is pinched between the scanned envelopes
         for name, w in builtin_families().items():
             for p in (0.5, 1.0, 1.5, 2.0):
-                rep = certify(w, p, 4, OracleConfig(iters=2_000, seed=8))
+                [rep] = certify(w, p, [4], OracleConfig(iters=2_000, seed=8))
                 assert rep.structure_sq >= rep.scan_lower_sq - 1e-9, name
                 assert rep.structure_sq <= rep.scan_upper_sq + 1e-9, name
 
     def test_report_is_stable(self):
-        a = certify(LINEAR, 1.0, 4, OracleConfig(iters=5_000, seed=21))
-        b = certify(LINEAR, 1.0, 4, OracleConfig(iters=5_000, seed=21))
+        a = certify(LINEAR, 1.0, [4, 8], OracleConfig(iters=5_000, seed=21))
+        b = certify(LINEAR, 1.0, [4, 8], OracleConfig(iters=5_000, seed=21))
         assert a == b
 
     def test_bounds_agree_with_class_bounds(self):
         cfg = OracleConfig(iters=1_000, seed=0)
-        rep = certify(LINEAR, 1.0, 4, cfg)
+        [rep] = certify(LINEAR, 1.0, [4], cfg)
         ref = class_bounds(LINEAR, 1.0, 4, m_max=rep.m_max)
         assert rep.lower_sq == ref.lower_sq
         assert rep.upper_sq == ref.upper_sq

@@ -11,15 +11,12 @@ from nterm import (
     CoefficientSequence,
     ConstantWeights,
     PowLogWeights,
-    TabulatedWeights,
     build_table,
-    decreasing_rearrangement,
     extremal_sequence,
-    flatten_head,
     sigma_n_exact,
-    sigma_tail_profile,
     weighted_lp_norm,
 )
+from nterm.sequences import sigma_sq_exact
 
 from conftest import builtin_families, random_monotone_weights
 
@@ -37,41 +34,19 @@ finite_entries = st.lists(
     min_size=0, max_size=32)
 
 
+def decreasing(entries) -> np.ndarray:
+    """The magnitudes of entries, sorted nonincreasing."""
+    return np.sort(np.abs(np.asarray(entries, dtype=np.float64)))[::-1]
+
+
 class TestRearrangement:
-    def test_example_with_signs_and_zero(self):
-        r = decreasing_rearrangement([0, -5, 3])
-        assert r.values.tolist() == [5.0, 3.0, 0.0]
-        assert r.source_perm.tolist() == [1, 2, 0]
-
-    def test_ties_keep_ascending_index(self):
-        r = decreasing_rearrangement([1, 1, 1])
-        assert r.values.tolist() == [1.0, 1.0, 1.0]
-        assert r.source_perm.tolist() == [0, 1, 2]
-
-    def test_two_entries(self):
-        r = decreasing_rearrangement([0.6, 0.8])
-        assert r.values.tolist() == [0.8, 0.6]
-
-    @given(finite_entries)
-    @settings(max_examples=200)
-    def test_sorted_and_same_multiset(self, entries):
-        r = decreasing_rearrangement(entries)
-        assert np.all(np.diff(r.values) <= 0)
-        assert np.all(r.values >= 0)
-        expected = np.sort(np.abs(np.asarray(entries, dtype=np.float64)))
-        assert np.array_equal(np.sort(r.values), expected)
-        # the permutation really maps ranks to source positions
-        a = np.abs(np.asarray(entries, dtype=np.float64))
-        assert np.array_equal(a[r.source_perm], r.values)
-
     @given(finite_entries)
     @settings(max_examples=100)
     def test_unweighted_norms_preserved(self, entries):
-        r = decreasing_rearrangement(entries)
         w = ConstantWeights()
         for p in (0.5, 1.0, 2.0, math.inf):
             a = weighted_lp_norm(entries, w, p)
-            b = weighted_lp_norm(r.values, w, p)
+            b = weighted_lp_norm(decreasing(entries), w, p)
             assert b == pytest.approx(a, rel=1e-12)
 
 
@@ -126,12 +101,14 @@ class TestSigmaExact:
         pyrandom.shuffle(perm)
         shuffled = [entries[i] for i in perm]
         assert sigma_n_exact(shuffled, n) == sigma_n_exact(entries, n)
+        assert sigma_sq_exact(shuffled, n) == sigma_sq_exact(entries, n)
 
     @given(finite_entries, st.integers(0, 40))
     @settings(max_examples=100)
     def test_rearrangement_leaves_sigma_unchanged(self, entries, n):
-        r = decreasing_rearrangement(entries)
-        assert sigma_n_exact(r.values, n) == sigma_n_exact(entries, n)
+        a = decreasing(entries)
+        assert sigma_sq_exact(a, n) == sigma_sq_exact(entries, n)
+        assert sigma_sq_exact(a[::-1], n) == sigma_sq_exact(entries, n)
 
     @given(finite_entries, st.integers(0, 8))
     @settings(max_examples=100)
@@ -173,22 +150,10 @@ class TestRearrangementNeverIncreasesWeightedNorm:
     def test_weighted_norm_inequality(self, entries, seed):
         rng = np.random.default_rng(seed)
         w = random_monotone_weights(rng, max(len(entries), 1))
-        r = decreasing_rearrangement(entries)
         for p in (0.5, 1.0, 2.0, math.inf):
             before = weighted_lp_norm(entries, w, p)
-            after = weighted_lp_norm(r.values, w, p)
+            after = weighted_lp_norm(decreasing(entries), w, p)
             assert after <= before + 1e-12 * max(before, 1.0)
-
-
-class TestSigmaTailProfile:
-    @given(finite_entries)
-    @settings(max_examples=100)
-    def test_matches_pointwise_sigma(self, entries):
-        prof = sigma_tail_profile(entries)
-        assert prof.size == len(entries) + 1
-        for n in range(len(entries) + 1):
-            assert prof[n] == pytest.approx(
-                sigma_n_exact(entries, n) ** 2, rel=1e-12, abs=1e-300)
 
 
 class TestExtremalSequence:
@@ -229,42 +194,23 @@ class TestExtremalSequence:
         for m in (2, 9, 64, 300):
             table = build_table(w, p, m)
             seq = extremal_sequence(w, p, m)
-            prof = sigma_tail_profile(seq)
-            expected = (m - np.arange(m)) * table.inv_sq(m)
-            assert np.allclose(prof[:m], expected, rtol=1e-10)
+            for n in range(m):
+                assert sigma_sq_exact(seq, n) == pytest.approx(
+                    (m - n) * table.inv_sq(m), rel=1e-10)
 
 
 class TestFlattenHead:
-    def test_head_replaced(self):
-        out = flatten_head([5, 3, 1], 2)
-        assert out.entries.tolist() == [3.0, 3.0, 1.0]
-
-    def test_identity_on_constant_head(self):
-        out = flatten_head([1, 1, 1], 2)
-        assert out.entries.tolist() == [1.0, 1.0, 1.0]
-
-    def test_n_one_is_identity(self):
-        out = flatten_head([4, 2, 2, 1], 1)
-        assert out.entries.tolist() == [4.0, 2.0, 2.0, 1.0]
-
-    def test_rejects_increasing_input(self):
-        with pytest.raises(ValueError):
-            flatten_head([1, 2], 1)
-
-    def test_rejects_n_zero(self):
-        with pytest.raises(ValueError):
-            flatten_head([2, 1], 0)
-
-    def test_n_beyond_support(self):
-        assert flatten_head([2, 1], 5).entries.tolist() == [0.0, 0.0]
+    """Lowering the n largest entries to the n-th largest keeps sigma_n and
+    never raises the weighted norm (the weights are nondecreasing)."""
 
     @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=1,
                     max_size=24),
            st.integers(1, 24), st.integers(0, 2**32 - 1))
     @settings(max_examples=150)
     def test_norm_shrinks_and_sigma_survives(self, entries, n, seed):
-        v = np.sort(np.abs(np.asarray(entries)))[::-1]
-        out = flatten_head(v, n)
+        v = decreasing(entries)
+        out = v.copy()
+        out[:n] = v[n - 1] if n <= v.size else 0.0
         rng = np.random.default_rng(seed)
         w = random_monotone_weights(rng, v.size)
         for p in (0.5, 1.0, 2.0, math.inf):

@@ -15,8 +15,6 @@ from nterm import (
     WeightValidationError,
     parse_weight_spec,
     predicted_rate,
-    validate,
-    weight_value,
 )
 
 from conftest import builtin_families
@@ -24,22 +22,22 @@ from conftest import builtin_families
 
 class TestWeightValue:
     def test_constant(self):
-        assert weight_value(ConstantWeights(), 10) == 1.0
+        assert ConstantWeights().value(10) == 1.0
 
     def test_logpow_first_weight(self):
-        assert weight_value(LogPowerWeights(1.0), 1) == 1.0
+        assert LogPowerWeights(1.0).value(1) == 1.0
 
     def test_logpow_formula(self):
         w = LogPowerWeights(2.0)
-        assert weight_value(w, 7) == pytest.approx((1 + math.log(7)) ** 2)
+        assert w.value(7) == pytest.approx((1 + math.log(7)) ** 2)
 
     def test_powlog_running_max_of_identity(self):
         w = PowLogWeights(1.0, 0.0)
-        assert weight_value(w, 5) == 5.0
+        assert w.value(5) == 5.0
 
     def test_index_zero_rejected(self):
         with pytest.raises(ValueError):
-            weight_value(ConstantWeights(), 0)
+            ConstantWeights().value(0)
 
     def test_values_prefix_matches_scalar(self):
         w = PowLogWeights(0.5, -1.0)
@@ -49,7 +47,7 @@ class TestWeightValue:
 
 class TestValidation:
     def test_tabulated_accepted(self):
-        validate(TabulatedWeights([1, 2, 2, 5]))
+        assert TabulatedWeights([1, 2, 2, 5]).known_length == 4
 
     def test_tabulated_decrease_names_index(self):
         with pytest.raises(WeightValidationError) as exc:
@@ -83,14 +81,15 @@ class TestValidation:
             LogPowerWeights(-0.5)
 
     def test_all_builtins_validate(self):
+        # every value, not only the construction-time sample grid
         for w in builtin_families().values():
-            validate(w)
+            TabulatedWeights(w.values(4096))
 
     @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=50))
     @settings(max_examples=100)
     def test_cumulative_tables_always_valid(self, steps):
         vals = 1.0 + np.cumsum(np.asarray(steps))
-        validate(TabulatedWeights(vals))
+        assert TabulatedWeights(vals).known_length == vals.size
 
 
 class TestMonotonicity:
