@@ -150,9 +150,6 @@ def build_table(w: WeightModel, p: float, M: int) -> CumulativeWeightTable:
     vals = w.values(M)
     logs = np.log(vals)
     top = float(logs.max())
-    if not math.isfinite(top):
-        j = int(np.argmin(np.isfinite(logs))) + 1
-        raise ValueError(f"weight w_{j} is not finite")
     if p * top <= LOG_DOMAIN_THRESHOLD:
         # values() hands out a fresh array, so the powers may overwrite it
         np.power(vals, p, out=vals)
@@ -374,9 +371,21 @@ class InftyTailResult:
     terms_summed: int
 
 
+def _power_product(x: float, a: float, y: float, b: float) -> float:
+    """x**a * y**b for x, y > 0.  When one factor alone overflows, the
+    exponents are halved and the product squared; inf when it overflows."""
+    try:
+        return x ** a * y ** b
+    except OverflowError:
+        try:
+            return _power_product(x, a / 2.0, y, b / 2.0) ** 2
+        except OverflowError:
+            return math.inf
+
+
 def _tail_integrand_derivative(alpha: float, beta: float, x: float) -> float:
     """g'(x) for g(x) = x**(-2 alpha) * log2(x + 1)**(-2 beta)."""
-    g = x ** (-2.0 * alpha) * math.log2(x + 1.0) ** (-2.0 * beta)
+    g = _power_product(x, -2.0 * alpha, math.log2(x + 1.0), -2.0 * beta)
     return g * (-2.0 * alpha / x - 2.0 * beta / ((x + 1.0) * math.log(x + 1.0)))
 
 
@@ -399,7 +408,7 @@ def _tail_integral(alpha: float, beta: float, X: float,
     c = 0.0 if boundary else 2.0 * alpha - 1.0
     # h(u) = scale * e**(-c s) (u/a)**(-2b) (1 + d(u)/u)**(-2b) with s = u - a
     # and d(u) = ln(1 + e**-u); the rule integrates the part after scale
-    scale = X ** -c * (a * _LOG2E) ** (-2.0 * beta)
+    scale = _power_product(X, -c, a * _LOG2E, -2.0 * beta)
     closed = a * scale / (2.0 * beta - 1.0) if boundary else 0.0
 
     def f(t: np.ndarray) -> np.ndarray:
@@ -477,22 +486,23 @@ def class_error_infty(
     # only PowLog reaches this point (const/logpow tails always diverge)
     assert isinstance(w, PowLogWeights)
     J = max(64, 2 * (n + 1))
-    if w.beta < 0:
-        # past this point the raw formula is increasing, so the running max
-        # coincides with it and the integral comparison applies
-        J = max(J, int(math.exp(abs(w.beta) / w.alpha)) + 2)
 
     def em_bound(J_: int) -> float:
         return abs(_tail_integrand_derivative(alpha, beta, J_ + 0.5)) / 12.0
 
     def past_plateau(J_: int) -> bool:
-        raw = float(w.raw_value(np.float64(J_)))
-        return raw == w.value(J_) and float(w.raw_value(np.float64(J_ + 1))) > raw
+        # the raw formula starts at 1 and at most dips before it rises, so
+        # it is the running max once back at 1 (non-finite passes to values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return not w.raw_value(np.float64(J_)) < 1.0
 
     while (em_bound(J) > 0.5 * tail_tol or not past_plateau(J)):
         if 2 * J > _MAX_TERMS:
             break
         J *= 2
+    if not past_plateau(J):
+        raise ValueError(f"weights stay on their plateau w_j = 1 past "
+                         f"index {J}, the longest p = inf head")
 
     head_terms = w.values(J)[n:] ** -2.0
     head = math.fsum(head_terms.tolist())

@@ -27,7 +27,9 @@ Identical invocations (including seeds) produce byte-identical output.
 
 Exit codes: 0 success, 1 failed certification, 2 bad weight spec or
 arguments, 3 numeric domain errors (also an index too large to allocate),
-4 I/O errors.
+4 I/O errors.  A closed-form weight that is not finite is exit 2 among the
+first 1024, which parsing the spec checks, and exit 3 when a run reads it
+later.
 """
 
 from __future__ import annotations

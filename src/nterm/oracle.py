@@ -1,19 +1,20 @@
 """Brute-force maximizers of the n-term tail error over weighted lp balls.
 
-Two independent engines certify the analytic bounds:
+Two engines are checked against the analytic bounds:
 
 * ``structure_oracle`` optimizes over sequences of the form
   (b, ..., b, c, 0, ...) with m leading entries b >= c and one overflow
-  entry c.  For p <= 2 this is the shape a worst-case element takes.  For
-  p > 2 it is not: the worst case there has a flat block followed by a
-  Hoelder tail x_j ~ w_j**(-p/(p-2)), which this family cannot express, so
-  a ``certify`` pass at p > 2 is not a proof.  For each m the
-  one-dimensional problem in b is solved in closed form: its maximizer is
-  one of at most three candidates, evaluated for every m at once (see
-  ``structure_oracle``).
+  entry c.  For each m the problem in b is solved in closed form by the
+  best of at most three candidates, for every m at once.  For p <= 2 these
+  are the equal-entry witnesses of lengths m and m + 1, so the oracle is
+  the lower envelope max (m-n) / W_m**2 over m in [max(n, 1), m_max + 1],
+  not an independent check.  For p > 2 it can exceed that envelope, but the
+  worst case there has a flat block followed by a Hoelder tail
+  x_j ~ w_j**(-p/(p-2)), which this family cannot express, so a
+  ``certify`` pass at p > 2 is not a proof.
 * ``random_search_oracle`` samples random nonincreasing sequences scaled to
   the unit sphere on the first ``max_support`` indices; every sample is a
-  valid lower bound.
+  valid lower bound.  It is the only engine independent of the envelope.
 
 Both engines are bitwise reproducible given a seed and configuration.
 
@@ -24,7 +25,7 @@ run, ``oracle_table``, sized for the largest n and shared by every n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -278,25 +279,7 @@ class CertificationReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "weights": self.weights,
-            "p": self.p,
-            "n": self.n,
-            "m_max": self.m_max,
-            "seed": self.seed,
-            "iters": self.iters,
-            "tol": self.tol,
-            "bound_status": self.bound_status,
-            "lower_sq": self.lower_sq,
-            "upper_sq": self.upper_sq,
-            "scan_lower_sq": self.scan_lower_sq,
-            "scan_upper_sq": self.scan_upper_sq,
-            "limit_estimate": self.limit_estimate,
-            "structure_sq": self.structure_sq,
-            "random_sq": self.random_sq,
-            "checks": {name: ok for name, ok in self.checks},
-            "passed": self.passed,
-        }
+        return {**asdict(self), "checks": dict(self.checks)}
 
 
 def certify(
@@ -311,7 +294,9 @@ def certify(
 
     One report per n of the grid, all read from one ``oracle_table``.
     Check failures set the report's ``passed`` flag instead of raising, so
-    harnesses can collect every combination before deciding.
+    harnesses can collect every combination before deciding.  At p <= 2
+    ``structure_ge_scan_lower`` is an identity: the structure oracle equals
+    the lower envelope over a scan one index longer than the bound scan.
     """
     if cfg is None:
         cfg = OracleConfig()

@@ -10,10 +10,12 @@ be evaluated at any index j >= 1.  Four families are built in:
 
 ``PowLogWeights`` applies a running maximum so the sequence is nondecreasing
 for every real beta; the base-2 logarithm makes the first weight exactly 1
-for all parameter choices.  ``predicted_rate`` maps a closed-form family and
-an exponent p to the polynomial/logarithmic decay exponents expected of the
-worst-case n-term error, plus the hypotheses under which the prediction
-holds.
+for all parameter choices.  ``values(m)`` returns finite, nondecreasing
+w_1..w_m >= 1 or raises a ``ValueError`` naming the first weight that is not
+finite; constructors check only w_1..w_1024 (``WeightValidationError``).
+``predicted_rate`` maps a closed-form family and an exponent p to the
+polynomial/logarithmic decay exponents expected of the worst-case n-term
+error, plus the hypotheses under which the prediction holds.
 
 Models can also be written as short text specs (``const``,
 ``logpow:beta=1``, ``powlog:alpha=1,beta=0``, ``file:weights.txt``) for CLI
@@ -23,7 +25,6 @@ and config use; see ``parse_weight_spec``.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -44,12 +45,6 @@ __all__ = [
     "parse_weight_spec",
 ]
 
-# indices used to spot-check monotonicity of closed-form families
-_SAMPLE_GRID = np.unique(np.concatenate([
-    np.arange(1, 1025),
-    2 ** np.arange(10, 21),
-])).astype(np.int64)
-
 
 class WeightValidationError(ValueError):
     """A weight sequence is not finite, not nondecreasing or starts below 1."""
@@ -67,12 +62,12 @@ class WeightSpecError(ValueError):
     """A textual weight spec could not be parsed."""
 
 
-def _check_values(vals: np.ndarray, index: np.ndarray) -> None:
-    """Raise unless vals (w_j at the 1-based ``index``) are finite,
-    start at 1 or above and never decrease."""
+def _check_values(vals: np.ndarray) -> None:
+    """Raise unless w_1..w_m are finite, start at 1 or above and never
+    decrease."""
     bad = np.nonzero(~np.isfinite(vals))[0]
     if bad.size:
-        j = int(index[bad[0]])
+        j = int(bad[0]) + 1
         raise WeightValidationError(
             f"w_{j} = {vals[bad[0]]} is not finite", index=j)
     if vals[0] < 1.0:
@@ -80,16 +75,27 @@ def _check_values(vals: np.ndarray, index: np.ndarray) -> None:
             f"w_1 = {vals[0]} is below 1", index=1)
     bad = np.nonzero(np.diff(vals) < 0)[0]
     if bad.size:
-        j = int(index[bad[0] + 1])
+        j = int(bad[0]) + 2
         raise WeightValidationError(
             f"weights decrease at index {j}", index=j)
+
+
+def _finite(vals: np.ndarray) -> np.ndarray:
+    """Return nondecreasing weights, or raise naming the first that is not
+    finite.  NaN survives a running maximum, so w_m decides for all."""
+    if not math.isfinite(vals[-1]):
+        j = int(np.argmin(np.isfinite(vals))) + 1
+        raise ValueError(f"weight w_{j} is not finite")
+    return vals
 
 
 class WeightModel:
     """Base class; concrete families implement ``values``."""
 
     def values(self, m: int) -> np.ndarray:
-        """Return w_1..w_m as a new float64 array the caller may modify."""
+        """Return w_1..w_m as a new float64 array the caller may modify:
+        finite, nondecreasing and >= 1, or a ValueError naming the first
+        weight that is not finite."""
         raise NotImplementedError
 
     def value(self, j: int) -> float:
@@ -111,10 +117,12 @@ class WeightModel:
         raise NotImplementedError
 
     def _check(self) -> None:
-        """Verify finite values, w_1 >= 1 and monotonicity on a sample grid."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = self.values(int(_SAMPLE_GRID[-1]))[_SAMPLE_GRID - 1]
-        _check_values(vals, _SAMPLE_GRID)
+        """Verify w_1..w_1024, the shortest default scan."""
+        try:
+            vals = self.values(1024)
+        except ValueError as exc:
+            raise WeightValidationError(str(exc)) from None
+        _check_values(vals)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec_string()!r})"
@@ -141,6 +149,9 @@ class LogPowerWeights(WeightModel):
 
     def __init__(self, beta: float):
         self.beta = float(beta)
+        if not math.isfinite(self.beta):
+            raise WeightValidationError(
+                f"logpow requires finite beta, got {self.beta}")
         if self.beta < 0:
             # (1 + ln j)**beta decreases for beta < 0
             raise WeightValidationError(
@@ -152,7 +163,8 @@ class LogPowerWeights(WeightModel):
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         j = np.arange(1, int(m) + 1, dtype=np.float64)
-        return (1.0 + np.log(j)) ** self.beta
+        with np.errstate(over="ignore"):
+            return _finite((1.0 + np.log(j)) ** self.beta)
 
     @property
     def asymptotic_exponents(self) -> tuple[float, float]:
@@ -166,9 +178,7 @@ class PowLogWeights(WeightModel):
     """Running maximum of i**alpha * log2(i+1)**beta.
 
     The running maximum keeps the sequence nondecreasing for beta < 0, where
-    the raw formula dips before the power term takes over.  The evaluated
-    prefix is cached and grows on demand; access is lock-protected so
-    instances behave as pure functions under concurrent use.
+    the raw formula dips before the power term takes over.
     """
 
     def __init__(self, alpha: float, beta: float):
@@ -180,8 +190,6 @@ class PowLogWeights(WeightModel):
             raise WeightValidationError(
                 f"powlog requires finite alpha and beta, got "
                 f"alpha={self.alpha}, beta={self.beta}")
-        self._lock = threading.Lock()
-        self._cache = np.empty(0)
         self._check()
 
     def raw_value(self, j) -> np.ndarray:
@@ -189,28 +197,13 @@ class PowLogWeights(WeightModel):
         j = np.asarray(j, dtype=np.float64)
         return j ** self.alpha * np.log2(j + 1.0) ** self.beta
 
-    def _fill(self, m: int) -> None:
-        with self._lock:
-            have = self._cache.size
-            if have >= m:
-                return
-            grow = max(m, 2 * have, 1024)
-            new_j = np.arange(have + 1, grow + 1, dtype=np.float64)
-            # a large alpha overflows to inf; build_table reports the index
-            with np.errstate(over="ignore"):
-                raw = self.raw_value(new_j)
-            if have:
-                raw[0] = max(raw[0], self._cache[-1])
-            self._cache = np.concatenate(
-                [self._cache, np.maximum.accumulate(raw)])
-
     def values(self, m: int) -> np.ndarray:
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        m = int(m)
-        self._fill(m)
-        with self._lock:
-            return self._cache[:m].copy()
+        j = np.arange(1, int(m) + 1, dtype=np.float64)
+        # a large alpha overflows to inf, and inf * 0 gives NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(np.maximum.accumulate(self.raw_value(j)))
 
     @property
     def asymptotic_exponents(self) -> tuple[float, float]:
@@ -232,7 +225,7 @@ class TabulatedWeights(WeightModel):
         arr = np.asarray(values, dtype=np.float64).reshape(-1)
         if arr.size == 0:
             raise WeightValidationError("weight table is empty")
-        _check_values(arr, np.arange(1, arr.size + 1))
+        _check_values(arr)
         arr.setflags(write=False)
         self._values = arr
         self._source = source

@@ -46,3 +46,19 @@ def table_sizes(monkeypatch) -> list[int]:
     for module in (nterm.bounds, nterm.oracle):
         monkeypatch.setattr(module, "build_table", counting)
     return sizes
+
+
+@pytest.fixture
+def weights_evaluated(monkeypatch) -> list[int]:
+    """The length of every array a weight model's ``values`` returns during
+    the test."""
+    sizes = []
+    for cls in (ConstantWeights, LogPowerWeights, PowLogWeights,
+                TabulatedWeights):
+        def counting(self, m, real=cls.values):
+            vals = real(self, m)
+            sizes.append(vals.size)
+            return vals
+
+        monkeypatch.setattr(cls, "values", counting)
+    return sizes

@@ -21,12 +21,14 @@ from nterm import (
     weighted_lp_norm,
 )
 from nterm.bounds import (
+    _MAX_TERMS,
     STATUS_ATTAINED,
     STATUS_CONVERGED,
     STATUS_DIVERGENT,
     STATUS_LIMIT,
     STATUS_TRUNCATED,
     _tail_integral,
+    _tail_integrand_derivative,
 )
 
 import _ref
@@ -542,3 +544,36 @@ class TestClassErrorInfty:
         with mpmath.workdps(_ref.DIGITS):
             gap = float(abs(mpmath.mpf(r.value_sq) - ref))
         assert gap <= r.truncation_bound
+
+    @pytest.mark.parametrize("beta", [-6.0, -17.0, -100.0])
+    def test_plateau_past_the_head_is_a_domain_error(self, monkeypatch,
+                                                      beta):
+        # at alpha = 1 the running max stays at w_j = 1 up to about 2**29.5
+        # for beta = -6, and further for the others; the head may not read
+        # past _MAX_TERMS weights on the way to saying so
+        real = PowLogWeights.values
+
+        def capped(self, m):
+            assert m <= _MAX_TERMS, f"requested {m} weights"
+            return real(self, m)
+
+        monkeypatch.setattr(PowLogWeights, "values", capped)
+        with pytest.raises(ValueError, match="plateau w_j = 1"):
+            class_error_infty(PowLogWeights(1.0, beta), 16)
+
+    def test_tail_where_one_factor_overflows(self):
+        # log2(x + 1)**300 overflows at x = 2**23, x**-60 * log2(x + 1)**300
+        # does not: past the plateau of powlog(30, -150) the tail is small
+        alpha, beta, X = 30.0, -150.0, 2.0 ** 23 + 0.5
+        value, _ = _tail_integral(alpha, beta, X, epsabs=0.0)
+        deriv = _tail_integrand_derivative(alpha, beta, X)
+        with mpmath.workdps(30):
+            def g(x):
+                return x ** -60 * mpmath.log(x + 1, 2) ** 300
+            ref = mpmath.quad(g, [X, 2 * X, 8 * X, 64 * X, mpmath.inf])
+            ref_deriv = mpmath.diff(g, X)
+        assert value == pytest.approx(float(ref), rel=1e-12)
+        assert deriv == pytest.approx(float(ref_deriv), rel=1e-12)
+
+    def test_overflowing_derivative_is_inf(self):
+        assert math.isinf(_tail_integrand_derivative(1.0, -1000.0, 64.5))

@@ -457,6 +457,47 @@ class TestErrorPaths:
         assert code == EXIT_OK and err == ""
         assert "attained" in out
 
+    def test_first_overflow_is_named(self, capsys):
+        # j**60 first overflows at j = 137271, inside m_max = 2^18
+        code, out, err = run_cli(capsys, [
+            "bounds", "--weights", "powlog:alpha=60,beta=0", "--p", "1",
+            "--n", "2^12"])
+        assert code == EXIT_DOMAIN and out == ""
+        assert "w_137271 is not finite" in err
+        assert err.count("\n") == 1
+
+    def test_overflow_past_the_run_is_not_read(self, capsys):
+        # m_max = 1024 stops well short of the overflow at j = 137271
+        code, out, err = run_cli(capsys, [
+            "bounds", "--weights", "powlog:alpha=60,beta=0", "--p", "1",
+            "--n", "4"])
+        assert code == EXIT_OK and err == ""
+
+    def test_nan_weights_one_line(self, capsys):
+        # j**51 overflows where log2(j + 1)**-300 is already 0: inf * 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                "bounds", "--weights", "powlog:alpha=51,beta=-300", "--p",
+                "1", "--n", "2^15"])
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.startswith("nterm: error=domain")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, spec", [
+        ("bounds", "powlog:alpha=1,beta=-6"),      # plateau to ~2^29.5
+        ("bounds", "powlog:alpha=1,beta=-100"),    # log factor ** 200
+        ("ratefit", "powlog:alpha=1,beta=-100"),
+        ("bounds", "powlog:alpha=20,beta=-200"),   # log factor ** 400
+    ])
+    def test_p_inf_plateau_past_the_head(self, capsys, command, spec):
+        code, out, err = run_cli(capsys, [
+            command, "--weights", spec, "--p", "inf", "--n", "16"])
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.startswith("nterm: error=domain")
+        assert "plateau" in err
+        assert err.count("\n") == 1
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, ["bounds", "--wat", "1"])
         assert code == EXIT_BAD_SPEC

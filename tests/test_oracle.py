@@ -21,10 +21,10 @@ from nterm import (
     structure_oracle,
     weighted_lp_norm,
 )
-from nterm.bounds import STATUS_DIVERGENT
+from nterm.bounds import STATUS_DIVERGENT, scan_length
 from nterm.sequences import sigma_sq_exact
 
-from conftest import builtin_families
+from conftest import builtin_families, random_monotone_weights
 
 LINEAR = PowLogWeights(1.0, 0.0)
 
@@ -169,6 +169,40 @@ class TestStructureOracle:
         with pytest.raises(ValueError):
             structure_oracle(ConstantWeights(), math.inf, 1,
                              OracleConfig(m_max=8))
+
+
+class TestStructureOracleIsLowerEnvelope:
+    """At p <= 2 the structure oracle's candidates are the equal-entry
+    witnesses of lengths m and m + 1, so it returns max (m-n) / W_m**2
+    over m in [max(n, 1), m_max + 1]."""
+
+    FAMILIES = {
+        **builtin_families(),
+        "random": random_monotone_weights(np.random.default_rng(11), 3000),
+    }
+
+    @staticmethod
+    def envelope(w, p, n, cfg):
+        top = scan_length(w, n, cfg.m_max, lookahead=1) + 1
+        W_sq = np.cumsum(w.values(top) ** p) ** (2.0 / p)
+        m = np.arange(1, top + 1)
+        lo = max(n, 1)
+        return float(np.max((m[lo - 1:] - n) / W_sq[lo - 1:]))
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("n", [0, 1, 4, 16, 64])
+    def test_identity_at_p_le_2(self, name, p, n):
+        w, cfg = self.FAMILIES[name], OracleConfig()
+        value, _ = structure_oracle(w, p, n, cfg)
+        assert value == pytest.approx(self.envelope(w, p, n, cfg), rel=1e-13)
+
+    # const is left out: at p = 3 its envelope keeps rising to m_max + 1
+    @pytest.mark.parametrize("name", [k for k in FAMILIES if k != "const"])
+    def test_concave_branch_exceeds_it_above_2(self, name):
+        w, cfg = self.FAMILIES[name], OracleConfig()
+        value, _ = structure_oracle(w, 3.0, 4, cfg)
+        assert value > self.envelope(w, 3.0, 4, cfg) * (1 + 1e-6)
 
 
 class TestRandomSearchOracle:

@@ -118,6 +118,35 @@ class TestMonotonicity:
         assert vals[0] == 1.0
 
 
+class TestValuesChecksWhatItReturns:
+    @pytest.mark.parametrize("spec", [
+        "logpow:beta=1", "powlog:alpha=1,beta=0", "powlog:alpha=0.5,beta=-1"])
+    def test_parse_evaluates_at_most_1024_weights(self, weights_evaluated,
+                                                   spec):
+        parse_weight_spec(spec)
+        assert 0 < sum(weights_evaluated) <= 1024
+
+    def test_names_first_overflow(self):
+        # j**60 first passes the float64 maximum at j = 137271
+        w = parse_weight_spec("powlog:alpha=60,beta=0")
+        assert np.isfinite(w.values(137270)).all()
+        with pytest.raises(ValueError,
+                           match=r"^weight w_137271 is not finite$"):
+            w.values(2 ** 18)
+
+    def test_late_overflow_is_not_a_spec_error(self):
+        w = LogPowerWeights(300.0)   # (1 + ln j)**300 overflows past 1024
+        with pytest.raises(ValueError) as exc:
+            w.values(2 ** 20)
+        assert not isinstance(exc.value, WeightValidationError)
+
+    def test_nan_from_inf_times_zero_is_named_quietly(self):
+        # j**51 overflows where log2(j + 1)**-300 has underflowed to 0
+        w = PowLogWeights(51.0, -300.0)
+        with pytest.raises(ValueError, match="is not finite"):
+            w.values(2 ** 21)
+
+
 class TestPredictedRate:
     def test_constant_p1(self):
         r = predicted_rate(ConstantWeights(), 1.0)
