@@ -6,7 +6,9 @@ unless bracketed) and ``_FLAGS`` declares each flag; the parser, the JSON
 
 * ``bounds --weights --p --n [--m-max]``: worst-case error bounds per n
   (tail sums when p = inf)
-* ``exact --sequence --n``: exact sigma_n of a sequence read from a file
+* ``exact --sequence --n``: exact sigma_n of a sequence read from a
+  file with one entry per line; blank lines are skipped, and a line
+  that is not a number is exit 3, named as ``PATH:LINE``
 * ``extremal --weights --p --m``: the equal-entry unit-sphere witness
 * ``oracle --weights --p --n [--m-max --seed --iters --max-support]``:
   structured and random-search maximizer values
@@ -50,7 +52,7 @@ from .bounds import class_bounds_grid, class_error_infty
 from .oracle import (OracleConfig, certify, oracle_table,
                      random_search_oracle, structure_oracle)
 from .ratefit import class_error_samples, dyadic_grid, fit_rate, ratio_envelope
-from .sequences import CoefficientSequence, extremal_sequence, scaled_tail_sq
+from .sequences import CoefficientSequence, extremal_sequence, scaled_tail_sqs
 from .weights import (
     UnsupportedFamilyError,
     WeightSpecError,
@@ -141,17 +143,48 @@ def _run_bounds(ns) -> tuple[dict, int]:
     return {"rows": rows, "columns": columns}, EXIT_OK
 
 
-def _run_exact(ns) -> tuple[dict, int]:
+def _entries_by_line(path: str, text: str) -> list[float]:
+    """The numbers of ``text``, cut by ``str.splitlines``; blanks skipped."""
+    entries = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        token = line.strip()
+        if token:
+            try:
+                entries.append(float(token))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: not a number: {token!r}") from None
+    return entries
+
+
+def _read_sequence(path: str) -> CoefficientSequence:
+    """The entries of a sequence file: one number per line, blanks skipped.
+
+    The file is read a line at a time, so neither its text nor a list of its
+    lines is held while the entries are parsed.  If a line does not parse,
+    the text is read again and cut by ``str.splitlines``, which also breaks
+    lines at \\v, \\f and the other Unicode line separators; that either
+    parses or names the first line that is not a number.
+    """
     try:
-        lines = Path(ns.sequence).read_text(encoding="utf-8").splitlines()
+        with open(path, encoding="utf-8") as fh:
+            try:
+                # float() ignores the whitespace around a number
+                entries = [float(t) for t in fh if not t.isspace()]
+            except ValueError:
+                fh.seek(0)
+                entries = _entries_by_line(path, fh.read())
     except OSError as exc:
         raise IOError(f"cannot read sequence file: {exc}") from exc
-    entries = [float(t) for t in (line.strip() for line in lines) if t]
-    x = CoefficientSequence(np.asarray(entries))
+    return CoefficientSequence(np.asarray(entries))
+
+
+def _run_exact(ns) -> tuple[dict, int]:
+    x = _read_sequence(ns.sequence)
+    n_values = parse_n_spec(ns.n)
     rows = []
-    for n in parse_n_spec(ns.n):
+    for n, (s, e) in zip(n_values, scaled_tail_sqs(x, n_values)):
         # one exact sum gives both, so sigma_sq is not the square of sigma
-        s, e = scaled_tail_sq(x, n)
         rows.append({"n": n, "sigma_sq": math.ldexp(s, 2 * e),
                      "sigma": math.ldexp(math.sqrt(s), e),
                      "support_len": x.support_len})
@@ -286,7 +319,9 @@ _FLAGS = {
                        "clipped to a weight file's length L (bounds, "
                        "ratefit) or to L - 1 (oracle, certify)"),
     "sequence": dict(required=True, metavar="PATH",
-                     help="text file, one coefficient per line"),
+                     help="text file, one coefficient per line; blank "
+                          "lines are skipped, a line that is not a number "
+                          "is exit 3"),
     "seed": dict(type=int, default=0),
     "iters": dict(type=int, default=20000),
     "max_support": dict(type=int, default=64,

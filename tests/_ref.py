@@ -1,13 +1,18 @@
-"""A 50-digit reference for the cumulative-weight table, for tests only.
+"""References for tests only: the cumulative-weight table and tail sums.
 
 The weights are evaluated from their closed-form definitions in mpmath
 (a tabulated model contributes its float64 values exactly), and W_m, W_m**-2
 and log W_m are formed from them at 50 significant digits.  Nothing here
 shares arithmetic with ``nterm.bounds``, so a comparison against it checks
 the float path and the log-domain path, weight evaluation included.
+
+``scaled_tail_sq`` is the exact tail sum of one n by a sort and one
+``math.fsum`` over the whole tail.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath
 import numpy as np
@@ -112,3 +117,19 @@ def powlog_tail_sq(alpha: float, beta: float, n: int, K: int = 1000):
                 * mpmath.gammainc(1 - 2 * beta, 200 * c)
         em = mpmath.diff(g, x0, 1) / 24 - 7 * mpmath.diff(g, x0, 3) / 5760
         return head + body + far + em
+
+
+def scaled_tail_sq(x, n: int) -> tuple[float, int]:
+    """(S, e) with sigma_n(x)**2 = S * 2**(2e), one n at a time.
+
+    The tail past the n largest magnitudes is scaled by 2**-e, with e the
+    binary exponent of its largest entry, squared, and summed by
+    ``math.fsum``.  n at or beyond the support gives (0.0, 0).
+    """
+    a = np.sort(np.abs(np.asarray(x, dtype=np.float64)))  # ascending
+    keep = a.size - int(n)
+    if keep <= 0:
+        return 0.0, 0
+    e = math.frexp(float(a[keep - 1]))[1]
+    tail = np.ldexp(a[:keep], -e)
+    return math.fsum((tail * tail).tolist()), e

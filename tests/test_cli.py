@@ -66,6 +66,28 @@ TABLE300 = {
 }
 
 
+def _write_exact_inputs(directory: Path) -> None:
+    """The sequence files behind ``EXACT_RECORDED``.
+
+    small.txt mixes zeros, a blank line, subnormals and a dynamic range past
+    2**511, so some tails have subnormal scaled squares; grid.txt holds 2000
+    entries from correctly rounded divisions, spread over 2**-80..2**80.
+    """
+    (directory / "small.txt").write_text(
+        "3\n-4\n0\n\n  1e-310\n2.5e-200\n-7.27e-158\n1\n1\n1\n1e150\n"
+        "-1e-300\n0.1\n0.2\n0.30000000000000004\n12345.678\n-6.02e23\n")
+    grid = [(k * 7919 % 10007 - 5003) / 4999 * 2.0 ** ((k * 37) % 161 - 80)
+            for k in range(1, 2001)]
+    (directory / "grid.txt").write_text("".join(f"{v!r}\n" for v in grid))
+
+
+# "file|n|format" -> the exact artifact, recorded at commit 5a61519, before
+# the tail sums of an n grid shared one sort
+EXACT_RECORDED = json.loads(
+    (Path(__file__).resolve().parent / "data" / "exact_recorded.json")
+    .read_text())
+
+
 class TestNSpec:
     def test_single(self):
         assert parse_n_spec("17") == [17]
@@ -215,6 +237,43 @@ class TestExact:
                                         "--n", "0"])
         assert code == EXIT_IO
         assert err.startswith("nterm: error=io")
+
+    def test_bad_line_is_named(self, capsys, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_text("1\n\n2\nhello\n3\n")
+        code, out, err = run_cli(capsys, ["exact", "--sequence", str(path),
+                                          "--n", "0"])
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("nterm: error=domain")
+        assert f"{path}:4: not a number: 'hello'" in err
+        assert err.count("\n") == 1
+
+    def test_line_breaks_as_splitlines_cuts_them(self, capsys, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_bytes(b"1\x0c2\n 3 \r\n\r\n\r4\x0b\n")
+        doc = run_json(capsys, ["exact", "--sequence", str(path), "--n", "0"])
+        assert doc["rows"][0]["sigma_sq"] == 30.0
+        assert doc["rows"][0]["support_len"] == 4
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_bytes(b"1\n\xff\n")
+        code, out, err = run_cli(capsys, ["exact", "--sequence", str(path),
+                                          "--n", "0"])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("nterm: error=domain")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", sorted(EXACT_RECORDED))
+    def test_recorded_bytes(self, capsys, tmp_path, monkeypatch, key):
+        name, n, fmt = key.split("|")
+        _write_exact_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, ["exact", "--sequence", name,
+                                          "--n", n, "--format", fmt])
+        assert (code, err) == (EXIT_OK, "")
+        assert out == EXACT_RECORDED[key]
 
 
 class TestExtremal:

@@ -16,8 +16,9 @@ from nterm import (
     sigma_n_exact,
     weighted_lp_norm,
 )
-from nterm.sequences import sigma_sq_exact
+from nterm.sequences import scaled_tail_sqs, sigma_sq_exact
 
+import _ref
 from conftest import builtin_families, random_monotone_weights
 
 
@@ -74,6 +75,15 @@ class TestCoefficientSequence:
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(ValueError, match="entry 2"):
             CoefficientSequence(np.array([1.0, bad, 3.0]))
+
+    def test_entries_read_only(self):
+        seq = CoefficientSequence(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            seq.entries[0] = 3.0
+
+    def test_support_len(self):
+        assert CoefficientSequence([1, 2, 3]).support_len == 3
+        assert len(CoefficientSequence([])) == 0
 
 
 class TestSigmaExact:
@@ -140,6 +150,69 @@ class TestSigmaExact:
         scaled = [lam * v for v in entries]
         assert sigma_n_exact(scaled, n) == pytest.approx(
             abs(lam) * sigma_n_exact(entries, n), rel=1e-12, abs=1e-300)
+
+
+# any finite magnitude, subnormals and zeros included
+wide_entries = st.lists(
+    st.builds(math.ldexp, st.floats(-1, 1, allow_nan=False),
+              st.integers(-1100, 1023)),
+    min_size=0, max_size=32)
+
+n_grids = st.lists(st.integers(0, 40), min_size=1, max_size=8)
+
+
+def _per_n(entries, grid):
+    return [_ref.scaled_tail_sq(entries, n) for n in grid]
+
+
+class TestTailGrid:
+    """``scaled_tail_sqs`` equals the per-n sort and fsum, bit for bit."""
+
+    @given(st.one_of(wide_entries, finite_entries), n_grids)
+    @example([0.0, -0.0, 0.0], [0, 1, 3, 5])
+    @example([5e-324, -1e-310, 2.2250738585072014e-308, 0.0], [0, 1, 2, 4])
+    @example([1, 1, 1, 1, 7.27e-158], [4, 3, 4])  # tail square is subnormal
+    @example([1e300, -1e-300, 1.0, 3e-160, 2.0 ** -600], [0, 1, 2, 3, 4])
+    @example([3.0, 4.0], [7, 2, 0, 2])
+    @settings(max_examples=400)
+    def test_matches_per_n_sums(self, entries, grid):
+        assert scaled_tail_sqs(entries, grid) == _per_n(entries, grid)
+
+    @pytest.mark.parametrize("tiny, expected", [
+        (2.0 ** -520, 0.25 + 2.0 ** -54),  # its square 2**-1040 counts
+        (2.0 ** -540, 0.25),  # its square underflows to 0
+    ])
+    def test_subnormal_square_decides_a_tie(self, tiny, expected):
+        # 0.25 + 2 * 2**-56 lies halfway between two doubles, so only the
+        # tiny entry's rounded square decides which one the sum rounds to
+        entries = [0.5, 2.0 ** -28, 2.0 ** -28, tiny]
+        assert scaled_tail_sqs(entries, [0]) == [(expected, 0)]
+        assert _ref.scaled_tail_sq(entries, 0) == (expected, 0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_long_sequences(self, seed):
+        rng = np.random.default_rng(seed)
+        size = 20000
+        # long runs of one exponent, a log-uniform spread over every binade,
+        # ties, and zeros
+        entries = np.concatenate([
+            rng.uniform(0.5, 1.0, size),
+            np.ldexp(rng.uniform(0.5, 1.0, size),
+                     rng.integers(-1074, 1024, size)),
+            np.repeat(rng.standard_normal(50), 40),
+            np.zeros(100),
+        ])
+        entries *= rng.choice([-1.0, 1.0], entries.size)
+        grid = [0, 1, 5, 100, 4000, 20000, 30000, 40000, 42000, 42099,
+                42100, 42101, 5, 0]
+        assert scaled_tail_sqs(entries, grid) == _per_n(entries, grid)
+
+    def test_empty_grid(self):
+        assert scaled_tail_sqs([1.0, 2.0], []) == []
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            scaled_tail_sqs([1.0, 2.0], [1, -1])
 
 
 class TestRearrangementNeverIncreasesWeightedNorm:
@@ -218,14 +291,3 @@ class TestFlattenHead:
             assert weighted_lp_norm(out, w, p) <= before + 1e-12 * max(before, 1.0)
         if n <= v.size:
             assert sigma_n_exact(out, n) == sigma_n_exact(v, n)
-
-
-class TestCoefficientSequence:
-    def test_entries_read_only(self):
-        seq = CoefficientSequence(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            seq.entries[0] = 3.0
-
-    def test_support_len(self):
-        assert CoefficientSequence([1, 2, 3]).support_len == 3
-        assert len(CoefficientSequence([])) == 0
