@@ -62,6 +62,9 @@ STATUS_CONVERGED = "converged"
 
 # switch the prefix sums to log-domain accumulation before w_j**p overflows
 LOG_DOMAIN_THRESHOLD = 700.0
+# entries per block of the long double prefix sum (a 1 MiB buffer) and of
+# the envelope scan
+_BLOCK = 2 ** 16
 # trailing log-log slope above which a scanned envelope counts as divergent
 SLOPE_EPS = 0.01
 _EXPONENT_EPS = 1e-12
@@ -92,9 +95,12 @@ class CumulativeWeightTable:
 
     ``sums_p[k]`` is w_1**p + ... + w_{k+1}**p: the terms are float64, the
     running sum is accumulated in long double and rounded once to float64.
-    It is empty in log-domain mode, where ``log_sums_p`` holds the
-    logarithms instead; that mode is taken when a term or the sum would
-    leave the float64 range.
+    ``build_table`` runs that sum in blocks of ``_BLOCK`` terms, carrying
+    the last long double sum of a block into the first term of the next, so
+    it makes the same additions in the same order as one long double
+    ``cumsum`` over all terms and gives the same bits.  ``sums_p`` is empty
+    in log-domain mode, where ``log_sums_p`` holds the logarithms instead;
+    that mode is taken when a term or the sum would leave the float64 range.
     """
 
     p: float
@@ -123,7 +129,7 @@ class CumulativeWeightTable:
         return float(self.inv_sq_slice(m, m)[0])
 
     def inv_sq_slice(self, m_lo: int, m_hi: int) -> np.ndarray:
-        """W_m**-2 for m in [m_lo, m_hi] as a float64 array."""
+        """W_m**-2 for m in [m_lo, m_hi] as a new float64 array."""
         self._check_index(m_lo)
         self._check_index(m_hi)
         if self.log_domain:
@@ -138,7 +144,15 @@ class CumulativeWeightTable:
 
 
 def build_table(w: WeightModel, p: float, M: int) -> CumulativeWeightTable:
-    """Tabulate prefix p-th power sums of the weights up to index M."""
+    """Tabulate prefix p-th power sums of the weights up to index M.
+
+    The weights are raised to p and summed in place, a block of ``_BLOCK``
+    terms at a time through one long double buffer; the table holds the
+    weights' array and that buffer, nothing of length M besides.  Sums only
+    grow, so the first block whose last long double sum passes the float64
+    maximum sends the whole table to log domain, before any of it is
+    rounded: the same decision as testing the last sum of all.
+    """
     if not 0 < p < math.inf:
         raise ValueError(f"p must be finite and positive, got {p}")
     if M < 1:
@@ -148,21 +162,42 @@ def build_table(w: WeightModel, p: float, M: int) -> CumulativeWeightTable:
     if known is not None and known < M:
         raise TableTruncationError(requested=M, available=known)
     vals = w.values(M)
-    logs = np.log(vals)
-    top = float(logs.max())
-    if p * top <= LOG_DOMAIN_THRESHOLD:
-        # values() hands out a fresh array, so the powers may overwrite it
-        np.power(vals, p, out=vals)
-        sums = np.cumsum(vals, dtype=np.longdouble)
-        # every term is below e**700, but their sum may pass float64's range
-        if sums[-1] <= np.finfo(np.float64).max:
+    # values() hands out a fresh nondecreasing array, so w_M is the largest
+    # term and the sums may overwrite it
+    if p * float(np.log(vals[-1])) <= LOG_DOMAIN_THRESHOLD:
+        if _prefix_sums_in_place(vals, p):
             return CumulativeWeightTable(
-                p=float(p), sums_p=sums.astype(np.float64), log_sums_p=None,
-                log_domain=False, length=M)
-    log_sums = np.logaddexp.accumulate(p * logs)
+                p=float(p), sums_p=vals, log_sums_p=None, log_domain=False,
+                length=M)
+        vals = w.values(M)
+    log_sums = np.log(vals, out=vals)
+    log_sums *= p
+    np.logaddexp.accumulate(log_sums, out=log_sums)
     return CumulativeWeightTable(
         p=float(p), sums_p=np.empty(0), log_sums_p=log_sums,
         log_domain=True, length=M)
+
+
+def _prefix_sums_in_place(vals: np.ndarray, p: float) -> bool:
+    """Replace vals by the float64 roundings of the long double prefix sums
+    of vals**p; False, with vals partly overwritten, once a sum passes the
+    float64 maximum."""
+    top = np.finfo(np.float64).max
+    buf = np.empty(min(_BLOCK, vals.size), dtype=np.longdouble)
+    carry = np.longdouble(0.0)
+    for start in range(0, vals.size, _BLOCK):
+        seg = vals[start:start + _BLOCK]
+        np.power(seg, p, out=seg)
+        sums = buf[:seg.size]
+        sums[:] = seg
+        sums[0] += carry
+        np.cumsum(sums, out=sums)
+        carry = sums[-1]
+        # every term is below e**700, but their sum may pass float64's range
+        if carry > top:
+            return False
+        seg[:] = sums
+    return True
 
 
 @dataclass(frozen=True)
@@ -272,15 +307,23 @@ def class_bounds(
         table = build_table(w, p, m_eff)
 
     m_lo = max(n, 1)
-    marr = np.arange(m_lo, m_eff + 1, dtype=np.float64)
-    winv_sq = table.inv_sq_slice(m_lo, m_eff)
-    t_up = (marr - n + 1.0) * winv_sq
-    t_low = (marr - n) * winv_sq
+    # the envelopes (m - n [+ 1]) * W_m**-2, a block at a time: the lower
+    # one, whose terms are >= 0, only for its maximum, the upper one in place
+    # of W_m**-2.  m - n is an integer below 2**53, exact in a float64
+    # arange, so each product is the one of the whole-array formula
+    t_up = table.inv_sq_slice(m_lo, m_eff)
+    scan_lower = 0.0
+    for start in range(0, t_up.size, _BLOCK):
+        seg = t_up[start:start + _BLOCK]
+        k = np.arange(m_lo - n + start, m_lo - n + start + seg.size,
+                      dtype=np.float64)
+        scan_lower = max(scan_lower, float((k * seg).max()))
+        k += 1.0
+        seg *= k
 
     i_up = int(np.argmax(t_up))
     m_star = m_lo + i_up
     scan_upper = float(t_up[i_up])
-    scan_lower = float(t_low.max())
 
     window = max(64, m_star // 4)
     trailing_confirmed = (

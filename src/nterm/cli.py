@@ -28,7 +28,8 @@ decimals with non-finite values spelled ``"inf"``/``"-inf"``/``"nan"``.
 Identical invocations (including seeds) produce byte-identical output.
 
 Exit codes: 0 success, 1 failed certification, 2 bad weight spec or
-arguments, 3 numeric domain errors (also an index too large to allocate),
+arguments, 3 numeric domain errors (also an index too large to allocate,
+and a result past the float64 range, such as an ``exact`` sigma_n**2),
 4 I/O errors.  A closed-form weight that is not finite is exit 2 among the
 first 1024, which parsing the spec checks, and exit 3 when a run reads it
 later.
@@ -471,9 +472,10 @@ def main(argv: list[str] | None = None) -> int:
         text, code = run(ns)
     except (WeightSpecError, WeightValidationError) as exc:
         return _fail("weight-spec", exc, EXIT_BAD_SPEC)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OverflowError) as exc:
         # UnsupportedFamilyError is a ValueError; MemoryError is an index
-        # too large for the arrays it needs
+        # too large for the arrays it needs; OverflowError is a result past
+        # the float64 range
         return _fail("domain", exc, EXIT_DOMAIN)
     except OSError as exc:
         return _fail("io", exc, EXIT_IO)

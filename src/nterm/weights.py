@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -336,23 +335,55 @@ def parse_weight_spec(spec: str) -> WeightModel:
                 f"powlog takes exactly alpha=,beta=, got {spec!r}")
         return PowLogWeights(params["alpha"], params["beta"])
     if head == "file":
-        path = Path(body)
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise WeightSpecError(f"cannot read weight file {body!r}: {exc}")
-        vals = []
-        for lineno, line in enumerate(lines, 1):
-            text = line.strip()
-            if not text:
-                if any(l.strip() for l in lines[lineno:]):
-                    raise WeightSpecError(
-                        f"{body}:{lineno}: blank line inside weight table")
-                break
-            try:
-                vals.append(float(text))
-            except ValueError:
-                raise WeightSpecError(
-                    f"{body}:{lineno}: not a number: {text!r}") from None
-        return TabulatedWeights(vals, source=body)
+        # outside the reader's try: a WeightValidationError is a ValueError
+        return TabulatedWeights(_read_weight_file(body), source=body)
     raise WeightSpecError(f"unknown weight family {head!r}")
+
+
+# characters besides \n at which str.splitlines ends a line; float() strips
+# one at either end of a line, so a file holding any is cut by splitlines
+_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+
+
+def _read_weight_file(body: str) -> list[float]:
+    """The weights of a file, line k being w_k; blank lines may only end it.
+
+    The file is read a line at a time, so neither its text nor a list of its
+    lines is held while the weights are parsed.  If a line does not parse,
+    or the file holds a line break other than \\n, the text is read again
+    and cut by ``str.splitlines``; that either parses or names the first
+    line that is not a number or the first blank line before a weight.
+    """
+    try:
+        with open(body, encoding="utf-8") as fh:
+            try:
+                vals = [float(t) for t in fh]
+                fh.seek(0)
+                blocks = iter(lambda: fh.read(2 ** 16), "")
+                if any(c in b for b in blocks for c in _LINE_BREAKS):
+                    raise ValueError("cut the lines as splitlines does")
+            except ValueError:
+                fh.seek(0)
+                vals = _weights_by_line(body, fh.read().splitlines())
+    except OSError as exc:
+        raise WeightSpecError(f"cannot read weight file {body!r}: {exc}")
+    return vals
+
+
+def _weights_by_line(body: str, lines: list[str]) -> list[float]:
+    """The numbers of ``lines`` up to the first blank one, which must have
+    no number after it."""
+    vals = []
+    for lineno, line in enumerate(lines, 1):
+        text = line.strip()
+        if not text:
+            if any(l.strip() for l in lines[lineno:]):
+                raise WeightSpecError(
+                    f"{body}:{lineno}: blank line inside weight table")
+            break
+        try:
+            vals.append(float(text))
+        except ValueError:
+            raise WeightSpecError(
+                f"{body}:{lineno}: not a number: {text!r}") from None
+    return vals

@@ -8,6 +8,10 @@ the float path and the log-domain path, weight evaluation included.
 
 ``scaled_tail_sq`` is the exact tail sum of one n by a sort and one
 ``math.fsum`` over the whole tail.
+
+``prefix_sums_p`` is the float table as one long double ``cumsum`` over all
+terms, rounded once to float64: what the blocked sum of ``build_table``
+must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -133,3 +137,9 @@ def scaled_tail_sq(x, n: int) -> tuple[float, int]:
     e = math.frexp(float(a[keep - 1]))[1]
     tail = np.ldexp(a[:keep], -e)
     return math.fsum((tail * tail).tolist()), e
+
+
+def prefix_sums_p(w, p: float, M: int) -> np.ndarray:
+    """w_1**p + ... + w_m**p for m = 1..M from one long double cumsum."""
+    vals = w.values(M)
+    return np.cumsum(vals ** p, dtype=np.longdouble).astype(np.float64)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -208,6 +210,94 @@ class TestTableAgainstReference:
         assert np.all(_ref.rel_errors(W, ref["W"]) <= W_bound)
         log_W = t.log_W_slice(1, M)
         assert np.all(_ref.abs_errors(log_W, ref["log_W"]) <= log_W_bound)
+
+
+# lengths at and around the 2**16-term blocks of the long double prefix sum
+BLOCK_LENGTHS = [1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5]
+BLOCK_FAMILIES = {
+    "const": ConstantWeights(),
+    "logpow:beta=1": LogPowerWeights(1.0),
+    "powlog:alpha=1,beta=0": LINEAR,
+    "random": random_monotone_weights(np.random.default_rng(11),
+                                      max(BLOCK_LENGTHS)),
+}
+
+
+class TestBlockedTable:
+    """The blocked prefix sum against one long double cumsum, bit for bit."""
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("M", BLOCK_LENGTHS)
+    @pytest.mark.parametrize("name", list(BLOCK_FAMILIES))
+    def test_equals_one_shot_cumsum(self, name, M, p):
+        w = BLOCK_FAMILIES[name]
+        t = build_table(w, p, M)
+        assert not t.log_domain
+        assert t.sums_p.dtype == np.float64 and t.sums_p.size == M
+        assert np.array_equal(t.sums_p, _ref.prefix_sums_p(w, p, M))
+
+    def test_sum_past_float64_range_in_a_later_block(self):
+        # 1e303 * m passes the float64 maximum at m = 179,770, in the third
+        # block; the first two blocks alone would fit
+        w = TabulatedWeights(np.full(2 ** 18, 1e303))
+        assert 2 * 2 ** 16 * 1e303 < np.finfo(np.float64).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = build_table(w, 1.0, 2 ** 18)
+        assert t.log_domain
+        assert np.array_equal(t.log_sums_p, np.logaddexp.accumulate(
+            1.0 * np.log(w.values(2 ** 18))))
+
+    @pytest.mark.parametrize("w, p", [
+        (ConstantWeights(), 1.0), (LINEAR, 2.0), (LogPowerWeights(1.0), 0.5),
+        (PowLogWeights(12.0, 0.0), 5.0),
+        (random_monotone_weights(np.random.default_rng(12), 2 ** 17), 1.5)])
+    @pytest.mark.parametrize("n", [0, 1, 17, 1000])
+    def test_scan_equals_direct_formula(self, w, p, n):
+        m_max = 2 ** 17
+        table = build_table(w, p, m_max)
+        r = class_bounds(w, p, n, m_max, table=table)
+        m_lo = max(n, 1)
+        marr = np.arange(m_lo, m_max + 1, dtype=np.float64)
+        winv_sq = table.inv_sq_slice(m_lo, m_max)
+        t_up = (marr - n + 1.0) * winv_sq
+        t_low = (marr - n) * winv_sq
+        assert r.scan_upper_sq == t_up.max()
+        assert r.scan_lower_sq == t_low.max()
+        if r.argmax_m is not None:
+            assert r.argmax_m == m_lo + int(np.argmax(t_up))
+
+
+class TestBoundedMemory:
+    """Peak traced allocations of one table and of one scan."""
+
+    M = 2 ** 20
+
+    @staticmethod
+    def _peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_table_holds_two_arrays_and_a_block(self):
+        peak = self._peak(lambda: build_table(ConstantWeights(), 1.0, self.M))
+        assert peak <= 2 * 8 * 2 ** 20 + 2 * 2 ** 20
+
+    def test_scan_holds_one_scan_array_and_blocks(self):
+        n = 2 ** 14
+
+        def scan():
+            table = build_table(ConstantWeights(), 1.0, self.M)
+            tracemalloc.reset_peak()
+            class_bounds(ConstantWeights(), 1.0, n, table=table)
+
+        # the table, W_m**-2 turned into the upper envelope in place, and
+        # two 2**16-entry blocks of the lower one
+        scan_bytes = 8 * (self.M - n + 1)
+        assert self._peak(scan) <= 8 * self.M + scan_bytes + 2 * 2 ** 20
 
 
 class TestClassBounds:

@@ -256,6 +256,16 @@ class TestExact:
         assert doc["rows"][0]["sigma_sq"] == 30.0
         assert doc["rows"][0]["support_len"] == 4
 
+    def test_sigma_sq_past_float64_range(self, capsys, tmp_path):
+        # sigma_0**2 = 1e600 + 4 has no float64
+        path = tmp_path / "seq.txt"
+        path.write_text("1e300\n2\n")
+        code, out, err = run_cli(capsys, ["exact", "--sequence", str(path),
+                                          "--n", "0"])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("nterm: error=domain")
+        assert err.count("\n") == 1
+
     def test_undecodable_file(self, capsys, tmp_path):
         path = tmp_path / "seq.txt"
         path.write_bytes(b"1\n\xff\n")

@@ -218,3 +218,52 @@ class TestSpecLanguage:
     def test_parse_errors(self, spec):
         with pytest.raises(WeightSpecError):
             parse_weight_spec(spec)
+
+
+class TestWeightFile:
+    """A weight file is cut into lines as ``str.splitlines`` cuts its text,
+    whether it is read a line at a time or again as a whole."""
+
+    @pytest.mark.parametrize("data, expected", [
+        (b"1\n2\n4\n", [1.0, 2.0, 4.0]),
+        (b"1\n2\n4", [1.0, 2.0, 4.0]),
+        (b" 1 \r\n2\t\r4\n", [1.0, 2.0, 4.0]),
+        # blank lines may end the table
+        (b"1\n2\n\n  \n", [1.0, 2.0]),
+        # a form feed ends a line, and the blank line after it ends the table
+        (b"1\n2\x0c\n", [1.0, 2.0]),
+        (b"1\n2\x0c4\n", [1.0, 2.0, 4.0]),
+    ])
+    def test_values(self, tmp_path, data, expected):
+        path = tmp_path / "w.txt"
+        path.write_bytes(data)
+        assert parse_weight_spec(f"file:{path}").values(len(expected)) \
+            .tolist() == expected
+
+    @pytest.mark.parametrize("data, message", [
+        (b"1\n\n2\n", "{path}:2: blank line inside weight table"),
+        # float() would strip the form feed; str.splitlines makes it a line
+        (b"1\n\x0c2\n", "{path}:2: blank line inside weight table"),
+        ("1\n2\u2028\n4\n".encode(),
+         "{path}:3: blank line inside weight table"),
+        (b"1\n2\nhello\n", "{path}:3: not a number: 'hello'"),
+        (b"1\n" * 5000 + b"x\n", "{path}:5001: not a number: 'x'"),
+    ])
+    def test_errors_are_named(self, tmp_path, data, message):
+        path = tmp_path / "w.txt"
+        path.write_bytes(data)
+        with pytest.raises(WeightSpecError) as exc:
+            parse_weight_spec(f"file:{path}")
+        assert str(exc.value) == message.format(path=path)
+
+    def test_invalid_table_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("2\n1\n")
+        with pytest.raises(WeightValidationError, match="decrease at index 2"):
+            parse_weight_spec(f"file:{path}")
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_bytes(b"1\n" * 5000 + b"\xff\n")
+        with pytest.raises(UnicodeDecodeError, match="position 10000"):
+            parse_weight_spec(f"file:{path}")
