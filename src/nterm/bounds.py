@@ -75,6 +75,9 @@ _DE_T_MAX = 6.0          # nodes t in [-6, 6] of u = ln X + exp(pi/2 sinh t)
 _DE_LEVELS = 8           # step halvings after h = 1: at most 3073 nodes
 _DE_SAFETY = 10.0        # error = safety * |difference of the last levels|
 _DE_ROUNDING = 64 * float(np.finfo(np.float64).eps)   # plus this * |value|
+# and this * |value| per unit of |2a - 1| + |2b|: the rounding of ln X and
+# of the nodes is multiplied by the exponents the integrand is raised to
+_DE_ROUNDING_PER_EXPONENT = 4 * float(np.finfo(np.float64).eps)
 _LOG2E = 1.0 / math.log(2.0)
 
 
@@ -444,7 +447,9 @@ def _tail_integral(alpha: float, beta: float, X: float,
     slowly for any fixed t-range, so the rule integrates
     h(u) - (u log2 e)**(-2b), which decays like e**-u, and the subtracted
     term is added in closed form.  The error is _DE_SAFETY times the last
-    level difference plus a rounding allowance of _DE_ROUNDING of the value.
+    level difference plus a rounding allowance: _DE_ROUNDING of the value,
+    and _DE_ROUNDING_PER_EXPONENT of it per unit of |c| + |2b|.  The
+    stopping test compares with _DE_ROUNDING of the value alone.
     """
     a = math.log(X)
     boundary = abs(2.0 * alpha - 1.0) <= _EXPONENT_EPS
@@ -473,7 +478,9 @@ def _tail_integral(alpha: float, beta: float, X: float,
         value = closed + scale * est
         if step_err <= max(epsabs, _DE_ROUNDING * abs(value)):
             break
-    return value, step_err + _DE_ROUNDING * abs(value)
+    rounding = _DE_ROUNDING + _DE_ROUNDING_PER_EXPONENT * (
+        abs(c) + abs(2.0 * beta))
+    return value, step_err + rounding * abs(value)
 
 
 def class_error_infty(
@@ -490,10 +497,10 @@ def class_error_infty(
     subtracted and added in closed form).  ``truncation_bound`` adds the
     Euler-Maclaurin bound |g'(J + 1/2)|/12 of the integral comparison and
     the rule's error: _DE_SAFETY times its last level difference plus a
-    rounding allowance of _DE_ROUNDING of the integral.  Tabulated families
-    sum to the end of the table and report the remainder as unknown; a
-    trailing-slope check flags tables whose terms visibly decay too slowly
-    to converge.
+    rounding allowance that grows with |2 alpha - 1| + |2 beta|.  Tabulated
+    families sum to the end of the table and report the remainder as
+    unknown; a trailing-slope check flags tables whose terms visibly decay
+    too slowly to converge.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

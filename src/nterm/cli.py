@@ -14,7 +14,7 @@ unless bracketed) and ``_FLAGS`` declares each flag; the parser, the JSON
   structured and random-search maximizer values
 * ``certify``, with the flags of ``oracle``: bounds vs. oracles
   cross-check; exit 1 on failure
-* ``ratefit --weights --p --n [--m-max --model --fix-log]``: decay
+* ``ratefit --weights --p --n [--m-max --fix-log]``: decay
   exponent fit over an n grid plus the prediction
 
 Every command also takes ``[--format table|csv|json] [--output PATH]``.
@@ -32,7 +32,9 @@ arguments, 3 numeric domain errors (also an index too large to allocate,
 and a result past the float64 range, such as an ``exact`` sigma_n**2),
 4 I/O errors.  A closed-form weight that is not finite is exit 2 among the
 first 1024, which parsing the spec checks, and exit 3 when a run reads it
-later.
+later.  An error writes nothing to stdout and one line to stderr,
+``nterm: error=KIND detail=...``; a missing, unknown or malformed flag is
+KIND ``usage``.
 """
 
 from __future__ import annotations
@@ -258,7 +260,7 @@ def _run_ratefit(ns) -> tuple[dict, int]:
         prediction = None
 
     fixed = _fix_log(ns.fix_log, prediction)
-    fit = fit_rate(samples, ns.model, fixed_log_exponent=fixed)
+    fit = fit_rate(samples, fixed_log_exponent=fixed)
     payload = {
         "samples": [{"n": n, "sigma": s} for n, s in samples],
         "fit": {k: getattr(fit, k) for k in (
@@ -330,7 +332,6 @@ _FLAGS = {
                              "MAX_SUPPORT indices (fewer if the weight file "
                              "is shorter); at or past that n the random "
                              "value is 0.0 with an empty witness"),
-    "model": dict(default="poly-log", choices=("poly-only", "poly-log")),
     "fix_log": dict(default="auto",
                     help="'auto' pins s to the predicted log exponent, "
                          "'none' fits it, or give a finite number"),
@@ -372,13 +373,21 @@ COMMANDS = {
     "certify": Command("bounds vs. oracles cross-check",
                        _ORACLE_FLAGS, _run_certify, _certify_rows),
     "ratefit": Command("fit decay exponents over an n grid",
-                       ("weights", "p", "n", "m_max", "model", "fix_log"),
+                       ("weights", "p", "n", "m_max", "fix_log"),
                        _run_ratefit, _ratefit_rows),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises where argparse would print the usage and exit, so that a bad
+    flag is one stderr line like every other error."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nterm",
         description="n-term approximation errors for weighted lp balls")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -463,7 +472,9 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         ns = parse_argv(list(argv))
-    except SystemExit as exc:
+    except argparse.ArgumentError as exc:
+        return _fail("usage", exc, EXIT_BAD_SPEC)
+    except SystemExit as exc:  # --help
         return EXIT_BAD_SPEC if exc.code else EXIT_OK
     except ValueError as exc:
         return _fail("domain", exc, EXIT_DOMAIN)

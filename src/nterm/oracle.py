@@ -2,16 +2,12 @@
 
 Two engines are checked against the analytic bounds:
 
-* ``structure_oracle`` optimizes over sequences of the form
-  (b, ..., b, c, 0, ...) with m leading entries b >= c and one overflow
-  entry c.  For each m the problem in b is solved in closed form by the
-  best of at most three candidates, for every m at once.  For p <= 2 these
-  are the equal-entry witnesses of lengths m and m + 1, so the oracle is
-  the lower envelope max (m-n) / W_m**2 over m in [max(n, 1), m_max + 1],
-  not an independent check.  For p > 2 it can exceed that envelope, but the
-  worst case there has a flat block followed by a Hoelder tail
-  x_j ~ w_j**(-p/(p-2)), which this family cannot express, so a
-  ``certify`` pass at p > 2 is not a proof.
+* ``structure_oracle`` takes the best flat block and, at p > 2, the best
+  Hoelder pair.  At p <= 2 a flat block is the worst case (in y = x**p the
+  objective is convex on a simplex, so a vertex wins): the oracle is the
+  lower envelope, not an independent check.  At p > 2 the worst case is a
+  flat block and a Hoelder tail x_j ~ w_j**(-p/(p-2)), which a pair cuts
+  after one entry, so a ``certify`` pass at p > 2 is not a proof.
 * ``random_search_oracle`` samples random nonincreasing sequences scaled to
   the unit sphere on the first ``max_support`` indices; every sample is a
   valid lower bound.  It is the only engine independent of the envelope.
@@ -81,17 +77,13 @@ def _resolve_m_max(cfg: OracleConfig, n: int, w: WeightModel) -> int:
 
 def oracle_table(w: WeightModel, p: float, n_values: Sequence[int],
                  cfg: OracleConfig) -> CumulativeWeightTable | None:
-    """The table the scans of every n share, sized for the largest n.
+    """The table the scans of every n share, sized for the largest n: it
+    reaches m_max + 1, the longest flat block of ``structure_oracle``.
 
     None below length 1, where the per-n check names the bad m_max.
     """
     size = scan_length(w, max(n_values), cfg.m_max, lookahead=1)
-    return build_table(w, p, size) if size >= 1 else None
-
-
-def _softplus(x):
-    """log(1 + exp(x)); -_softplus(-L) is the log of the logistic of L."""
-    return np.logaddexp(0.0, x)
+    return build_table(w, p, size + 1) if size >= 1 else None
 
 
 def structure_oracle(
@@ -102,26 +94,22 @@ def structure_oracle(
     *,
     table: CumulativeWeightTable | None = None,
 ) -> tuple[float, CoefficientSequence]:
-    """Maximize the squared tail error over the structured witness family.
+    """Maximize the squared tail error over two witness families.
 
-    With b = s / W_m, head length m and overflow entry c = min(b, rho *
-    (1 - s**p)**(1/p) / W_m), where rho = W_m / w_{m+1}, the squared error is
-    W_m**-2 * h(s) with h(s) = (m-n) s**2 + min(s, rho (1 - s**p)**(1/p))**2
-    on [0, 1].  In u = s**p, with u_c = rho**p / (1 + rho**p):
+    * Flat blocks, at every p: k entries W_k**-1, worth (k-n) / W_k**2, for
+      k in [n + 1, m_max + 1] (k <= n is worth 0).
+    * Hoelder pairs, at p > 2 only: m entries b, then c at m + 1, for m in
+      [n + 1, m_max].  With r = 2p/(p-2) and V_m = W_m (m-n)**(-1/2) the
+      pair is worth (V_m**-r + w_{m+1}**-r)**(2/r), at b = y**(1/p) / W_m
+      and c = (1-y)**(1/p) / w_{m+1}, y = V_m**-r / (V_m**-r +
+      w_{m+1}**-r).  It is a witness only where c <= b, that is
+      W_m**p <= (m-n) w_{m+1}**p.
 
-    * on u <= u_c, h = (m-n+1) u**(2/p), which increases;
-    * on u >= u_c, h = g(u) = (m-n) u**(2/p) + rho**2 (1-u)**(2/p).  For
-      p <= 2, g is convex, so its maximum sits at u_c or at 1.  For p > 2 it
-      is concave and peaks at u* = K / (1+K), K = (rho**2/(m-n))**(p/(2-p)),
-      clipped to [u_c, 1] (for m = n, K = 0 and the clip gives u_c).
-
-    The best of these candidates is taken for every m at once.  rho, u and
-    K are carried as logarithms and logits, so neither rho**p nor an
-    underflowing W_m**-2 of a log-domain table can overflow or produce NaN.
-
-    Returns the best squared value together with the witness sequence; the
-    value is recomputed from the witness through ``sigma_sq_exact``, so the
-    pair is always self-consistent.
+    The values are compared in logarithms read from ``table``, which must
+    cover m_max + 1, so a log-domain table cannot overflow or give NaN; the
+    weights are read, once, only at p > 2.  Returns the best squared value
+    with its witness; the value is recomputed from the witness through
+    ``sigma_sq_exact``, so the pair is always self-consistent.
     """
     if not 0 < p < math.inf:
         raise ValueError(f"p must be finite and positive, got {p}")
@@ -129,42 +117,36 @@ def structure_oracle(
         raise ValueError(f"n must be >= 0, got {n}")
     n = int(n)
     m_max = _resolve_m_max(cfg, n, w)
-    if table is None or table.length < m_max or table.p != p:
-        table = build_table(w, p, m_max)
-    wvals = w.values(m_max + 1)
+    if table is None or table.length < m_max + 1 or table.p != p:
+        table = build_table(w, p, m_max + 1)
 
-    m_lo = max(n, 1)
-    log_W = table.log_W_slice(m_lo, m_max)
-    log_rho = log_W - np.log(wvals[m_lo:m_max + 1])
-    excess = np.arange(m_lo - n, m_max - n + 1, dtype=np.float64)  # m - n
-    log_excess = np.log(
-        excess, out=np.full_like(excess, -np.inf), where=excess > 0)
+    # log((k-n) / W_k**2) for k in [n + 1, m_max + 1]
+    log_W = table.log_W_slice(n + 1, m_max + 1)
+    log_excess = np.log(np.arange(1, m_max - n + 2, dtype=np.float64))
+    flat = log_excess - 2.0 * log_W
+    i = int(np.argmax(flat))
+    best = float(flat[i])
+    entries = np.full(n + 1 + i, math.sqrt(table.inv_sq(n + 1 + i)))
 
-    # candidates as logits of u, with log h at each: u_c, 1, clip(u*)
-    logit_c = p * log_rho
-    logits = [logit_c, np.full_like(excess, np.inf)]
-    log_h = [np.log1p(excess) - (2.0 / p) * _softplus(-logit_c), log_excess]
     if p > 2:
-        logit_star = np.maximum(
-            (p / (2.0 - p)) * (2.0 * log_rho - log_excess), logit_c)
-        logits.append(logit_star)
-        log_h.append(np.logaddexp(
-            log_excess - (2.0 / p) * _softplus(-logit_star),
-            2.0 * log_rho - (2.0 / p) * _softplus(logit_star)))
-    log_h = np.array(log_h)
-    i = int(np.argmax(log_h.max(axis=0) - 2.0 * log_W))
-    best_m = m_lo + i
-    best_logit = logits[int(np.argmax(log_h[:, i]))][i]
-    best_s = math.exp(-float(_softplus(-best_logit)) / p)
-
-    w_inv_star = math.sqrt(table.inv_sq(best_m))
-    b = best_s * w_inv_star
-    v = max(0.0, 1.0 - best_s ** p) ** (1.0 / p)
-    c = min(b, v / float(wvals[best_m]))
-    entries = np.full(best_m + 1, b)
-    entries[-1] = c
-    if c == 0.0:
-        entries = entries[:-1]
+        # m in [n + 1, m_max]: drop the last flat block
+        r = 2.0 * p / (p - 2.0)
+        log_W, log_excess = log_W[:-1], log_excess[:-1]
+        log_next = np.log(w.values(m_max + 1)[n + 1:])
+        log_V = log_W - 0.5 * log_excess
+        pair = (2.0 / r) * np.logaddexp(-r * log_V, -r * log_next)
+        pair[p * (log_W - log_next) > log_excess] = -np.inf
+        i = int(np.argmax(pair))
+        if pair[i] > best:
+            # y and 1 - y from one logit, so that they sum to 1 even
+            # where r is large
+            logit = r * float(log_V[i] - log_next[i])
+            b = math.exp(-float(np.logaddexp(0.0, logit)) / p
+                         - float(log_W[i]))
+            c = math.exp(-float(np.logaddexp(0.0, -logit)) / p
+                         - float(log_next[i]))
+            entries = np.full(n + 1 + i + 1, b)  # m = n + 1 + i, then c
+            entries[-1] = min(b, c)
     witness = CoefficientSequence(entries)
     return sigma_sq_exact(witness, n), witness
 
@@ -294,9 +276,10 @@ def certify(
 
     One report per n of the grid, all read from one ``oracle_table``.
     Check failures set the report's ``passed`` flag instead of raising, so
-    harnesses can collect every combination before deciding.  At p <= 2
-    ``structure_ge_scan_lower`` is an identity: the structure oracle equals
-    the lower envelope over a scan one index longer than the bound scan.
+    harnesses can collect every combination before deciding.  The structure
+    oracle's two families are flat blocks and, at p > 2, Hoelder pairs.  At
+    p <= 2 ``structure_ge_scan_lower`` is an identity: the best flat block
+    is the lower envelope over a scan one index longer than the bound scan.
     """
     if cfg is None:
         cfg = OracleConfig()

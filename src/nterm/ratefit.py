@@ -66,28 +66,20 @@ def _check_samples(samples) -> tuple[np.ndarray, np.ndarray]:
 
 def fit_rate(
     samples: Iterable[tuple[int, float]],
-    model: str = "poly-log",
     *,
     fixed_log_exponent: float | None = None,
 ) -> RateFit:
     """Least-squares exponent fit over a strictly increasing n grid.
 
-    ``model`` is ``poly-only`` (s = 0) or ``poly-log`` (s fitted jointly);
-    ``fixed_log_exponent`` pins s and fits r alone.
+    s is fitted jointly with r, or pinned to ``fixed_log_exponent`` (0 for
+    a pure power law) while r is fitted alone.
     """
     samples = list(samples)
     ns, sig = _check_samples(samples)
-    if model not in ("poly-only", "poly-log"):
-        raise ValueError(f"unknown fit model {model!r}")
-
+    fixed = fixed_log_exponent
     log_n = np.log(ns)
     log_log = np.log(np.log(ns + 1.0))
     y = np.log(sig)
-
-    if model == "poly-only":
-        fixed = 0.0 if fixed_log_exponent is None else float(fixed_log_exponent)
-    else:
-        fixed = fixed_log_exponent
 
     if fixed is not None:
         cols = [np.ones_like(log_n), -log_n]

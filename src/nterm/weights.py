@@ -97,11 +97,6 @@ class WeightModel:
         weight that is not finite."""
         raise NotImplementedError
 
-    def value(self, j: int) -> float:
-        if j < 1:
-            raise ValueError(f"weight index must be >= 1, got {j}")
-        return float(self.values(int(j))[-1])
-
     @property
     def known_length(self) -> int | None:
         """Largest evaluable index, or None when unbounded."""
@@ -161,9 +156,12 @@ class LogPowerWeights(WeightModel):
     def values(self, m: int) -> np.ndarray:
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        j = np.arange(1, int(m) + 1, dtype=np.float64)
+        w = np.arange(1, int(m) + 1, dtype=np.float64)
+        np.log(w, out=w)
+        w += 1.0
         with np.errstate(over="ignore"):
-            return _finite((1.0 + np.log(j)) ** self.beta)
+            w **= self.beta
+        return _finite(w)
 
     @property
     def asymptotic_exponents(self) -> tuple[float, float]:
@@ -192,9 +190,15 @@ class PowLogWeights(WeightModel):
         self._check()
 
     def raw_value(self, j) -> np.ndarray:
-        """Formula value i**alpha * log2(i+1)**beta without the running max."""
+        """Formula value i**alpha * log2(i+1)**beta without the running max,
+        written over j when j is a float64 array."""
         j = np.asarray(j, dtype=np.float64)
-        return j ** self.alpha * np.log2(j + 1.0) ** self.beta
+        log_factor = np.add(j, 1.0, out=np.empty_like(j))
+        np.log2(log_factor, out=log_factor)
+        log_factor **= self.beta
+        j **= self.alpha
+        j *= log_factor
+        return j
 
     def values(self, m: int) -> np.ndarray:
         if m < 1:
@@ -202,7 +206,8 @@ class PowLogWeights(WeightModel):
         j = np.arange(1, int(m) + 1, dtype=np.float64)
         # a large alpha overflows to inf, and inf * 0 gives NaN
         with np.errstate(over="ignore", invalid="ignore"):
-            return _finite(np.maximum.accumulate(self.raw_value(j)))
+            w = self.raw_value(j)
+        return _finite(np.maximum.accumulate(w, out=w))
 
     @property
     def asymptotic_exponents(self) -> tuple[float, float]:

@@ -6,6 +6,9 @@ and log W_m are formed from them at 50 significant digits.  Nothing here
 shares arithmetic with ``nterm.bounds``, so a comparison against it checks
 the float path and the log-domain path, weight evaluation included.
 
+``structure_sq`` is the largest squared tail error over the two witness
+families of ``nterm.oracle.structure_oracle``, from that table.
+
 ``scaled_tail_sq`` is the exact tail sum of one n by a sort and one
 ``math.fsum`` over the whole tail.
 
@@ -69,6 +72,30 @@ def table(w, p: float, M: int) -> dict[str, list]:
         return {"w": w_vals, "W": W, "inv_sq": inv_sq, "log_W": log_W}
 
 
+def structure_sq(w, p: float, n_values, m_max: int) -> list:
+    """For each n: max (k - n) W_k**-2 over k in [n + 1, m_max + 1], and at
+    p > 2 also (V_m**-r + w_{m+1}**-r)**(2/r), r = 2p/(p-2),
+    V_m = W_m (m-n)**-1/2, over m in [n + 1, m_max] with
+    W_m**p <= (m-n) w_{m+1}**p."""
+    ref = table(w, p, m_max + 1)
+    out = []
+    with mpmath.workdps(DIGITS):
+        p = mpmath.mpf(p)
+        for n in n_values:
+            best = max((k - n) * ref["inv_sq"][k - 1]
+                       for k in range(n + 1, m_max + 2))
+            if p > 2:
+                r = 2 * p / (p - 2)
+                for m in range(n + 1, m_max + 1):
+                    W, w_next = ref["W"][m - 1], ref["w"][m]
+                    if W ** p <= (m - n) * w_next ** p:
+                        V = W / mpmath.sqrt(m - n)
+                        best = max(best,
+                                   (V ** -r + w_next ** -r) ** (2 / r))
+            out.append(best)
+    return out
+
+
 def rel_errors(values, ref) -> np.ndarray:
     """|value - ref| / |ref| for each pair, as float64."""
     with mpmath.workdps(DIGITS):
@@ -83,35 +110,33 @@ def abs_errors(values, ref) -> np.ndarray:
                          for v, r in zip(values, ref)])
 
 
-def powlog_tail_sq(alpha: float, beta: float, n: int, K: int = 1000):
-    """sum_{j > n} j**(-2 alpha) log2(j+1)**(-2 beta), to about 30 digits.
+def tail_integral(alpha: float, beta: float, x0):
+    """Integral of x**(-2 alpha) log2(x+1)**(-2 beta) over [x0, oo).
 
-    For 2 alpha > 1, or 2 alpha = 1 with 2 beta > 1, and beta >= 0, where
-    these are the powlog terms.  Terms n+1..K are summed directly.  The rest
-    is the integral from K + 1/2 with the Euler-Maclaurin midpoint
-    corrections g'/24 - 7 g'''/5760 (the next one is below 1e-20 at
-    K = 1000).  The integral is taken in u = ln x, where the integrand is
-    e**(-c u) l2(u)**(-2 beta) with c = 2 alpha - 1: by quadrature over
-    [ln(K + 1/2), 200], and in closed form past u = 200, where
-    l2(u) = u log2(e) to 80 digits.  Quadrature of the raw integrand over
-    an infinite range is not used: at 2 alpha = 1 it is off by up to 0.1.
+    Taken in u = ln x, where the integrand is e**(-c u) l2(u)**(-2 beta)
+    with c = 2 alpha - 1 and l2(u) = log2(e**u + 1): by quadrature over
+    [ln x0, 200], in closed form past u = 200, where l2(u) = u log2(e) to
+    80 digits.  For c > 0, or c = 0 with 2 beta > 1, and ln x0 < 20.  The
+    quadrature runs on the integrand divided by its value at ln x0, since
+    mpmath's tolerance is absolute, with breakpoints close to ln x0 for a
+    fast decay.  Quadrature of the raw integrand over an infinite range is
+    not used: at 2 alpha = 1 it is off by up to 0.1.
     """
     with mpmath.workdps(DIGITS):
         alpha, beta = mpmath.mpf(alpha), mpmath.mpf(beta)
         c = 2 * alpha - 1
         log2e = 1 / mpmath.log(2)
+        a = mpmath.log(mpmath.mpf(x0))
 
-        def g(x):
-            return x ** (-2 * alpha) * mpmath.log(x + 1, 2) ** (-2 * beta)
+        def l2(u):
+            return (u + mpmath.log1p(mpmath.exp(-u))) * log2e
 
         def h(u):
-            l2 = (u + mpmath.log1p(mpmath.exp(-u))) * log2e
-            return mpmath.exp(-c * u) * l2 ** (-2 * beta)
+            return mpmath.exp(-c * (u - a)) * (l2(u) / l2(a)) ** (-2 * beta)
 
-        head = mpmath.fsum(g(mpmath.mpf(j)) for j in range(n + 1, K + 1))
-        x0 = mpmath.mpf(K) + mpmath.mpf(1) / 2
-        a = mpmath.log(x0)
-        body = mpmath.quad(h, [a, 20, 50, 100, 200])
+        near = [a + mpmath.mpf(1) / 8, a + 2]
+        body = mpmath.quad(h, [a] + near + [20, 50, 100, 200]) \
+            * mpmath.exp(-c * a) * l2(a) ** (-2 * beta)
         if c == 0:
             far = log2e ** (-2 * beta) * mpmath.mpf(200) ** (1 - 2 * beta) \
                 / (2 * beta - 1)
@@ -119,8 +144,28 @@ def powlog_tail_sq(alpha: float, beta: float, n: int, K: int = 1000):
             # int_200^oo e**(-c u) u**(-2b) du = c**(2b-1) Gamma(1-2b, 200c)
             far = log2e ** (-2 * beta) * c ** (2 * beta - 1) \
                 * mpmath.gammainc(1 - 2 * beta, 200 * c)
+        return body + far
+
+
+def powlog_tail_sq(alpha: float, beta: float, n: int, K: int = 1000):
+    """sum_{j > n} j**(-2 alpha) log2(j+1)**(-2 beta), to about 30 digits.
+
+    For 2 alpha > 1, or 2 alpha = 1 with 2 beta > 1, and beta >= 0, where
+    these are the powlog terms.  Terms n+1..K are summed directly.  The rest
+    is ``tail_integral`` from K + 1/2 with the Euler-Maclaurin midpoint
+    corrections g'/24 - 7 g'''/5760 (the next one is below 1e-20 at
+    K = 1000).
+    """
+    with mpmath.workdps(DIGITS):
+        alpha, beta = mpmath.mpf(alpha), mpmath.mpf(beta)
+
+        def g(x):
+            return x ** (-2 * alpha) * mpmath.log(x + 1, 2) ** (-2 * beta)
+
+        head = mpmath.fsum(g(mpmath.mpf(j)) for j in range(n + 1, K + 1))
+        x0 = mpmath.mpf(K) + mpmath.mpf(1) / 2
         em = mpmath.diff(g, x0, 1) / 24 - 7 * mpmath.diff(g, x0, 3) / 5760
-        return head + body + far + em
+        return head + tail_integral(alpha, beta, x0) + em
 
 
 def scaled_tail_sq(x, n: int) -> tuple[float, int]:

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -37,6 +38,9 @@ import _ref
 from conftest import builtin_families, random_monotone_weights
 
 LINEAR = PowLogWeights(1.0, 0.0)  # w_j = j
+
+# one reference per (alpha, beta, X), shared by the epsabs cases
+_tail_integral_ref = functools.lru_cache(_ref.tail_integral)
 
 
 def brute_envelopes(weight_vals, p, n, m_max):
@@ -650,6 +654,31 @@ class TestClassErrorInfty:
         monkeypatch.setattr(PowLogWeights, "values", capped)
         with pytest.raises(ValueError, match="plateau w_j = 1"):
             class_error_infty(PowLogWeights(1.0, beta), 16)
+
+    @pytest.mark.parametrize("epsabs", [0.0, 2.5e-13])
+    @pytest.mark.parametrize("alpha, beta, X", [
+        (30.0, -150.0, 2.0 ** 23 + 0.5),
+        (30.0, -150.0, 1024.5),
+        (60.0, -300.0, 1024.5),
+        (60.0, -300.0, 2.0 ** 23 + 0.5),
+        (1.0, 150.0, 1024.5),
+        (3.0, 40.0, 64.5),
+        (1.0, -5.0, 64.5),
+        (1.0, 0.0, 1024.5),
+        # 2 alpha = 1 with 2 beta > 1
+        (0.5, 150.0, 1024.5),
+        (0.5, 1.0, 2.0 ** 23 + 0.5),
+        (0.5, 0.5000001, 64.5),
+    ])
+    def test_tail_integral_error_covers_reference(self, alpha, beta, X,
+                                                   epsabs):
+        # a rounding error in ln X is raised to the power 2 beta, so at
+        # |beta| = 150 it alone is over 64 eps of the value; the points
+        # keep the value inside the float64 range
+        value, err = _tail_integral(alpha, beta, X, epsabs)
+        ref = _tail_integral_ref(alpha, beta, X)
+        with mpmath.workdps(_ref.DIGITS):
+            assert abs(mpmath.mpf(value) - ref) <= err
 
     def test_tail_where_one_factor_overflows(self):
         # log2(x + 1)**300 overflows at x = 2**23, x**-60 * log2(x + 1)**300

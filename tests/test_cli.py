@@ -8,10 +8,14 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nterm.cli import (
+    _FLAGS,
     COMMANDS,
     EXIT_BAD_SPEC,
+    EXIT_CERTIFY_FAIL,
     EXIT_DOMAIN,
     EXIT_IO,
     EXIT_OK,
@@ -43,9 +47,12 @@ def run_json(capsys, argv):
 # oracle and certify on w_j = j**0.75, j = 1..300, at p = 1.5 over
 # 2^0..2^8:dyadic with --iters 500 --seed 3, recorded at commit 0167457,
 # when each n built its own table: n -> (structure_sq, random_sq,
-# scan_lower_sq, scan_upper_sq, bound_status)
+# scan_lower_sq, scan_upper_sq, bound_status).  structure_sq re-recorded
+# when the flat block of length m + 1 became k = m + 1 entries W_k**-1 read
+# from the table, not b = u_c**(1/p) / W_m: 5 of 9 values moved, by at most
+# 3.9e-16 relative
 TABLE300 = {
-    1: (0.21375303636486628, 0.20384956620192218,
+    1: (0.2137530363648663, 0.20384956620192218,
         0.2137530363648663, 1.0, "attained"),
     2: (0.08040688586094774, 0.06581380442182502,
         0.08040688586094775, 0.2137530363648663, "attained"),
@@ -55,13 +62,13 @@ TABLE300 = {
         0.008579610790643552, 0.010817005112011033, "attained"),
     16: (0.0025450367255237943, 0.0018895524270142918,
          0.0025450367255237943, 0.0028515278329265866, "attained"),
-    32: (0.0007341765759259137, 0.0004849218001622707,
+    32: (0.000734176575925914, 0.0004849218001622707,
          0.0007341765759259139, 0.0007775074015703581, "attained"),
-    64: (0.00020895762881915404, 0.0,
+    64: (0.00020895762881915412, 0.0,
          0.0002089576288191541, 0.0002150244558002829, "attained"),
-    128: (5.905513607187201e-05, 0.0,
+    128: (5.9055136071871994e-05, 0.0,
           5.9055136071872e-05, 5.990628185491374e-05, "attained"),
-    256: (1.1464971394774701e-05, 0.0,
+    256: (1.1464971394774705e-05, 0.0,
           1.1310724802255095e-05, 1.1573764913935446e-05, "divergent"),
 }
 
@@ -130,9 +137,8 @@ class TestParams:
          {"format": "json", "iters": 20000, "max_support": 64, "n": "4",
           "p": 1.5, "seed": 3, "weights": "const"}),
         (["ratefit", "--weights", "const", "--p", "1",
-          "--n", "2^6..2^16:dyadic", "--fix-log", "none",
-          "--model", "poly-only"],
-         {"fix_log": "none", "format": "json", "model": "poly-only",
+          "--n", "2^6..2^16:dyadic", "--fix-log", "0"],
+         {"fix_log": "0", "format": "json",
           "n": "2^6..2^16:dyadic", "p": 1.0, "weights": "const"}),
     ])
     def test_params_encoding(self, argv, params):
@@ -337,7 +343,8 @@ class TestOneTablePerRun:
         run_json(capsys, [command, "--weights", "powlog:alpha=1,beta=0",
                           "--p", "2", "--n", "2^4..2^10:dyadic",
                           "--iters", "200"])
-        assert table_sizes == [64 * 2 ** 10]
+        # the longest flat block of the structure oracle reads W_{m_max + 1}
+        assert table_sizes == [64 * 2 ** 10 + 1]
 
     def test_tabulated_values_unchanged(self, capsys, tmp_path):
         path = tmp_path / "w.txt"
@@ -603,3 +610,119 @@ class TestWeightFileThroughCli:
         assert fit["samples"] == [
             {"n": r["n"], "sigma": math.sqrt(r["upper_sq"])}
             for r in bounds["rows"]]
+
+
+# input files of the contract test: name -> text; "missing" is never written
+CONTRACT_FILES = {
+    "w_short": "1\n1.5\n",
+    "w_one": "2\n",
+    "w_steep": "1\n1e100\n1e200\n1e300\n",
+    "w_bad_blank_inside": "1\n\n2\n",
+    "w_bad_not_a_number": "1\nx\n",
+    "w_bad_decreasing": "1\n3\n2\n",
+    "w_bad_below_one": "0.5\n1\n",
+    "w_bad_empty": "",
+    "w_bad_nan": "1\nnan\n",
+    "s_short": "3\n-4\n",
+    "s_huge": "1e300\n1e300\n",
+    "s_bad": "1\nhello\n",
+    "s_empty": "\n",
+}
+
+
+def _mostly(valid, invalid):
+    """valid, or one of the invalid values about one time in sixteen."""
+    return st.integers(0, 15).flatmap(
+        lambda k: st.sampled_from(invalid) if k == 15 else valid)
+
+
+def _weights(directory: str):
+    return _mostly(
+        st.one_of(
+            st.just("const"),
+            st.builds("logpow:beta={!r}".format, st.floats(0.0, 8.0)),
+            st.builds("powlog:alpha={!r},beta={!r}".format,
+                      st.one_of(st.sampled_from([0.5, 1.0, 12.0, 60.0]),
+                                st.floats(-1.0, 60.0)),
+                      st.one_of(st.sampled_from([-300.0, -1.0, 0.0, 300.0]),
+                                st.floats(-300.0, 300.0))),
+            st.sampled_from([f"file:{directory}/{k}" for k in
+                             ("w_short", "w_one", "w_steep")])),
+        ["nope", "powlog:alpha=1", "logpow:beta=-1"]
+        + [f"file:{directory}/{k}" for k in sorted(CONTRACT_FILES)
+           if k.startswith("w_bad")] + [f"file:{directory}/missing"])
+
+
+def _int(lo, hi):
+    return _mostly(st.builds(str, st.integers(lo, hi)), ["-1", "0", "x"])
+
+
+@st.composite
+def _argv(draw, directory: str) -> list[str]:
+    """A command of ``COMMANDS`` with values for its flags; an optional
+    flag is given or left out, and a value may be malformed or out of
+    range."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    values = {
+        "weights": _weights(directory),
+        "p": _mostly(st.one_of(
+            st.sampled_from(["inf", "2", repr(2 + 1e-12), repr(2 - 1e-12),
+                             "0.5", "1", "3", "8"]),
+            st.builds(repr, st.floats(0.05, 40.0))), ["0", "nan", "x"]),
+        "n": _mostly(st.sampled_from(
+            ["0", "1", "3", "2^4", "2^6", "2^0..2^3:dyadic",
+             "1..2^7:dyadic"]), ["0..2^2:dyadic", "2^2..2^1:dyadic", "x"]),
+        "m": _int(1, 40),
+        "m_max": _int(1, 300),
+        "sequence": _mostly(
+            st.sampled_from([f"{directory}/s_short", f"{directory}/s_huge"]),
+            [f"{directory}/{k}" for k in ("s_bad", "s_empty", "missing")]),
+        "seed": _int(0, 3),
+        "iters": _int(1, 40),
+        "max_support": _int(1, 16),
+        "fix_log": _mostly(st.sampled_from(["auto", "none", "0", "1.5"]),
+                           ["nan", "x"]),
+    }
+    argv = [command]
+    for flag in COMMANDS[command].flags:
+        # iters is always given, so that the random oracle stays small
+        if (_FLAGS[flag].get("required") or flag == "iters"
+                or draw(st.booleans())):
+            argv += ["--" + flag.replace("_", "-"), draw(values[flag])]
+    return argv + ["--format", "json"]
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory) -> str:
+    directory = tmp_path_factory.mktemp("contract")
+    for name, text in CONTRACT_FILES.items():
+        (directory / name).write_text(text)
+    return str(directory)
+
+
+class TestContract:
+    """Any argv of the command table ends in a documented exit code: an
+    error is one stderr line with nothing on stdout, and an artifact is
+    valid JSON of the schema with no NaN."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_exit_codes_and_artifacts(self, capsys, contract_dir, data):
+        argv = data.draw(_argv(contract_dir))
+        code, out, err = run_cli(capsys, argv)
+        if code in (EXIT_OK, EXIT_CERTIFY_FAIL):
+            assert err == "", argv
+            doc = json.loads(out)
+            jsonschema.validate(doc, SCHEMA)
+            if code == EXIT_CERTIFY_FAIL:
+                assert argv[0] == "certify", argv
+                assert not all(r["passed"] for r in doc["reports"]), argv
+            else:
+                assert "nan" not in out, argv
+        else:
+            assert code in (EXIT_BAD_SPEC, EXIT_DOMAIN, EXIT_IO), argv
+            assert out == "", argv
+            assert err.startswith("nterm: error="), (argv, err)
+            assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)

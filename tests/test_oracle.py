@@ -22,8 +22,10 @@ from nterm import (
     weighted_lp_norm,
 )
 from nterm.bounds import STATUS_DIVERGENT, scan_length
+from nterm.oracle import oracle_table
 from nterm.sequences import sigma_sq_exact
 
+import _ref
 from conftest import builtin_families, random_monotone_weights
 
 LINEAR = PowLogWeights(1.0, 0.0)
@@ -172,9 +174,8 @@ class TestStructureOracle:
 
 
 class TestStructureOracleIsLowerEnvelope:
-    """At p <= 2 the structure oracle's candidates are the equal-entry
-    witnesses of lengths m and m + 1, so it returns max (m-n) / W_m**2
-    over m in [max(n, 1), m_max + 1]."""
+    """At p <= 2 the structure oracle is the best flat block, so it returns
+    max (m-n) / W_m**2 over m in [max(n, 1), m_max + 1]."""
 
     FAMILIES = {
         **builtin_families(),
@@ -203,6 +204,46 @@ class TestStructureOracleIsLowerEnvelope:
         w, cfg = self.FAMILIES[name], OracleConfig()
         value, _ = structure_oracle(w, 3.0, 4, cfg)
         assert value > self.envelope(w, 3.0, 4, cfg) * (1 + 1e-6)
+
+
+class TestTwoFamiliesAgainstReference:
+    """The oracle is the best flat block, or at p > 2 the best Hoelder
+    pair: checked against that maximum at 50 digits (``_ref``)."""
+
+    FAMILIES = {
+        **builtin_families(),
+        "random": random_monotone_weights(np.random.default_rng(5), 600),
+    }
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 8.0])
+    def test_matches_reference(self, name, p):
+        w, cfg = self.FAMILIES[name], OracleConfig(m_max=512)
+        n_values = (0, 3, 40)
+        refs = _ref.structure_sq(w, p, n_values, cfg.m_max)
+        for n, ref in zip(n_values, refs):
+            value, witness = structure_oracle(w, p, n, cfg)
+            assert _ref.rel_errors([value], [ref])[0] <= 1e-12, n
+            assert weighted_lp_norm(witness, w, p) <= 1 + 1e-12, n
+            # a block then at most one entry c <= b
+            assert np.all(np.diff(witness.entries) <= 0), n
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_no_weights_read_at_p_le_2(self, weights_evaluated, p):
+        cfg = OracleConfig()
+        table = oracle_table(LINEAR, p, [4, 64], cfg)
+        weights_evaluated.clear()
+        for n in (4, 64):
+            structure_oracle(LINEAR, p, n, cfg, table=table)
+        assert weights_evaluated == []
+
+    def test_weights_read_once_per_call_above_2(self, weights_evaluated):
+        cfg = OracleConfig()
+        table = oracle_table(LINEAR, 3.0, [4, 64], cfg)
+        weights_evaluated.clear()
+        for n in (4, 64):
+            structure_oracle(LINEAR, 3.0, n, cfg, table=table)
+        assert weights_evaluated == [1024 + 1, 64 * 64 + 1]
 
 
 class TestRandomSearchOracle:
@@ -307,7 +348,7 @@ class TestCertify:
         per_n = [certify(LINEAR, 2.0, [n], cfg)[0] for n in grid]
         table_sizes.clear()
         assert certify(LINEAR, 2.0, grid, cfg) == per_n
-        assert table_sizes == [64 * 1024]
+        assert table_sizes == [64 * 1024 + 1]
 
     def test_empty_grid(self):
         assert certify(LINEAR, 2.0, []) == []

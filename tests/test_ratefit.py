@@ -25,21 +25,20 @@ def power_law_samples(r, s=0.0, lo=64, hi=65536, scale=1.0):
 
 class TestFitRate:
     def test_exact_power_law(self):
-        fit = fit_rate(power_law_samples(0.5), "poly-only")
+        fit = fit_rate(power_law_samples(0.5), fixed_log_exponent=0.0)
         assert fit.poly_exponent == pytest.approx(0.5, abs=1e-10)
         assert fit.residual_rms < 1e-12
-        joint = fit_rate(power_law_samples(0.5), "poly-log")
+        joint = fit_rate(power_law_samples(0.5))
         assert joint.poly_exponent == pytest.approx(0.5, abs=1e-8)
         assert abs(joint.log_exponent) < 1e-6
 
     def test_exact_poly_log_model(self):
-        fit = fit_rate(power_law_samples(1.0, s=1.0), "poly-log")
+        fit = fit_rate(power_law_samples(1.0, s=1.0))
         assert fit.poly_exponent == pytest.approx(1.0, abs=1e-8)
         assert fit.log_exponent == pytest.approx(1.0, abs=1e-8)
 
     def test_fixed_log_exponent(self):
-        fit = fit_rate(power_law_samples(1.0, s=1.0), "poly-log",
-                       fixed_log_exponent=1.0)
+        fit = fit_rate(power_law_samples(1.0, s=1.0), fixed_log_exponent=1.0)
         assert fit.log_exponent == 1.0
         assert fit.poly_exponent == pytest.approx(1.0, abs=1e-10)
 
@@ -47,37 +46,36 @@ class TestFitRate:
         rng = np.random.default_rng(4)
         samples = [(n, v * math.exp(0.05 * rng.standard_normal()))
                    for n, v in power_law_samples(0.7)]
-        only = fit_rate(samples, "poly-only")
-        joint = fit_rate(samples, "poly-log")
+        only = fit_rate(samples, fixed_log_exponent=0.0)
+        joint = fit_rate(samples)
         assert joint.residual_rms <= only.residual_rms + 1e-15
 
     def test_intercept_recovered(self):
-        fit = fit_rate(power_law_samples(0.5, scale=3.0), "poly-only")
+        fit = fit_rate(power_law_samples(0.5, scale=3.0),
+                       fixed_log_exponent=0.0)
         assert fit.intercept == pytest.approx(math.log(3.0), abs=1e-10)
 
     def test_grid_recorded(self):
-        fit = fit_rate(power_law_samples(0.5, hi=2 ** 13), "poly-only")
+        fit = fit_rate(power_law_samples(0.5, hi=2 ** 13),
+                       fixed_log_exponent=0.0)
         assert fit.grid == tuple(dyadic_grid(64, 2 ** 13))
 
     def test_nonpositive_sigma_rejected(self):
         samples = power_law_samples(0.5)
         samples[3] = (samples[3][0], 0.0)
         with pytest.raises(ValueError):
-            fit_rate(samples, "poly-only")
+            fit_rate(samples, fixed_log_exponent=0.0)
 
     def test_short_grid_rejected(self):
         with pytest.raises(ValueError):
-            fit_rate(power_law_samples(0.5, hi=2 ** 12), "poly-only")
+            fit_rate(power_law_samples(0.5, hi=2 ** 12),
+                     fixed_log_exponent=0.0)
 
     def test_non_increasing_grid_rejected(self):
         samples = power_law_samples(0.5)
         samples[1] = (samples[0][0], samples[1][1])
         with pytest.raises(ValueError):
-            fit_rate(samples, "poly-only")
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
-            fit_rate(power_law_samples(0.5), "cubic")
+            fit_rate(samples, fixed_log_exponent=0.0)
 
 
 class TestRatioEnvelope:
@@ -156,5 +154,5 @@ def test_fitted_exponent_tracks_prediction(w, p, expected):
     assert pred.valid
     assert pred.poly_exponent == pytest.approx(expected, rel=1e-12)
     samples = class_error_samples(w, p, dyadic_grid(64, 65536))
-    fit = fit_rate(samples, "poly-log", fixed_log_exponent=pred.log_exponent)
+    fit = fit_rate(samples, fixed_log_exponent=pred.log_exponent)
     assert fit.poly_exponent == pytest.approx(pred.poly_exponent, abs=0.05)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,27 +23,27 @@ from conftest import builtin_families
 
 class TestWeightValue:
     def test_constant(self):
-        assert ConstantWeights().value(10) == 1.0
+        assert ConstantWeights().values(10)[-1] == 1.0
 
     def test_logpow_first_weight(self):
-        assert LogPowerWeights(1.0).value(1) == 1.0
+        assert LogPowerWeights(1.0).values(1)[-1] == 1.0
 
     def test_logpow_formula(self):
         w = LogPowerWeights(2.0)
-        assert w.value(7) == pytest.approx((1 + math.log(7)) ** 2)
+        assert w.values(7)[-1] == pytest.approx((1 + math.log(7)) ** 2)
 
     def test_powlog_running_max_of_identity(self):
         w = PowLogWeights(1.0, 0.0)
-        assert w.value(5) == 5.0
+        assert w.values(5)[-1] == 5.0
 
     def test_index_zero_rejected(self):
         with pytest.raises(ValueError):
-            ConstantWeights().value(0)
+            ConstantWeights().values(0)
 
     def test_values_prefix_matches_scalar(self):
         w = PowLogWeights(0.5, -1.0)
         vals = w.values(50)
-        assert vals[9] == w.value(10)
+        assert vals[9] == w.values(10)[-1]
 
 
 class TestValidation:
@@ -116,6 +117,53 @@ class TestMonotonicity:
         raw = w.raw_value(np.arange(1, 10 ** 4 + 1, dtype=np.float64))
         assert raw[1] < vals[1]  # formula dips at small j, model holds flat
         assert vals[0] == 1.0
+
+
+class TestValuesInPlace:
+    """The closed forms are evaluated in their own arange, plus one scratch
+    array for the PowLog log factor, by the operations of the whole-array
+    expressions in the same order."""
+
+    J = np.arange(1, 2 ** 16 + 1, dtype=np.float64)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, 3.7])
+    def test_logpow_bits(self, beta):
+        assert np.array_equal(LogPowerWeights(beta).values(self.J.size),
+                              (1.0 + np.log(self.J)) ** beta)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (1.0, 0.0), (0.5, -1.0), (0.1, -2.0), (2.0, 0.5), (0.0, 1.0),
+        (1.5, -1.0), (12.0, 3.0), (0.75, 2.0)])
+    def test_powlog_bits(self, alpha, beta):
+        w = PowLogWeights(alpha, beta)
+        raw = self.J ** alpha * np.log2(self.J + 1.0) ** beta
+        assert np.array_equal(w.raw_value(self.J.copy()), raw)
+        assert np.array_equal(w.values(self.J.size),
+                              np.maximum.accumulate(raw))
+
+    def test_powlog_overflow_bits_and_error(self):
+        # j**60 overflows at j = 137271; past it log2(j+1)**-300 is 0
+        w = PowLogWeights(60.0, -300.0)
+        j = np.arange(1, 2 ** 18 + 1, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = j ** 60.0 * np.log2(j + 1.0) ** -300.0
+            assert np.array_equal(w.raw_value(j.copy()), raw,
+                                  equal_nan=True)
+        with pytest.raises(ValueError, match="w_137271 is not finite"):
+            w.values(j.size)
+
+    @pytest.mark.parametrize("w, limit_mib", [
+        (LogPowerWeights(1.0), 9), (PowLogWeights(1.0, 0.0), 17),
+        (PowLogWeights(0.5, -1.0), 17)])
+    def test_peak_memory_at_2_20(self, w, limit_mib):
+        # the returned array alone is 8 MiB
+        tracemalloc.start()
+        try:
+            w.values(2 ** 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2 ** 20
 
 
 class TestValuesChecksWhatItReturns:
