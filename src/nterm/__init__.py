@@ -9,7 +9,6 @@ from .bounds import (
     BoundResult,
     CumulativeWeightTable,
     InftyTailResult,
-    TableTruncationError,
     build_table,
     class_bounds,
     class_bounds_grid,

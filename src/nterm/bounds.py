@@ -40,7 +40,6 @@ __all__ = [
     "CumulativeWeightTable",
     "BoundResult",
     "InftyTailResult",
-    "TableTruncationError",
     "build_table",
     "default_m_max",
     "scan_length",
@@ -79,17 +78,6 @@ _DE_ROUNDING = 64 * float(np.finfo(np.float64).eps)   # plus this * |value|
 # of the nodes is multiplied by the exponents the integrand is raised to
 _DE_ROUNDING_PER_EXPONENT = 4 * float(np.finfo(np.float64).eps)
 _LOG2E = 1.0 / math.log(2.0)
-
-
-class TableTruncationError(ValueError):
-    """A tabulated model is shorter than the requested table length."""
-
-    def __init__(self, requested: int, available: int):
-        super().__init__(
-            f"tabulated weights end at index {available}, "
-            f"requested prefix sums up to {requested}")
-        self.requested = requested
-        self.available = available
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,9 +149,6 @@ def build_table(w: WeightModel, p: float, M: int) -> CumulativeWeightTable:
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     M = int(M)
-    known = w.known_length
-    if known is not None and known < M:
-        raise TableTruncationError(requested=M, available=known)
     vals = w.values(M)
     # values() hands out a fresh nondecreasing array, so w_M is the largest
     # term and the sums may overwrite it

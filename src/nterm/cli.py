@@ -6,14 +6,12 @@ unless bracketed) and ``_FLAGS`` declares each flag; the parser, the JSON
 
 * ``bounds --weights --p --n [--m-max]``: worst-case error bounds per n
   (tail sums when p = inf)
-* ``exact --sequence --n``: exact sigma_n of a sequence read from a
-  file with one entry per line; blank lines are skipped, and a line
-  that is not a number is exit 3, named as ``PATH:LINE``
+* ``exact --sequence --n``: exact sigma_n of a sequence file
 * ``extremal --weights --p --m``: the equal-entry unit-sphere witness
 * ``oracle --weights --p --n [--m-max --seed --iters --max-support]``:
   structured and random-search maximizer values
 * ``certify``, with the flags of ``oracle``: bounds vs. oracles
-  cross-check; exit 1 on failure
+  cross-check at finite p; exit 1 on failure
 * ``ratefit --weights --p --n [--m-max --fix-log]``: decay
   exponent fit over an n grid plus the prediction
 
@@ -21,6 +19,14 @@ Every command also takes ``[--format table|csv|json] [--output PATH]``.
 ``--weights`` is ``const``, ``logpow:beta=F``, ``powlog:alpha=F,beta=F``
 or ``file:PATH``; ``--p`` is in (0, inf]; ``--n`` is an index (``17``,
 ``2^10``) or a dyadic range (``2^4..2^12:dyadic``).
+
+The two input files, ``--sequence PATH`` and ``--weights file:PATH``, have
+one format and one reader, ``weights.read_number_lines``: one number per
+line, lines cut as ``str.splitlines`` cuts them.  A sequence skips blank
+lines.  A weight table, line k being w_k, may end in blank lines but holds
+none inside; one there is exit 2, named as ``PATH:LINE``.  A line that is
+not a number is named as ``PATH:LINE`` too: exit 2 in a weight file, exit 3
+in a sequence file.  A file that cannot be read is exit 4.
 
 Formats: ``table`` (human), ``csv``, ``json``.  JSON documents validate
 against ``schemas/output.json``; numbers serialize as shortest round-trip
@@ -62,6 +68,7 @@ from .weights import (
     WeightValidationError,
     parse_weight_spec,
     predicted_rate,
+    read_number_lines,
 )
 
 __all__ = ["COMMANDS", "main", "parse_argv", "render", "run"]
@@ -146,44 +153,13 @@ def _run_bounds(ns) -> tuple[dict, int]:
     return {"rows": rows, "columns": columns}, EXIT_OK
 
 
-def _entries_by_line(path: str, text: str) -> list[float]:
-    """The numbers of ``text``, cut by ``str.splitlines``; blanks skipped."""
-    entries = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        token = line.strip()
-        if token:
-            try:
-                entries.append(float(token))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: not a number: {token!r}") from None
-    return entries
-
-
-def _read_sequence(path: str) -> CoefficientSequence:
-    """The entries of a sequence file: one number per line, blanks skipped.
-
-    The file is read a line at a time, so neither its text nor a list of its
-    lines is held while the entries are parsed.  If a line does not parse,
-    the text is read again and cut by ``str.splitlines``, which also breaks
-    lines at \\v, \\f and the other Unicode line separators; that either
-    parses or names the first line that is not a number.
-    """
+def _run_exact(ns) -> tuple[dict, int]:
     try:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                # float() ignores the whitespace around a number
-                entries = [float(t) for t in fh if not t.isspace()]
-            except ValueError:
-                fh.seek(0)
-                entries = _entries_by_line(path, fh.read())
+        # one expression, so that the list of lines is freed before the sums
+        x = CoefficientSequence(
+            [v for v in read_number_lines(ns.sequence) if v is not None])
     except OSError as exc:
         raise IOError(f"cannot read sequence file: {exc}") from exc
-    return CoefficientSequence(np.asarray(entries))
-
-
-def _run_exact(ns) -> tuple[dict, int]:
-    x = _read_sequence(ns.sequence)
     n_values = parse_n_spec(ns.n)
     rows = []
     for n, (s, e) in zip(n_values, scaled_tail_sqs(x, n_values)):
@@ -311,7 +287,9 @@ def _ratefit_rows(payload: dict) -> tuple[list[dict], list[str]]:
 _FLAGS = {
     "weights": dict(required=True, metavar="SPEC",
                     help="const | logpow:beta=F | "
-                         "powlog:alpha=F,beta=F | file:PATH"),
+                         "powlog:alpha=F,beta=F | file:PATH, one weight "
+                         "per line, blank lines only at the end; a bad "
+                         "line is exit 2, an unreadable file exit 4"),
     "p": dict(required=True, metavar="P",
               help="exponent in (0, inf]; 'inf' accepted"),
     "n": dict(required=True, metavar="N",
@@ -324,7 +302,7 @@ _FLAGS = {
     "sequence": dict(required=True, metavar="PATH",
                      help="text file, one coefficient per line; blank "
                           "lines are skipped, a line that is not a number "
-                          "is exit 3"),
+                          "is exit 3, an unreadable file exit 4"),
     "seed": dict(type=int, default=0),
     "iters": dict(type=int, default=20000),
     "max_support": dict(type=int, default=64,
@@ -370,7 +348,7 @@ COMMANDS = {
                         ("weights", "p", "m"), _run_extremal, None),
     "oracle": Command("structured and random-search maximizer values",
                       _ORACLE_FLAGS, _run_oracle, _listed_rows),
-    "certify": Command("bounds vs. oracles cross-check",
+    "certify": Command("bounds vs. oracles cross-check at finite p",
                        _ORACLE_FLAGS, _run_certify, _certify_rows),
     "ratefit": Command("fit decay exponents over an n grid",
                        ("weights", "p", "n", "m_max", "fix_log"),

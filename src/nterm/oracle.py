@@ -175,9 +175,9 @@ def random_search_oracle(
     known = w.known_length
     if known is not None:
         support = min(support, known)
-    wrow = w.values(support)
     if n >= support:
         return 0.0, CoefficientSequence(np.zeros(0))
+    wrow = w.values(support)
 
     rng = np.random.default_rng(cfg.seed)
     best_val = -1.0
@@ -280,7 +280,10 @@ def certify(
     oracle's two families are flat blocks and, at p > 2, Hoelder pairs.  At
     p <= 2 ``structure_ge_scan_lower`` is an identity: the best flat block
     is the lower envelope over a scan one index longer than the bound scan.
+    Both envelopes need a finite p, so p = inf is rejected up front.
     """
+    if not 0 < p < math.inf:
+        raise ValueError(f"certify needs a finite p > 0, got {p}")
     if cfg is None:
         cfg = OracleConfig()
     n_values = [int(n) for n in n_values]

@@ -20,6 +20,12 @@ error, plus the hypotheses under which the prediction holds.
 Models can also be written as short text specs (``const``,
 ``logpow:beta=1``, ``powlog:alpha=1,beta=0``, ``file:weights.txt``) for CLI
 and config use; see ``parse_weight_spec``.
+
+``read_number_lines`` reads both input files, weight tables and coefficient
+sequences: one number per line, None for a blank one.  A sequence drops
+blank lines; a weight table may only end in them.  Errors name
+``PATH:LINE``: exit 2 in a weight file and 3 in a sequence file at the CLI,
+where a file that cannot be read is exit 4.
 """
 
 from __future__ import annotations
@@ -40,8 +46,10 @@ __all__ = [
     "WeightValidationError",
     "UnsupportedFamilyError",
     "WeightSpecError",
+    "NotANumberError",
     "predicted_rate",
     "parse_weight_spec",
+    "read_number_lines",
 ]
 
 
@@ -59,6 +67,10 @@ class UnsupportedFamilyError(ValueError):
 
 class WeightSpecError(ValueError):
     """A textual weight spec could not be parsed."""
+
+
+class NotANumberError(ValueError):
+    """A line of an input file is neither blank nor a number."""
 
 
 def _check_values(vals: np.ndarray) -> None:
@@ -320,7 +332,7 @@ def parse_weight_spec(spec: str) -> WeightModel:
 
     Accepted forms: ``const``, ``logpow:beta=<f>``,
     ``powlog:alpha=<f>,beta=<f>``, ``file:<path>`` (text file, one weight
-    per line, line k is w_k).
+    per line, line k is w_k, blank lines only at the end).
     """
     spec = spec.strip()
     if spec == "const":
@@ -340,8 +352,17 @@ def parse_weight_spec(spec: str) -> WeightModel:
                 f"powlog takes exactly alpha=,beta=, got {spec!r}")
         return PowLogWeights(params["alpha"], params["beta"])
     if head == "file":
-        # outside the reader's try: a WeightValidationError is a ValueError
-        return TabulatedWeights(_read_weight_file(body), source=body)
+        try:
+            entries = read_number_lines(body)
+        except NotANumberError as exc:
+            raise WeightSpecError(str(exc)) from None
+        # blank lines may end the table, and only end it
+        while entries and entries[-1] is None:
+            entries.pop()
+        if None in entries:
+            raise WeightSpecError(f"{body}:{entries.index(None) + 1}: "
+                                  "blank line inside weight table")
+        return TabulatedWeights(entries, source=body)
     raise WeightSpecError(f"unknown weight family {head!r}")
 
 
@@ -350,45 +371,33 @@ def parse_weight_spec(spec: str) -> WeightModel:
 _LINE_BREAKS = "\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 
-def _read_weight_file(body: str) -> list[float]:
-    """The weights of a file, line k being w_k; blank lines may only end it.
+def read_number_lines(path: str) -> list[float | None]:
+    """One entry per line of a text file, lines cut as ``str.splitlines``
+    cuts its text: the line's number, or None for a blank line.
 
     The file is read a line at a time, so neither its text nor a list of its
-    lines is held while the weights are parsed.  If a line does not parse,
+    lines is held while the numbers are parsed.  If a line does not parse,
     or the file holds a line break other than \\n, the text is read again
-    and cut by ``str.splitlines``; that either parses or names the first
-    line that is not a number or the first blank line before a weight.
+    and cut by ``str.splitlines``; that either parses or raises
+    ``NotANumberError`` naming the first such line as ``PATH:LINE``.
+    ``OSError`` and ``UnicodeDecodeError`` pass through.
     """
-    try:
-        with open(body, encoding="utf-8") as fh:
-            try:
-                vals = [float(t) for t in fh]
-                fh.seek(0)
-                blocks = iter(lambda: fh.read(2 ** 16), "")
-                if any(c in b for b in blocks for c in _LINE_BREAKS):
-                    raise ValueError("cut the lines as splitlines does")
-            except ValueError:
-                fh.seek(0)
-                vals = _weights_by_line(body, fh.read().splitlines())
-    except OSError as exc:
-        raise WeightSpecError(f"cannot read weight file {body!r}: {exc}")
-    return vals
-
-
-def _weights_by_line(body: str, lines: list[str]) -> list[float]:
-    """The numbers of ``lines`` up to the first blank one, which must have
-    no number after it."""
-    vals = []
-    for lineno, line in enumerate(lines, 1):
-        text = line.strip()
-        if not text:
-            if any(l.strip() for l in lines[lineno:]):
-                raise WeightSpecError(
-                    f"{body}:{lineno}: blank line inside weight table")
-            break
+    with open(path, encoding="utf-8") as fh:
         try:
-            vals.append(float(text))
+            # float() ignores the whitespace around a number
+            entries = [None if t.isspace() else float(t) for t in fh]
+            fh.seek(0)
+            blocks = iter(lambda: fh.read(2 ** 16), "")
+            if any(c in b for b in blocks for c in _LINE_BREAKS):
+                raise ValueError("cut the lines as splitlines does")
         except ValueError:
-            raise WeightSpecError(
-                f"{body}:{lineno}: not a number: {text!r}") from None
-    return vals
+            fh.seek(0)
+            entries = []
+            for lineno, line in enumerate(fh.read().splitlines(), 1):
+                text = line.strip()
+                try:
+                    entries.append(float(text) if text else None)
+                except ValueError:
+                    raise NotANumberError(
+                        f"{path}:{lineno}: not a number: {text!r}") from None
+    return entries

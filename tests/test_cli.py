@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -262,6 +263,36 @@ class TestExact:
         assert doc["rows"][0]["sigma_sq"] == 30.0
         assert doc["rows"][0]["support_len"] == 4
 
+    @pytest.mark.parametrize("data, sigma_sq, support_len", [
+        # U+2028, NEL and a form feed end lines inside a sequence file too
+        ("1\u20282\x852\x0c4\n".encode(), 25.0, 4),
+        # lines of only whitespace, inside and at the end, are skipped
+        (b"\n 1\n\t\n2\n \t\n\x0b\n   ", 5.0, 2),
+    ])
+    def test_lines_as_a_weight_file_cuts_them(self, capsys, tmp_path, data,
+                                              sigma_sq, support_len):
+        path = tmp_path / "seq.txt"
+        path.write_bytes(data)
+        doc = run_json(capsys, ["exact", "--sequence", str(path), "--n", "0"])
+        assert doc["rows"][0]["sigma_sq"] == sigma_sq
+        assert doc["rows"][0]["support_len"] == support_len
+
+    @pytest.mark.parametrize("data, message", [
+        # the line is counted as str.splitlines counts it
+        (b"1\x0c\n\nx\n", "{path}:4: not a number: 'x'"),
+        ("1\n\u2028\n \nx\n".encode(), "{path}:5: not a number: 'x'"),
+        (b"1\n" * 5000 + b"x\n", "{path}:5001: not a number: 'x'"),
+    ])
+    def test_bad_line_after_blank_lines(self, capsys, tmp_path, data,
+                                        message):
+        path = tmp_path / "seq.txt"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, ["exact", "--sequence", str(path),
+                                          "--n", "0"])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == (f"nterm: error=domain "
+                       f"detail={message.format(path=path)!r}\n")
+
     def test_sigma_sq_past_float64_range(self, capsys, tmp_path):
         # sigma_0**2 = 1e600 + 4 has no float64
         path = tmp_path / "seq.txt"
@@ -382,6 +413,15 @@ class TestCertifyCommand:
                                 "--iters", "2000"])
         assert doc["reports"][0]["passed"] is True
 
+    def test_p_inf_rejected_before_any_table(self, capsys, table_sizes):
+        code, out, err = run_cli(capsys, ["certify", "--weights", "const",
+                                          "--p", "inf", "--n", "4"])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("nterm: error=domain")
+        assert err.count("\n") == 1
+        assert "certify" in err.partition("detail=")[2]
+        assert table_sizes == []
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["certify", "--weights", "const", "--p", "1", "--n", "4",
                 "--seed", "42", "--iters", "3000", "--format", "json"]
@@ -432,12 +472,75 @@ class TestRatefitCommand:
         assert doc["envelope"] is not None
 
 
+# the table/csv columns of certify and ratefit
+CERTIFY_COLUMNS = ["n", "bound_status", "scan_lower_sq", "scan_upper_sq",
+                   "structure_sq", "random_sq", "passed"]
+RATEFIT_COLUMNS = ["poly_exponent", "log_exponent", "intercept",
+                   "residual_rms", "predicted_poly", "predicted_log",
+                   "prediction_valid", "envelope_c_min", "envelope_c_max"]
+
+
+def _rendered_cells(out: str, fmt: str) -> tuple[list[str], list[dict]]:
+    """Header and rows of a table or csv artifact; a table cell is read
+    from its column's offset in the header, so an empty cell reads ''."""
+    lines = out.splitlines()
+    if fmt == "csv":
+        header = lines[0].split(",")
+        cells = [line.split(",") for line in lines[1:]]
+    else:
+        header = lines[0].split()
+        starts = [m.start() for m in re.finditer(r"\S+", lines[0])]
+        bounds = list(zip(starts, starts[1:] + [None]))
+        cells = [[line[a:b].strip() for a, b in bounds] for line in lines[1:]]
+    return header, [dict(zip(header, row)) for row in cells]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize("argv, columns, n_rows, true_column", [
+    (["certify", "--weights", "const", "--p", "1", "--n", "2^0..2^2:dyadic",
+      "--iters", "500"], CERTIFY_COLUMNS, 3, "passed"),
+    (["ratefit", "--weights", "const", "--p", "1", "--n", "2^4..2^11:dyadic"],
+     RATEFIT_COLUMNS, 1, "prediction_valid"),
+    # a weight file has no closed-form rate: no prediction and no envelope
+    (["ratefit", "--weights", "file:{ones}", "--p", "1",
+      "--n", "2^4..2^11:dyadic"], RATEFIT_COLUMNS, 1, None),
+])
+def test_table_and_csv_rows(capsys, tmp_path, fmt, argv, columns, n_rows,
+                            true_column):
+    ones = tmp_path / "ones.txt"
+    ones.write_text("1.0\n" * 16384)
+    argv = [a.format(ones=ones) for a in argv]
+    code, out, err = run_cli(capsys, argv + ["--format", fmt])
+    assert (code, err) == (EXIT_OK, "")
+    header, rows = _rendered_cells(out, fmt)
+    assert header == columns
+    assert len(rows) == n_rows
+    for row in rows:
+        assert all(row[c] != "" for c in columns[:4])
+        if true_column is None:
+            assert [row[c] for c in columns[4:]] == [""] * 5
+        else:
+            assert row[true_column] == "true"
+
+
 class TestErrorPaths:
     def test_unknown_weight_spec(self, capsys):
         code, _, err = run_cli(capsys, ["bounds", "--weights", "nope",
                                         "--p", "1", "--n", "1"])
         assert code == EXIT_BAD_SPEC
         assert err.startswith("nterm: error=weight-spec")
+
+    @pytest.mark.parametrize("command, extra", [
+        ("bounds", ["--p", "1", "--n", "1"]),
+        ("extremal", ["--p", "1", "--m", "2"]),
+    ])
+    def test_missing_weight_file(self, capsys, command, extra):
+        code, out, err = run_cli(capsys, [
+            command, "--weights", "file:/does/not/exist"] + extra)
+        assert (code, out) == (EXIT_IO, "")
+        assert err.startswith("nterm: error=io")
+        assert "/does/not/exist" in err
+        assert err.count("\n") == 1
 
     def test_invalid_weight_file(self, capsys, tmp_path):
         path = tmp_path / "w.txt"

@@ -320,13 +320,15 @@ class TestRandomSearchOracle:
         (TabulatedWeights([1.0, 1.5, 2.0, 2.5, 3.0]), 64, 9),
     ], ids=["linear-64-n64", "linear-64-n65", "linear-17-n17",
             "table5-n5", "table5-n9"])
-    def test_n_at_or_past_support_is_zero(self, w, max_support, n, p):
+    def test_n_at_or_past_support_is_zero(self, weights_evaluated, w,
+                                          max_support, n, p):
         # every sample lives on the first min(max_support, known_length)
-        # indices, so its tail past n is empty
+        # indices, so its tail past n is empty and no weight is read
         cfg = OracleConfig(seed=7, max_support=max_support)
         value, witness = random_search_oracle(w, p, n, cfg)
         assert value == 0.0
         assert witness.entries.size == 0
+        assert weights_evaluated == []
 
 
 class TestCertify:

@@ -29,3 +29,32 @@ def test_no_name_is_defined_twice(path):
             rebound += [f"{path.name}: {node.name}.{name}"
                         for name in _rebound_names(node.body)]
     assert rebound == []
+
+
+SOURCE_MODULES = sorted(
+    (Path(__file__).resolve().parent.parent / "src" / "nterm").glob("*.py"))
+
+
+def _open_calls(node: ast.AST, where: str = "<module>") -> list[str]:
+    """The innermost enclosing function of every ``open(`` or ``.open(``
+    call under ``node``, or ``where`` outside any."""
+    calls = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            calls += _open_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and "open" in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None)):
+            calls.append(where)
+        calls += _open_calls(child, where)
+    return calls
+
+
+def test_one_reader_opens_input_files():
+    # the weight file and the sequence file have one format and one reader
+    calls = []
+    for path in SOURCE_MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        calls += [f"{path.name}: {name}" for name in _open_calls(tree)]
+    assert calls == ["weights.py: read_number_lines"]

@@ -110,6 +110,24 @@ class TestMonotonicity:
         j = np.arange(1, 10 ** 4 + 1, dtype=np.float64)
         assert np.array_equal(w.values(10 ** 4), w.raw_value(j))
 
+    @pytest.mark.parametrize("alpha, beta, exponents", [
+        (0.0, 1.0, (0.0, 1.0)),
+        (0.0, 0.0, (0.0, 0.0)),
+        (0.0, -1.0, (0.0, 0.0)),
+        (-0.5, 2.0, (0.0, 0.0)),
+    ])
+    def test_powlog_exponents_at_alpha_not_positive(self, alpha, beta,
+                                                     exponents):
+        # w_m grows like log(m)**beta at alpha = 0 and beta > 0; otherwise
+        # the formula tends to 0 or stays flat, and so does the running max
+        w = PowLogWeights(alpha, beta)
+        assert w.asymptotic_exponents == exponents
+        vals = w.values(2 ** 16 - 1)
+        if exponents[1] > 0:
+            assert vals[-1] == 16.0 ** beta
+        else:
+            assert vals[-1] == vals[2 ** 10]
+
     def test_powlog_negative_beta_dips_below_model(self):
         w = PowLogWeights(0.1, -2.0)
         vals = w.values(10 ** 4)
@@ -261,7 +279,6 @@ class TestSpecLanguage:
 
     @pytest.mark.parametrize("spec", [
         "bogus", "logpow", "logpow:gamma=1", "powlog:alpha=1",
-        "file:/does/not/exist",
     ])
     def test_parse_errors(self, spec):
         with pytest.raises(WeightSpecError):
@@ -281,6 +298,9 @@ class TestWeightFile:
         # a form feed ends a line, and the blank line after it ends the table
         (b"1\n2\x0c\n", [1.0, 2.0]),
         (b"1\n2\x0c4\n", [1.0, 2.0, 4.0]),
+        # lines of only whitespace, the last one with no line break
+        (b"1\n2\n \t\n\x0b\n   ", [1.0, 2.0]),
+        ("1\u20282\x854\u2029\n".encode(), [1.0, 2.0, 4.0]),
     ])
     def test_values(self, tmp_path, data, expected):
         path = tmp_path / "w.txt"
@@ -296,6 +316,9 @@ class TestWeightFile:
          "{path}:3: blank line inside weight table"),
         (b"1\n2\nhello\n", "{path}:3: not a number: 'hello'"),
         (b"1\n" * 5000 + b"x\n", "{path}:5001: not a number: 'x'"),
+        # a bad line is named before a blank line above it
+        (b"1\n\n \nx\n", "{path}:4: not a number: 'x'"),
+        ("1\n\u2028x\n".encode(), "{path}:3: not a number: 'x'"),
     ])
     def test_errors_are_named(self, tmp_path, data, message):
         path = tmp_path / "w.txt"
