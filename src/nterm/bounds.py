@@ -77,7 +77,10 @@ _DE_ROUNDING = 64 * float(np.finfo(np.float64).eps)   # plus this * |value|
 # and this * |value| per unit of |2a - 1| + |2b|: the rounding of ln X and
 # of the nodes is multiplied by the exponents the integrand is raised to
 _DE_ROUNDING_PER_EXPONENT = 4 * float(np.finfo(np.float64).eps)
+# an integrand peak above e**_DE_MAX_PEAK is divided out of the nodes
+_DE_MAX_PEAK = 600.0
 _LOG2E = 1.0 / math.log(2.0)
+_LOG_MAX = math.log(float(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,6 +438,13 @@ def _tail_integral(alpha: float, beta: float, X: float,
     level difference plus a rounding allowance: _DE_ROUNDING of the value,
     and _DE_ROUNDING_PER_EXPONENT of it per unit of |c| + |2b|.  The
     stopping test compares with _DE_ROUNDING of the value alone.
+
+    Where h(ln X) or the value leaves the normal float64 range, or h peaks
+    above e**_DE_MAX_PEAK times h(ln X), the rule runs on h / h(ln X),
+    divided by that peak, to rounding, and the value is put together in
+    logarithms.  Past the float64 maximum that raises ``OverflowError``;
+    below the smallest normal the value may be 0.0 or subnormal, and the
+    error, at least twice the smallest subnormal, still bounds it.
     """
     a = math.log(X)
     boundary = abs(2.0 * alpha - 1.0) <= _EXPONENT_EPS
@@ -442,30 +452,57 @@ def _tail_integral(alpha: float, beta: float, X: float,
     # h(u) = scale * e**(-c s) (u/a)**(-2b) (1 + d(u)/u)**(-2b) with s = u - a
     # and d(u) = ln(1 + e**-u); the rule integrates the part after scale
     scale = _power_product(X, -c, a * _LOG2E, -2.0 * beta)
-    closed = a * scale / (2.0 * beta - 1.0) if boundary else 0.0
+    # -c s - 2b ln(1 + s/a) peaks at s = -2b/c - a where that is positive
+    shift = 0.0
+    if beta < 0.0 and c > 0.0 and -2.0 * beta / c > a:
+        top = -2.0 * beta / c - a
+        shift = -c * top - 2.0 * beta * math.log1p(top / a)
+        if shift <= _DE_MAX_PEAK:
+            shift = 0.0
 
     def f(t: np.ndarray) -> np.ndarray:
         s = np.exp(0.5 * np.pi * np.sinh(t))
         u = a + s
         corr = -2.0 * beta * np.log1p(np.log1p(np.exp(-u)) / u)
         m = np.expm1(corr) if boundary else np.exp(corr)
-        return (np.exp(-c * s - 2.0 * beta * np.log1p(s / a)) * m
+        return (np.exp(-c * s - 2.0 * beta * np.log1p(s / a) - shift) * m
                 * (0.5 * np.pi * np.cosh(t) * s))
 
-    h = 1.0
-    est = float(f(np.arange(-_DE_T_MAX, _DE_T_MAX + 0.5)).sum())
-    for _ in range(_DE_LEVELS):
-        h /= 2.0
-        new = 0.5 * est + h * float(
-            f(np.arange(-_DE_T_MAX + h, _DE_T_MAX, 2.0 * h)).sum())
-        step_err = _DE_SAFETY * scale * abs(new - est)
-        est = new
-        value = closed + scale * est
-        if step_err <= max(epsabs, _DE_ROUNDING * abs(value)):
-            break
+    def rule(scale: float, epsabs: float) -> tuple[float, float]:
+        closed = a * scale / (2.0 * beta - 1.0) if boundary else 0.0
+        h = 1.0
+        est = float(f(np.arange(-_DE_T_MAX, _DE_T_MAX + 0.5)).sum())
+        for _ in range(_DE_LEVELS):
+            h /= 2.0
+            new = 0.5 * est + h * float(
+                f(np.arange(-_DE_T_MAX + h, _DE_T_MAX, 2.0 * h)).sum())
+            step_err = _DE_SAFETY * scale * abs(new - est)
+            est = new
+            value = closed + scale * est
+            if step_err <= max(epsabs, _DE_ROUNDING * abs(value)):
+                break
+        return value, step_err
+
     rounding = _DE_ROUNDING + _DE_ROUNDING_PER_EXPONENT * (
         abs(c) + abs(2.0 * beta))
-    return value, step_err + rounding * abs(value)
+    tiny = float(np.finfo(np.float64).tiny)
+    if shift == 0.0 and tiny <= scale < math.inf:
+        value, step_err = rule(scale, epsabs)
+        if tiny <= value < math.inf:
+            return value, step_err + rounding * abs(value)
+
+    norm, norm_err = rule(1.0, 0.0)
+    terms = (-c * a, -2.0 * beta * math.log(a * _LOG2E), shift,
+             math.log(norm))
+    log_value = sum(terms)
+    if log_value > _LOG_MAX:
+        raise OverflowError(
+            f"tail integral e**{log_value:.6g} is past the float64 range")
+    value = math.exp(log_value)
+    # exp turns the rounding of each term of log_value into a relative error
+    rel = norm_err / norm + rounding + _DE_ROUNDING_PER_EXPONENT * (
+        sum(map(abs, terms)) + abs(log_value))
+    return value, rel * value + 2.0 * math.ulp(0.0)
 
 
 def class_error_infty(

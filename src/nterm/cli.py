@@ -187,14 +187,14 @@ def _run_oracle(ns) -> tuple[dict, int]:
     cfg = _oracle_config(ns)
     n_values = parse_n_spec(ns.n)
     table = None if math.isinf(ns.p) else oracle_table(w, ns.p, n_values, cfg)
+    randoms = random_search_oracle(w, ns.p, n_values, cfg)
     rows = []
     witnesses = {}
-    for n in n_values:
+    for n, (r_sq, r_wit) in zip(n_values, randoms):
         if not math.isinf(ns.p):
             s_sq, s_wit = structure_oracle(w, ns.p, n, cfg, table=table)
             rows.append({"n": n, "engine": "structure", "value_sq": s_sq})
             witnesses[f"structure:{n}"] = s_wit.entries.tolist()
-        r_sq, r_wit = random_search_oracle(w, ns.p, n, cfg)
         rows.append({"n": n, "engine": "random", "value_sq": r_sq})
         witnesses[f"random:{n}"] = r_wit.entries.tolist()
     return ({"rows": rows, "columns": ["n", "engine", "value_sq"],
@@ -303,8 +303,11 @@ _FLAGS = {
                      help="text file, one coefficient per line; blank "
                           "lines are skipped, a line that is not a number "
                           "is exit 3, an unreadable file exit 4"),
-    "seed": dict(type=int, default=0),
-    "iters": dict(type=int, default=20000),
+    "seed": dict(type=int, default=0,
+                 help="seed of the random oracle's sample set"),
+    "iters": dict(type=int, default=20000,
+                  help="random samples drawn; one sample set of ITERS "
+                       "draws serves every n of the run"),
     "max_support": dict(type=int, default=64,
                         help="random samples live on the first "
                              "MAX_SUPPORT indices (fewer if the weight file "

@@ -15,7 +15,9 @@ Two engines are checked against the analytic bounds:
 Both engines are bitwise reproducible given a seed and configuration.
 
 ``certify`` and the ``oracle`` command read one cumulative weight table per
-run, ``oracle_table``, sized for the largest n and shared by every n.
+run, ``oracle_table``, sized for the largest n and shared by every n, and
+one random sample set per grid: ``random_search_oracle`` takes the whole n
+grid, and each n's result equals that of a one-n grid, bit for bit.
 """
 
 from __future__ import annotations
@@ -76,14 +78,15 @@ def _resolve_m_max(cfg: OracleConfig, n: int, w: WeightModel) -> int:
 
 
 def oracle_table(w: WeightModel, p: float, n_values: Sequence[int],
-                 cfg: OracleConfig) -> CumulativeWeightTable | None:
+                 cfg: OracleConfig) -> CumulativeWeightTable:
     """The table the scans of every n share, sized for the largest n: it
     reaches m_max + 1, the longest flat block of ``structure_oracle``.
 
-    None below length 1, where the per-n check names the bad m_max.
+    Every n's m_max is checked first, in grid order, so that a bad one
+    fails before any table is built or random sample drawn.
     """
-    size = scan_length(w, max(n_values), cfg.m_max, lookahead=1)
-    return build_table(w, p, size + 1) if size >= 1 else None
+    size = max(_resolve_m_max(cfg, n, w) for n in n_values)
+    return build_table(w, p, size + 1)
 
 
 def structure_oracle(
@@ -154,34 +157,40 @@ def structure_oracle(
 def random_search_oracle(
     w: WeightModel,
     p: float,
-    n: int,
+    n_values: Sequence[int],
     cfg: OracleConfig,
-) -> tuple[float, CoefficientSequence]:
-    """Best sigma_n**2 over seeded random unit-sphere samples.
+) -> list[tuple[float, CoefficientSequence]]:
+    """Best sigma_n**2 over seeded random unit-sphere samples, per n.
 
     Samples are nonincreasing mixtures of sorted exponential and uniform
     draws with random support, rescaled to unit weighted lp norm; each one
-    is a valid lower bound on the class error.  Every sample lives on the
+    is a valid lower bound on the class error.  One sample set of
+    ``cfg.iters`` draws serves the whole grid: each batch is drawn and
+    normed once and every n keeps its own best row, so the result for an n
+    equals that of a one-n grid, bit for bit.  Every sample lives on the
     first support = min(cfg.max_support, known_length) indices, so for
     n >= support each tail is empty: the result is 0.0 with an empty
-    witness, returned without drawing.
+    witness, and a grid with no n below support draws nothing.  Returns
+    one (value, witness) per n, in grid order.
     """
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    n = int(n)
+    n_values = [int(n) for n in n_values]
+    for n in n_values:
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
     support = cfg.max_support
     known = w.known_length
     if known is not None:
         support = min(support, known)
-    if n >= support:
-        return 0.0, CoefficientSequence(np.zeros(0))
+    empty = CoefficientSequence(np.zeros(0))
+    # per n below support: the best value so far and its row
+    best = {n: (-1.0, None) for n in n_values if n < support}
+    if not best:
+        return [(0.0, empty) for _ in n_values]
     wrow = w.values(support)
 
     rng = np.random.default_rng(cfg.seed)
-    best_val = -1.0
-    best_row: np.ndarray | None = None
     remaining = cfg.iters
     while remaining > 0:
         batch = min(_BATCH, remaining)
@@ -212,25 +221,23 @@ def random_search_oracle(
         good = norms > 0
         vals = vals / np.where(good, norms, 1.0)[:, None]
 
-        # sig = total - head, not a direct tail sum: the two round
-        # differently and can change which row wins a near-tie
+        # sig = total - head, not a direct tail sum nor a cumsum: each
+        # rounds differently and can change which row wins a near-tie
         sq = np.multiply(vals, vals, out=t)
-        sig = sq.sum(axis=1)
-        if n > 0:
-            sig -= sq[:, :n].sum(axis=1)
-        sig[~good] = -1.0
-        i = int(np.argmax(sig))
-        if sig[i] > best_val:
-            best_val = float(sig[i])
-            best_row = vals[i].copy()
+        total = sq.sum(axis=1)
+        for n, (best_val, _) in best.items():
+            sig = total - sq[:, :n].sum(axis=1)
+            sig[~good] = -1.0
+            i = int(np.argmax(sig))
+            if sig[i] > best_val:
+                best[n] = (float(sig[i]), vals[i].copy())
 
-    if best_row is None:
-        witness = CoefficientSequence(np.zeros(0))
-    else:
-        nz = np.nonzero(best_row)[0]
-        witness = CoefficientSequence(
-            best_row[:nz[-1] + 1] if nz.size else np.zeros(0))
-    return sigma_sq_exact(witness, n), witness
+    results = {}
+    for n, (_, row) in best.items():
+        nz = np.nonzero(row)[0] if row is not None else ()
+        witness = CoefficientSequence(row[:nz[-1] + 1]) if len(nz) else empty
+        results[n] = (sigma_sq_exact(witness, n), witness)
+    return [results.get(n, (0.0, empty)) for n in n_values]
 
 
 @dataclass(frozen=True)
@@ -274,7 +281,9 @@ def certify(
 ) -> list[CertificationReport]:
     """Run bounds, structure oracle, and random oracle; check containment.
 
-    One report per n of the grid, all read from one ``oracle_table``.
+    One report per n of the grid, all read from one ``oracle_table`` and
+    one random sample set: ``random_search_oracle`` runs once for the grid,
+    and each n's ``random_sq`` equals that of a one-n grid.
     Check failures set the report's ``passed`` flag instead of raising, so
     harnesses can collect every combination before deciding.  The structure
     oracle's two families are flat blocks and, at p > 2, Hoelder pairs.  At
@@ -290,12 +299,12 @@ def certify(
     if not n_values:
         return []
     table = oracle_table(w, p, n_values, cfg)
+    randoms = random_search_oracle(w, p, n_values, cfg)
     reports = []
-    for n in n_values:
+    for n, (random_sq, _) in zip(n_values, randoms):
         m_max = _resolve_m_max(cfg, n, w)
         bounds_result = class_bounds(w, p, n, m_max=m_max, table=table)
         structure_sq, _ = structure_oracle(w, p, n, cfg, table=table)
-        random_sq, _ = random_search_oracle(w, p, n, cfg)
 
         upper_ref = bounds_result.upper_sq
         if bounds_result.status not in (STATUS_ATTAINED, STATUS_LIMIT):

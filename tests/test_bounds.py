@@ -678,6 +678,29 @@ class TestClassErrorInfty:
         with mpmath.workdps(_ref.DIGITS):
             assert abs(mpmath.mpf(value) - ref) <= err
 
+    @pytest.mark.parametrize("alpha, beta, X", [
+        # below the float64 range: 9.0e-344 and 3.8e-328 round to 0.0,
+        # 1.6e-312 is subnormal
+        (30.0, 150.0, 64.5),
+        (30.0, 140.0, 64.5),
+        (30.0, 130.0, 64.5),
+        # in range at 4.2e270, but the integrand peaks about e**790 above
+        # its value at X
+        (10.5, -150.0, 1.5),
+    ])
+    def test_tail_integral_outside_the_normal_range(self, alpha, beta, X):
+        value, err = _tail_integral(alpha, beta, X, epsabs=0.0)
+        ref = _tail_integral_ref(alpha, beta, X)
+        with mpmath.workdps(_ref.DIGITS):
+            assert abs(mpmath.mpf(value) - ref) <= err
+        assert err <= 1e-10 * value + 2.0 * math.ulp(0.0)
+
+    def test_tail_integral_past_the_float64_max_raises(self):
+        ref = _tail_integral_ref(1.0, -150.0, 64.5)  # 1.7e662
+        assert ref > np.finfo(np.float64).max
+        with pytest.raises(OverflowError, match="past the float64 range"):
+            _tail_integral(1.0, -150.0, 64.5, epsabs=0.0)
+
     def test_tail_where_one_factor_overflows(self):
         # log2(x + 1)**300 overflows at x = 2**23, x**-60 * log2(x + 1)**300
         # does not: past the plateau of powlog(30, -150) the tail is small

@@ -249,18 +249,18 @@ class TestTwoFamiliesAgainstReference:
 class TestRandomSearchOracle:
     def test_const_p1_n1_interval(self):
         cfg = OracleConfig(m_max=64, iters=100_000, seed=42)
-        value, _ = random_search_oracle(ConstantWeights(), 1.0, 1, cfg)
+        value, _ = random_search_oracle(ConstantWeights(), 1.0, [1], cfg)[0]
         assert 0.24 <= value <= 0.25
 
     def test_sigma0_on_l2_ball(self):
         cfg = OracleConfig(iters=20_000, seed=5)
-        value, _ = random_search_oracle(ConstantWeights(), 2.0, 0, cfg)
+        value, _ = random_search_oracle(ConstantWeights(), 2.0, [0], cfg)[0]
         assert value <= 1 + 1e-12
 
     def test_deterministic_replay(self):
         cfg = OracleConfig(iters=30_000, seed=99)
-        a = random_search_oracle(LINEAR, 1.0, 2, cfg)
-        b = random_search_oracle(LINEAR, 1.0, 2, cfg)
+        a = random_search_oracle(LINEAR, 1.0, [2], cfg)[0]
+        b = random_search_oracle(LINEAR, 1.0, [2], cfg)[0]
         assert a[0] == b[0]
         assert np.array_equal(a[1].entries, b[1].entries)
 
@@ -268,18 +268,18 @@ class TestRandomSearchOracle:
         for p in (0.5, 1.0, 2.0, math.inf):
             cfg = OracleConfig(iters=5_000, seed=11)
             w = LogPowerWeights(1.0)
-            value, witness = random_search_oracle(w, p, 2, cfg)
+            value, witness = random_search_oracle(w, p, [2], cfg)[0]
             assert weighted_lp_norm(witness, w, p) <= 1 + 1e-12
             assert value == sigma_sq_exact(witness, 2)
 
     def test_nonincreasing_witness(self):
         cfg = OracleConfig(iters=2_000, seed=3)
-        _, witness = random_search_oracle(ConstantWeights(), 1.0, 1, cfg)
+        _, witness = random_search_oracle(ConstantWeights(), 1.0, [1], cfg)[0]
         assert np.all(np.diff(witness.entries) <= 0)
 
     def test_p_inf_supported(self):
         cfg = OracleConfig(iters=5_000, seed=17)
-        value, witness = random_search_oracle(LINEAR, math.inf, 1, cfg)
+        value, witness = random_search_oracle(LINEAR, math.inf, [1], cfg)[0]
         assert value > 0
         assert weighted_lp_norm(witness, LINEAR, math.inf) <= 1 + 1e-12
 
@@ -292,9 +292,9 @@ class TestRandomSearchOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scaled, _ = random_search_oracle(
-                TabulatedWeights([level] * 40_000), 200.0, 16, cfg)
+                TabulatedWeights([level] * 40_000), 200.0, [16], cfg)[0]
             unit, _ = random_search_oracle(
-                TabulatedWeights([1.0] * 40_000), 200.0, 16, cfg)
+                TabulatedWeights([1.0] * 40_000), 200.0, [16], cfg)[0]
         assert scaled == pytest.approx(unit / level ** 2, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -305,7 +305,7 @@ class TestRandomSearchOracle:
         # moves some value or witness entry by at least one ulp
         w = RANDOM_PIN_WEIGHTS[case["weights"]]
         value, witness = random_search_oracle(
-            w, float(case["p"]), case["n"], OracleConfig(seed=7))
+            w, float(case["p"]), [case["n"]], OracleConfig(seed=7))[0]
         assert value == float.fromhex(case["value_sq"])
         assert np.array_equal(
             witness.entries,
@@ -325,9 +325,49 @@ class TestRandomSearchOracle:
         # every sample lives on the first min(max_support, known_length)
         # indices, so its tail past n is empty and no weight is read
         cfg = OracleConfig(seed=7, max_support=max_support)
-        value, witness = random_search_oracle(w, p, n, cfg)
+        [(value, witness)] = random_search_oracle(w, p, [n], cfg)
         assert value == 0.0
         assert witness.entries.size == 0
+        assert weights_evaluated == []
+
+
+class TestOneDrawPerGrid:
+    """One sample set serves the whole grid: each n's result is that of a
+    one-n grid, bit for bit, in value and witness."""
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("w, grid, iters", [
+        # unsorted, duplicates, n = 0, n >= support mid-grid, 3 batches
+        (LINEAR, [16, 3, 70, 0, 16, 64, 63, 5], 70_000),
+        (TabulatedWeights([1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]),
+         [6, 0, 9, 2, 7, 2], 5_000),
+    ], ids=["linear", "table7"])
+    def test_grid_equals_one_n_grids(self, w, grid, iters, p):
+        cfg = OracleConfig(iters=iters, seed=13)
+        results = random_search_oracle(w, p, grid, cfg)
+        assert len(results) == len(grid)
+        for n, (value, witness) in zip(grid, results):
+            [(ref_value, ref_witness)] = random_search_oracle(w, p, [n], cfg)
+            assert value.hex() == ref_value.hex(), n
+            assert np.array_equal(witness.entries, ref_witness.entries), n
+
+    def test_certify_reads_the_sample_weights_once(self, weights_evaluated):
+        certify(LINEAR, 2.0, [16, 32], OracleConfig(iters=2_000, seed=4))
+        assert weights_evaluated.count(64) == 1
+
+    def test_bad_m_max_rejected_before_any_draw(self, weights_evaluated):
+        # the first n in grid order whose scan is too short is named
+        with pytest.raises(ValueError, match="got 6 < 9"):
+            certify(LINEAR, 2.0, [4, 8, 16], OracleConfig(m_max=6))
+        assert weights_evaluated == []
+
+    def test_negative_n_rejected_before_any_draw(self, weights_evaluated):
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            random_search_oracle(LINEAR, 2.0, [4, -1], OracleConfig())
+        assert weights_evaluated == []
+
+    def test_empty_grid(self, weights_evaluated):
+        assert random_search_oracle(LINEAR, 2.0, [], OracleConfig()) == []
         assert weights_evaluated == []
 
 

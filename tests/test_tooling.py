@@ -1,6 +1,9 @@
 """Checks on the test modules themselves."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -58,3 +61,56 @@ def test_one_reader_opens_input_files():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         calls += [f"{path.name}: {name}" for name in _open_calls(tree)]
     assert calls == ["weights.py: read_number_lines"]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_tree() -> dict[str, int]:
+    return {str(p.relative_to(PERFBENCH)): p.stat().st_mtime_ns
+            for p in PERFBENCH.rglob("*")}
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    """``perfbench/spans.py``, imported without writing under perfbench/."""
+    before = _perfbench_tree()
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", PERFBENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    yield module
+    assert _perfbench_tree() == before
+
+
+def test_every_bench_layer_resolves(spans):
+    # the bench reports a layer it cannot find as 0, so a renamed function
+    # would read as free
+    unresolved = []
+    for mod_name, path, _, _ in spans.LAYERS:
+        owner = importlib.import_module(mod_name)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            unresolved.append(f"{mod_name}.{path}")
+    assert unresolved == []
+
+
+def test_bench_counts_read_the_current_signatures(spans):
+    # each count reads the arguments or result of its span by name
+    from nterm import OracleConfig, PowLogWeights, certify
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        certify(PowLogWeights(1.0, 0.0), 3.0, [4, 64],
+                OracleConfig(iters=200, seed=1))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    totals = spans.layer_totals(tracer.spans, 0, len(tracer.spans))
+    assert totals["oracle.random_search_oracle"]["calls"] == 1
+    assert totals["oracle.random_search_oracle"]["samples"] == 200
+    assert totals["oracle.structure_oracle"]["m_scanned"] > 0
