@@ -16,11 +16,13 @@ envelopes over m in [n, m_max] and classifies how the supremum behaves:
                           confirmed.
 
 For p = oo the squared error equals the tail sum of w_j**-2.
-``class_error_infty`` sums a head and closes the tail with an integral,
-evaluated by an exp-sinh (double-exponential) rule in numpy; at 2 alpha = 1
-the rule integrates the difference from the leading u**(-2 beta) term, which
-is added in closed form.  The reported ``truncation_bound`` is the
-Euler-Maclaurin remainder bound plus the rule's error estimate.
+``class_error_infty`` sums a head and closes the tail with an integral, to
+1e-12.  One exp-sinh (double-exponential) rule in numpy integrates the
+integrand scaled to its start and peak, and the value is put together in
+logarithms; at 2 alpha = 1 the rule integrates the difference from the
+leading u**(-2 beta) term, which is added in closed form.  The reported
+``truncation_bound`` is the Euler-Maclaurin remainder bound plus the
+rule's error estimate.
 
 Squared errors are the internal currency throughout; square roots are taken
 only at presentation boundaries.
@@ -67,20 +69,21 @@ _BLOCK = 2 ** 16
 # trailing log-log slope above which a scanned envelope counts as divergent
 SLOPE_EPS = 0.01
 _EXPONENT_EPS = 1e-12
-# longest p = oo head; past it truncation_bound may exceed tail_tol
+_TAIL_TOL = 1e-12
+# longest p = oo head; past it truncation_bound may exceed _TAIL_TOL
 _MAX_TERMS = 10_000_000
 # exp-sinh rule for the p = oo tail integral (Takahasi & Mori 1974)
 _DE_T_MAX = 6.0          # nodes t in [-6, 6] of u = ln X + exp(pi/2 sinh t)
 _DE_LEVELS = 8           # step halvings after h = 1: at most 3073 nodes
 _DE_SAFETY = 10.0        # error = safety * |difference of the last levels|
 _DE_ROUNDING = 64 * float(np.finfo(np.float64).eps)   # plus this * |value|
-# and this * |value| per unit of |2a - 1| + |2b|: the rounding of ln X and
-# of the nodes is multiplied by the exponents the integrand is raised to
+# and this * |value| per unit of |2a - 1| + |2b| and of the logarithms of
+# the rule's unit: their rounding is multiplied up by the powers and by exp
 _DE_ROUNDING_PER_EXPONENT = 4 * float(np.finfo(np.float64).eps)
-# an integrand peak above e**_DE_MAX_PEAK is divided out of the nodes
-_DE_MAX_PEAK = 600.0
-_LOG2E = 1.0 / math.log(2.0)
+_LN2 = math.log(2.0)
+_LOG2E = 1.0 / _LN2
 _LOG_MAX = math.log(float(np.finfo(np.float64).max))
+_LOG_TINY = math.log(float(np.finfo(np.float64).tiny))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,11 +107,12 @@ class CumulativeWeightTable:
     length: int
 
     def W(self, m: int) -> float:
-        """Cumulative weight W_m."""
+        """Cumulative weight W_m; inf past the float64 range."""
         self._check_index(m)
-        if self.log_domain:
-            return float(np.exp(self.log_sums_p[m - 1] / self.p))
-        return float(self.sums_p[m - 1] ** (1.0 / self.p))
+        with np.errstate(over="ignore"):
+            if self.log_domain:
+                return float(np.exp(self.log_sums_p[m - 1] / self.p))
+            return float(self.sums_p[m - 1] ** (1.0 / self.p))
 
     def log_W_slice(self, m_lo: int, m_hi: int) -> np.ndarray:
         """log W_m for m in [m_lo, m_hi] as a float64 array."""
@@ -273,7 +277,8 @@ def class_bounds(
 
     The scan starts at max(n, 1) since W_m is defined for m >= 1; the m = n
     term of the lower envelope is zero anyway.  A reusable ``table`` may be
-    passed when several n share one weight model; it must cover m_max.
+    passed when several n share one weight model; it is used as given, so
+    it must be of p and cover the scan.
     """
     if not 0 < p < math.inf:
         raise ValueError(f"p must be finite and positive, got {p}")
@@ -294,8 +299,10 @@ def class_bounds(
             scan_lower_sq=0.0, scan_upper_sq=0.0)
     table_truncated = m_eff < m_max
 
-    if table is None or table.length < m_eff or table.p != p:
+    if table is None:
         table = build_table(w, p, m_eff)
+    elif table.p != p:
+        raise ValueError(f"table is for p = {table.p}, not {p}")
 
     m_lo = max(n, 1)
     # the envelopes (m - n [+ 1]) * W_m**-2, a block at a time: the lower
@@ -329,6 +336,8 @@ def class_bounds(
             status=status, limit_estimate=limit, m_scanned=int(m_eff),
             scan_lower_sq=scan_lower, scan_upper_sq=scan_upper)
 
+    # divergence and a limit candidate: from a closed-form model's exponents,
+    # else from the trailing slope of a tail neither confirmed nor truncated
     prof = w.asymptotic_exponents
     if prof is not None:
         alpha, beta = prof
@@ -337,41 +346,30 @@ def class_bounds(
         # t_m grows for any growth > 0, whatever beta; only at growth in
         # [-_EXPONENT_EPS, 0] does the log factor decide
         boundary = -_EXPONENT_EPS <= growth <= 0
-        if growth > 0 or (boundary and log_growth > _EXPONENT_EPS):
-            return result(STATUS_DIVERGENT, math.inf, math.inf)
-        if boundary and abs(log_growth) <= _EXPONENT_EPS:
-            # bounded envelope with a positive limit
-            limit = _extrapolate_limit(t_up, m_lo, m_eff)
-            if limit is not None and limit > scan_upper * (1 + 1e-12):
-                return result(STATUS_LIMIT, limit, limit, limit=limit)
-            if trailing_confirmed:
-                return result(
-                    STATUS_ATTAINED, scan_lower, scan_upper, argmax=m_star)
-            if limit is not None and trailing_nondecreasing:
-                limit = max(limit, scan_upper)
-                return result(STATUS_LIMIT, limit, limit, limit=limit)
-            return result(STATUS_TRUNCATED, scan_lower, scan_upper)
-        # envelope decays eventually, so the supremum is attained
-        if trailing_confirmed:
-            return result(
-                STATUS_ATTAINED, scan_lower, scan_upper, argmax=m_star)
-        return result(STATUS_TRUNCATED, scan_lower, scan_upper)
+        divergent = growth > 0 or (boundary and log_growth > _EXPONENT_EPS)
+        # a bounded envelope with a positive limit
+        bounded = boundary and abs(log_growth) <= _EXPONENT_EPS
+    elif trailing_confirmed or table_truncated:
+        divergent = bounded = False
+    else:
+        # over the last scanned decade
+        start = max(m_lo, m_eff // 10)
+        slope = _loglog_slope(np.arange(start, m_eff + 1, dtype=np.float64),
+                              t_up[start - m_lo:])
+        divergent = slope is not None and slope >= SLOPE_EPS
+        bounded = (slope is not None and not divergent
+                   and trailing_nondecreasing)
+    limit = _extrapolate_limit(t_up, m_lo, m_eff) if bounded else None
 
-    # tabulated model: scan heuristics only
+    if divergent:
+        return result(STATUS_DIVERGENT, math.inf, math.inf)
+    if limit is not None and limit > scan_upper * (1 + 1e-12):
+        return result(STATUS_LIMIT, limit, limit, limit=limit)
     if trailing_confirmed:
         return result(STATUS_ATTAINED, scan_lower, scan_upper, argmax=m_star)
-    # over the last scanned decade
-    start = max(m_lo, m_eff // 10)
-    slope = _loglog_slope(np.arange(start, m_eff + 1, dtype=np.float64),
-                          t_up[start - m_lo:])
-    if not table_truncated and slope is not None and slope >= SLOPE_EPS:
-        return result(STATUS_DIVERGENT, math.inf, math.inf)
-    if (not table_truncated and slope is not None and slope < SLOPE_EPS
-            and trailing_nondecreasing):
-        limit = _extrapolate_limit(t_up, m_lo, m_eff)
-        if limit is not None:
-            limit = max(limit, scan_upper)
-            return result(STATUS_LIMIT, limit, limit, limit=limit)
+    if limit is not None and trailing_nondecreasing:
+        limit = max(limit, scan_upper)
+        return result(STATUS_LIMIT, limit, limit, limit=limit)
     return result(STATUS_TRUNCATED, scan_lower, scan_upper)
 
 
@@ -405,21 +403,14 @@ class InftyTailResult:
     terms_summed: int
 
 
-def _power_product(x: float, a: float, y: float, b: float) -> float:
-    """x**a * y**b for x, y > 0.  When one factor alone overflows, the
-    exponents are halved and the product squared; inf when it overflows."""
-    try:
-        return x ** a * y ** b
-    except OverflowError:
-        try:
-            return _power_product(x, a / 2.0, y, b / 2.0) ** 2
-        except OverflowError:
-            return math.inf
-
-
 def _tail_integrand_derivative(alpha: float, beta: float, x: float) -> float:
-    """g'(x) for g(x) = x**(-2 alpha) * log2(x + 1)**(-2 beta)."""
-    g = _power_product(x, -2.0 * alpha, math.log2(x + 1.0), -2.0 * beta)
+    """g'(x) for g(x) = x**(-2 alpha) * log2(x + 1)**(-2 beta), g taken in
+    logarithms; inf where g passes the float64 maximum."""
+    try:
+        g = math.exp(-2.0 * alpha * math.log(x)
+                     - 2.0 * beta * math.log(math.log2(x + 1.0)))
+    except OverflowError:
+        return math.inf
     return g * (-2.0 * alpha / x - 2.0 * beta / ((x + 1.0) * math.log(x + 1.0)))
 
 
@@ -428,37 +419,39 @@ def _tail_integral(alpha: float, beta: float, X: float,
     """Integral of x**(-2a) log2(x+1)**(-2b) over [X, oo), and its error.
 
     In u = ln x the integrand is h(u) = e**(-c u) l2(u)**(-2b), with
-    c = 2a - 1 and l2(u) = log2(e**u + 1).  An exp-sinh rule integrates it
-    over u = ln X + exp(pi/2 sinh t), t in [-_DE_T_MAX, _DE_T_MAX], halving
-    the step from 1 until two levels agree to ``epsabs`` (or to rounding),
-    at most _DE_LEVELS times.  At 2a = 1 h decays only like u**(-2b), too
-    slowly for any fixed t-range, so the rule integrates
+    c = 2a - 1 and l2(u) = log2(e**u + 1).  One exp-sinh rule integrates
+    h divided by a unit: X**-c (ln X log2 e)**(-2b), which is h(ln X) up to
+    a factor near 1, times the interior peak of h where it has one.  Its
+    nodes are u = ln X + exp(pi/2 sinh t), t in [-_DE_T_MAX, _DE_T_MAX];
+    it halves the step from 1 at most _DE_LEVELS times, until two levels
+    agree to ``epsabs`` over the unit (where that is at least a normal
+    float) or to _DE_ROUNDING of the value.  At 2a = 1 h decays only like
+    u**(-2b), too slowly for any fixed t-range, so the rule integrates
     h(u) - (u log2 e)**(-2b), which decays like e**-u, and the subtracted
-    term is added in closed form.  The error is _DE_SAFETY times the last
-    level difference plus a rounding allowance: _DE_ROUNDING of the value,
-    and _DE_ROUNDING_PER_EXPONENT of it per unit of |c| + |2b|.  The
-    stopping test compares with _DE_ROUNDING of the value alone.
+    term is added in closed form.
 
-    Where h(ln X) or the value leaves the normal float64 range, or h peaks
-    above e**_DE_MAX_PEAK times h(ln X), the rule runs on h / h(ln X),
-    divided by that peak, to rounding, and the value is put together in
-    logarithms.  Past the float64 maximum that raises ``OverflowError``;
-    below the smallest normal the value may be 0.0 or subnormal, and the
-    error, at least twice the smallest subnormal, still bounds it.
+    The unit is kept as a logarithm: past the float64 maximum the value
+    raises ``OverflowError``, below the smallest normal it may be 0.0 or
+    subnormal.  The error is _DE_SAFETY times the last level difference
+    plus _DE_ROUNDING of the value, _DE_ROUNDING_PER_EXPONENT of it per
+    unit of |c| + |2b| and of the unit's logarithms, and twice the
+    smallest subnormal.
     """
     a = math.log(X)
     boundary = abs(2.0 * alpha - 1.0) <= _EXPONENT_EPS
     c = 0.0 if boundary else 2.0 * alpha - 1.0
-    # h(u) = scale * e**(-c s) (u/a)**(-2b) (1 + d(u)/u)**(-2b) with s = u - a
-    # and d(u) = ln(1 + e**-u); the rule integrates the part after scale
-    scale = _power_product(X, -c, a * _LOG2E, -2.0 * beta)
-    # -c s - 2b ln(1 + s/a) peaks at s = -2b/c - a where that is positive
+    # h(u) = e**(log_unit - shift) e**(-c s) (u/a)**(-2b) (1 + d(u)/u)**(-2b)
+    # with s = u - a and d(u) = ln(1 + e**-u); the rule integrates the part
+    # after the unit, less shift.  -c s - 2b ln(1 + s/a) peaks at
+    # s = -2b/c - a where that is positive
     shift = 0.0
     if beta < 0.0 and c > 0.0 and -2.0 * beta / c > a:
         top = -2.0 * beta / c - a
         shift = -c * top - 2.0 * beta * math.log1p(top / a)
-        if shift <= _DE_MAX_PEAK:
-            shift = 0.0
+    unit_terms = (-c * a, -2.0 * beta * math.log(a * _LOG2E), shift)
+    log_unit = sum(unit_terms)
+    # epsabs in units of e**log_unit, where that is at least a normal float
+    tol = epsabs * math.exp(-log_unit) if log_unit >= _LOG_TINY else 0.0
 
     def f(t: np.ndarray) -> np.ndarray:
         s = np.exp(0.5 * np.pi * np.sinh(t))
@@ -468,61 +461,45 @@ def _tail_integral(alpha: float, beta: float, X: float,
         return (np.exp(-c * s - 2.0 * beta * np.log1p(s / a) - shift) * m
                 * (0.5 * np.pi * np.cosh(t) * s))
 
-    def rule(scale: float, epsabs: float) -> tuple[float, float]:
-        closed = a * scale / (2.0 * beta - 1.0) if boundary else 0.0
-        h = 1.0
-        est = float(f(np.arange(-_DE_T_MAX, _DE_T_MAX + 0.5)).sum())
-        for _ in range(_DE_LEVELS):
-            h /= 2.0
-            new = 0.5 * est + h * float(
-                f(np.arange(-_DE_T_MAX + h, _DE_T_MAX, 2.0 * h)).sum())
-            step_err = _DE_SAFETY * scale * abs(new - est)
-            est = new
-            value = closed + scale * est
-            if step_err <= max(epsabs, _DE_ROUNDING * abs(value)):
-                break
-        return value, step_err
+    closed = a / (2.0 * beta - 1.0) if boundary else 0.0
+    h = 1.0
+    est = float(f(np.arange(-_DE_T_MAX, _DE_T_MAX + 0.5)).sum())
+    for _ in range(_DE_LEVELS):
+        h /= 2.0
+        new = 0.5 * est + h * float(
+            f(np.arange(-_DE_T_MAX + h, _DE_T_MAX, 2.0 * h)).sum())
+        step_err = _DE_SAFETY * abs(new - est)
+        est = new
+        norm = closed + est
+        if step_err <= max(tol, _DE_ROUNDING * abs(norm)):
+            break
 
-    rounding = _DE_ROUNDING + _DE_ROUNDING_PER_EXPONENT * (
-        abs(c) + abs(2.0 * beta))
-    tiny = float(np.finfo(np.float64).tiny)
-    if shift == 0.0 and tiny <= scale < math.inf:
-        value, step_err = rule(scale, epsabs)
-        if tiny <= value < math.inf:
-            return value, step_err + rounding * abs(value)
-
-    norm, norm_err = rule(1.0, 0.0)
-    terms = (-c * a, -2.0 * beta * math.log(a * _LOG2E), shift,
-             math.log(norm))
-    log_value = sum(terms)
+    log_value = log_unit + math.log(norm)
     if log_value > _LOG_MAX:
         raise OverflowError(
             f"tail integral e**{log_value:.6g} is past the float64 range")
-    value = math.exp(log_value)
-    # exp turns the rounding of each term of log_value into a relative error
-    rel = norm_err / norm + rounding + _DE_ROUNDING_PER_EXPONENT * (
-        sum(map(abs, terms)) + abs(log_value))
+    # e**log_unit * norm, the powers of two of e**log_unit moved into ldexp
+    # so that exp can neither overflow nor underflow
+    k = round(log_unit * _LOG2E)
+    value = math.ldexp(math.exp(log_unit - k * _LN2) * norm, k)
+    rel = (step_err / norm + _DE_ROUNDING + _DE_ROUNDING_PER_EXPONENT * (
+        abs(c) + abs(2.0 * beta) + sum(map(abs, unit_terms))
+        + abs(log_unit)))
     return value, rel * value + 2.0 * math.ulp(0.0)
 
 
-def class_error_infty(
-    w: WeightModel,
-    n: int,
-    *,
-    tail_tol: float = 1e-12,
-) -> InftyTailResult:
-    """Sum w_j**-2 for j > n to a requested absolute truncation bound.
+def class_error_infty(w: WeightModel, n: int) -> InftyTailResult:
+    """Sum w_j**-2 for j > n to an absolute truncation bound of _TAIL_TOL.
 
-    Closed-form families sum an explicit head to index J and close the
-    tail with the midpoint integral from J + 1/2, evaluated by the exp-sinh
-    rule of ``_tail_integral`` (at 2 alpha = 1 with the leading term
-    subtracted and added in closed form).  ``truncation_bound`` adds the
-    Euler-Maclaurin bound |g'(J + 1/2)|/12 of the integral comparison and
-    the rule's error: _DE_SAFETY times its last level difference plus a
-    rounding allowance that grows with |2 alpha - 1| + |2 beta|.  Tabulated
-    families sum to the end of the table and report the remainder as
-    unknown; a trailing-slope check flags tables whose terms visibly decay
-    too slowly to converge.
+    The target is fixed at 1e-12.  Closed-form families sum an explicit
+    head to index J and close the tail with the midpoint integral from
+    J + 1/2, evaluated by the exp-sinh rule of ``_tail_integral`` (at
+    2 alpha = 1 with the leading term subtracted and added in closed form).
+    ``truncation_bound`` adds the Euler-Maclaurin bound |g'(J + 1/2)|/12 of
+    the integral comparison and the rule's error estimate.
+    Tabulated families sum to the end of the table and report the
+    remainder as unknown; a trailing-slope check flags tables whose terms
+    visibly decay too slowly to converge.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -568,7 +545,7 @@ def class_error_infty(
         with np.errstate(over="ignore", invalid="ignore"):
             return not w.raw_value(np.float64(J_)) < 1.0
 
-    while (em_bound(J) > 0.5 * tail_tol or not past_plateau(J)):
+    while (em_bound(J) > 0.5 * _TAIL_TOL or not past_plateau(J)):
         if 2 * J > _MAX_TERMS:
             break
         J *= 2
@@ -579,7 +556,7 @@ def class_error_infty(
     head_terms = w.values(J)[n:] ** -2.0
     head = math.fsum(head_terms.tolist())
     integral, rule_err = _tail_integral(
-        alpha, beta, J + 0.5, epsabs=0.25 * tail_tol)
+        alpha, beta, J + 0.5, epsabs=0.25 * _TAIL_TOL)
     return InftyTailResult(
         value_sq=head + integral,
         truncation_bound=em_bound(J) + rule_err,

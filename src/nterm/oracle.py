@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _BATCH = 32768
+_CERTIFY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -108,11 +109,11 @@ def structure_oracle(
       w_{m+1}**-r).  It is a witness only where c <= b, that is
       W_m**p <= (m-n) w_{m+1}**p.
 
-    The values are compared in logarithms read from ``table``, which must
-    cover m_max + 1, so a log-domain table cannot overflow or give NaN; the
-    weights are read, once, only at p > 2.  Returns the best squared value
-    with its witness; the value is recomputed from the witness through
-    ``sigma_sq_exact``, so the pair is always self-consistent.
+    The values are compared in logarithms read from ``table``, used as
+    given (of p, covering m_max + 1), so a log-domain table cannot overflow
+    or give NaN; the weights are read, once, only at p > 2.  Returns the
+    best squared value with its witness; the value is recomputed from the
+    witness through ``sigma_sq_exact``, so the pair is always consistent.
     """
     if not 0 < p < math.inf:
         raise ValueError(f"p must be finite and positive, got {p}")
@@ -120,8 +121,10 @@ def structure_oracle(
         raise ValueError(f"n must be >= 0, got {n}")
     n = int(n)
     m_max = _resolve_m_max(cfg, n, w)
-    if table is None or table.length < m_max + 1 or table.p != p:
+    if table is None:
         table = build_table(w, p, m_max + 1)
+    elif table.p != p:
+        raise ValueError(f"table is for p = {table.p}, not {p}")
 
     # log((k-n) / W_k**2) for k in [n + 1, m_max + 1]
     log_W = table.log_W_slice(n + 1, m_max + 1)
@@ -152,6 +155,18 @@ def structure_oracle(
             entries[-1] = min(b, c)
     witness = CoefficientSequence(entries)
     return sigma_sq_exact(witness, n), witness
+
+
+def _unit_rows_in_logs(vals: np.ndarray, wrow: np.ndarray,
+                       p: float) -> np.ndarray:
+    """Rows of vals scaled to unit weighted lp norm, the norm taken in
+    logarithms: for rows whose norm is past the float64 range."""
+    with np.errstate(divide="ignore"):
+        log_vals = np.log(vals)
+    log_t = log_vals + np.log(wrow)
+    log_norm = (log_t.max(axis=1, keepdims=True) if math.isinf(p) else
+                np.logaddexp.reduce(p * log_t, axis=1, keepdims=True) / p)
+    return np.exp(log_vals - log_norm)
 
 
 def random_search_oracle(
@@ -205,21 +220,27 @@ def random_search_oracle(
         vals.sort(axis=1)
         vals = vals[:, ::-1]
 
-        t = vals * wrow[None, :]
-        if math.isinf(p):
-            norms = t.max(axis=1)
-        elif p == 1.0:
-            norms = t.sum(axis=1)
-        elif p == 2.0:
-            norms = np.sqrt((t * t).sum(axis=1))
-        else:
-            # scaled in place by the row maximum, so that t ** p cannot
-            # overflow
-            top = t.max(axis=1)
-            t /= np.where(top > 0, top, 1.0)[:, None]
-            norms = top * np.power(t, p, out=t).sum(axis=1) ** (1.0 / p)
-        good = norms > 0
-        vals = vals / np.where(good, norms, 1.0)[:, None]
+        # a norm past the float64 range comes out inf, or NaN where a
+        # product overflowed; those rows are normed again in logarithms
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = vals * wrow[None, :]
+            if math.isinf(p):
+                norms = t.max(axis=1)
+            elif p == 1.0:
+                norms = t.sum(axis=1)
+            elif p == 2.0:
+                norms = np.sqrt((t * t).sum(axis=1))
+            else:
+                # scaled in place by the row maximum, so that t ** p
+                # cannot overflow
+                top = t.max(axis=1)
+                t /= np.where(top > 0, top, 1.0)[:, None]
+                norms = top * np.power(t, p, out=t).sum(axis=1) ** (1.0 / p)
+        big = ~np.isfinite(norms)
+        good = (norms > 0) | big
+        unit = vals / np.where(good, norms, 1.0)[:, None]
+        unit[big] = _unit_rows_in_logs(vals[big], wrow, p)
+        vals = unit
 
         # sig = total - head, not a direct tail sum nor a cumsum: each
         # rounds differently and can change which row wins a near-tie
@@ -276,20 +297,19 @@ def certify(
     p: float,
     n_values: Sequence[int],
     cfg: OracleConfig | None = None,
-    *,
-    tol: float = 1e-9,
 ) -> list[CertificationReport]:
     """Run bounds, structure oracle, and random oracle; check containment.
 
     One report per n of the grid, all read from one ``oracle_table`` and
     one random sample set: ``random_search_oracle`` runs once for the grid,
-    and each n's ``random_sq`` equals that of a one-n grid.
-    Check failures set the report's ``passed`` flag instead of raising, so
-    harnesses can collect every combination before deciding.  The structure
-    oracle's two families are flat blocks and, at p > 2, Hoelder pairs.  At
-    p <= 2 ``structure_ge_scan_lower`` is an identity: the best flat block
-    is the lower envelope over a scan one index longer than the bound scan.
-    Both envelopes need a finite p, so p = inf is rejected up front.
+    and each n's ``random_sq`` equals that of a one-n grid.  Each check
+    has a fixed slack of 1e-9, the report's ``tol``.  Check failures set
+    the report's ``passed`` flag instead of raising, so harnesses can
+    collect every combination before deciding.  The structure oracle's two
+    families are flat blocks and, at p > 2, Hoelder pairs.  At p <= 2
+    ``structure_ge_scan_lower`` is an identity: the best flat block is the
+    lower envelope over a scan one index longer than the bound scan.  Both
+    envelopes need a finite p, so p = inf is rejected up front.
     """
     if not 0 < p < math.inf:
         raise ValueError(f"certify needs a finite p > 0, got {p}")
@@ -311,9 +331,10 @@ def certify(
             upper_ref = bounds_result.scan_upper_sq
         checks = (
             ("structure_ge_scan_lower",
-             structure_sq >= bounds_result.scan_lower_sq - tol),
-            ("structure_le_upper", structure_sq <= upper_ref + tol),
-            ("random_le_structure", random_sq <= structure_sq + tol),
+             structure_sq >= bounds_result.scan_lower_sq - _CERTIFY_TOL),
+            ("structure_le_upper", structure_sq <= upper_ref + _CERTIFY_TOL),
+            ("random_le_structure",
+             random_sq <= structure_sq + _CERTIFY_TOL),
         )
         reports.append(CertificationReport(
             weights=w.spec_string(),
@@ -322,7 +343,7 @@ def certify(
             m_max=m_max,
             seed=cfg.seed,
             iters=cfg.iters,
-            tol=tol,
+            tol=_CERTIFY_TOL,
             bound_status=bounds_result.status,
             lower_sq=bounds_result.lower_sq,
             upper_sq=bounds_result.upper_sq,

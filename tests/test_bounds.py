@@ -29,6 +29,7 @@ from nterm.bounds import (
     STATUS_DIVERGENT,
     STATUS_LIMIT,
     STATUS_TRUNCATED,
+    _TAIL_TOL,
     _tail_integral,
     _tail_integrand_derivative,
 )
@@ -417,6 +418,16 @@ class TestClassBounds:
         b = class_bounds(LINEAR, 1.0, 3, m_max=4096)
         assert a == b
 
+    def test_passed_table_is_used_as_given(self):
+        # a table of another p, or one shorter than the scan, is refused,
+        # not rebuilt
+        with pytest.raises(ValueError, match="table is for p = 2.0, not 1"):
+            class_bounds(LINEAR, 1.0, 3, m_max=4096,
+                         table=build_table(LINEAR, 2.0, 4096))
+        with pytest.raises(ValueError, match="table covers m in"):
+            class_bounds(LINEAR, 1.0, 3, m_max=4096,
+                         table=build_table(LINEAR, 1.0, 4095))
+
     def test_witness_consistency(self):
         # every equal-entry witness stays below the reported lower envelope
         for w in (ConstantWeights(), LINEAR):
@@ -546,7 +557,7 @@ class TestClassErrorInfty:
         # closed-form tail integral of 1/(x ln**2 x), no quadrature involved:
         #   ln(2)**2 / ln(J+2)  <=  sum_{j>J}  <=  ln(2)**2 / ln(J)
         w = PowLogWeights(0.5, 1.0)
-        r = class_error_infty(w, 4, tail_tol=1e-10)
+        r = class_error_infty(w, 4)
         assert r.status == STATUS_CONVERGED
         J = 200000
         head = math.fsum((w.values(J)[4:] ** -2.0).tolist())
@@ -597,8 +608,8 @@ class TestClassErrorInfty:
         assert r.value_sq == 0.0 and r.status == STATUS_TRUNCATED
 
     def test_requested_tolerance_reached(self):
-        r = class_error_infty(LINEAR, 3, tail_tol=1e-12)
-        assert r.truncation_bound <= 1e-12
+        r = class_error_infty(LINEAR, 3)
+        assert r.truncation_bound <= _TAIL_TOL == 1e-12
 
     @pytest.mark.parametrize("c", [1e-9, 1e-6, 1e-3, 1.0, 2.0])
     @pytest.mark.parametrize("X", [64.5, 1e6 + 0.5, 2.0 ** 17 + 0.5])

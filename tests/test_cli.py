@@ -771,7 +771,7 @@ def _argv(draw, directory: str) -> list[str]:
         "p": _mostly(st.one_of(
             st.sampled_from(["inf", "2", repr(2 + 1e-12), repr(2 - 1e-12),
                              "0.5", "1", "3", "8"]),
-            st.builds(repr, st.floats(0.05, 40.0))), ["0", "nan", "x"]),
+            st.builds(repr, st.floats(1e-3, 40.0))), ["0", "nan", "x"]),
         "n": _mostly(st.sampled_from(
             ["0", "1", "3", "2^4", "2^6", "2^0..2^3:dyadic",
              "1..2^7:dyadic"]), ["0..2^2:dyadic", "2^2..2^1:dyadic", "x"]),
@@ -807,6 +807,24 @@ class TestContract:
     """Any argv of the command table ends in a documented exit code: an
     error is one stderr line with nothing on stdout, and an artifact is
     valid JSON of the schema with no NaN."""
+
+    @pytest.mark.parametrize("argv", [
+        # a random-oracle norm past the float64 range
+        "oracle --weights file:{dir}/w_steep --p 2 --n 0",
+        "certify --weights file:{dir}/w_steep --p 2 --n 0",
+        "oracle --weights const --p 0.003 --n 1",
+        "certify --weights const --p 0.003 --n 1",
+        # W_m past the float64 range
+        "extremal --weights const --p 0.003 --m 40",
+    ])
+    def test_overflowing_norms(self, capsys, contract_dir, argv):
+        argv = argv.format(dir=contract_dir).split() + ["--format", "json"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == EXIT_OK or (
+            code == EXIT_CERTIFY_FAIL and argv[0] == "certify"), err
+        assert err == ""
+        jsonschema.validate(json.loads(out), SCHEMA)
+        assert "nan" not in out
 
     @settings(max_examples=300, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture,

@@ -21,8 +21,8 @@ from nterm import (
     structure_oracle,
     weighted_lp_norm,
 )
-from nterm.bounds import STATUS_DIVERGENT, scan_length
-from nterm.oracle import oracle_table
+from nterm.bounds import STATUS_DIVERGENT, build_table, scan_length
+from nterm.oracle import _unit_rows_in_logs, oracle_table
 from nterm.sequences import sigma_sq_exact
 
 import _ref
@@ -237,6 +237,15 @@ class TestTwoFamiliesAgainstReference:
             structure_oracle(LINEAR, p, n, cfg, table=table)
         assert weights_evaluated == []
 
+    def test_passed_table_is_used_as_given(self):
+        cfg = OracleConfig(m_max=64)
+        with pytest.raises(ValueError, match="table is for p = 2.0, not 3"):
+            structure_oracle(LINEAR, 3.0, 4, cfg,
+                             table=build_table(LINEAR, 2.0, 65))
+        with pytest.raises(ValueError, match="table covers m in"):
+            structure_oracle(LINEAR, 3.0, 4, cfg,
+                             table=build_table(LINEAR, 3.0, 64))
+
     def test_weights_read_once_per_call_above_2(self, weights_evaluated):
         cfg = OracleConfig()
         table = oracle_table(LINEAR, 3.0, [4, 64], cfg)
@@ -296,6 +305,37 @@ class TestRandomSearchOracle:
             unit, _ = random_search_oracle(
                 TabulatedWeights([1.0] * 40_000), 200.0, [16], cfg)[0]
         assert scaled == pytest.approx(unit / level ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("w, p, n_values", [
+        # (w_j x_j)**2 passes the float64 maximum on rows that reach 1e300
+        (TabulatedWeights([1.0, 1e100, 1e200, 1e300]), 2.0, [0, 1, 2]),
+        # sum_j x_j**p < 64 but its 1/p-th power overflows for p < 0.006
+        (ConstantWeights(), 0.003, [0, 1, 2]),
+        (ConstantWeights(), 0.003, [5]),
+    ], ids=["steep-p2", "const-p0.003", "const-p0.003-n5"])
+    def test_norm_past_the_float64_range(self, w, p, n_values):
+        # the suite turns a RuntimeWarning into an error; the rows whose
+        # norm overflows are unit vectors too, and no sample beats the
+        # structure oracle
+        cfg = OracleConfig(iters=2_000, seed=4)
+        for n, (value, witness) in zip(
+                n_values, random_search_oracle(w, p, n_values, cfg)):
+            structure, _ = structure_oracle(w, p, n, cfg)
+            assert 0.0 <= value <= structure + 1e-9, n
+            assert weighted_lp_norm(witness, w, p) <= 1 + 1e-12, n
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0, math.inf])
+    def test_rows_normed_in_logs(self, p):
+        # where the direct norm is finite, the logarithmic one agrees
+        rng = np.random.default_rng(8)
+        vals = np.sort(rng.random((50, 12)), axis=1)[:, ::-1].copy()
+        vals[:, 7:] = 0.0
+        wrow = 1.0 + np.cumsum(rng.random(12))
+        t = vals * wrow
+        norms = t.max(axis=1) if math.isinf(p) else (
+            (t ** p).sum(axis=1) ** (1.0 / p))
+        np.testing.assert_allclose(_unit_rows_in_logs(vals, wrow, p),
+                                   vals / norms[:, None], rtol=1e-13)
 
     @pytest.mark.parametrize(
         "case", RANDOM_PIN,

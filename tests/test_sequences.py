@@ -251,6 +251,15 @@ class TestExtremalSequence:
         with pytest.raises(ValueError):
             extremal_sequence(ConstantWeights(), math.inf, 3)
 
+    def test_entries_that_underflow_are_zero(self):
+        # W_40 = 40**(1/0.003) is past the float64 range, so 1/W_40 is 0.0;
+        # the suite turns the overflow warning into an error
+        assert build_table(ConstantWeights(), 0.003, 40).W(40) == math.inf
+        seq = extremal_sequence(ConstantWeights(), 0.003, 40)
+        assert seq.entries.tolist() == [0.0] * 40
+        # W_8 = 8**(1/0.003) = 2**1000 is not
+        assert extremal_sequence(ConstantWeights(), 0.003, 8).entries[0] > 0
+
     @pytest.mark.parametrize("name", list(builtin_families()))
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
     def test_unit_norm(self, name, p):

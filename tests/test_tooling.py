@@ -63,6 +63,32 @@ def test_one_reader_opens_input_files():
     assert calls == ["weights.py: read_number_lines"]
 
 
+def _unpassed_keywords(sources: list[Path]) -> list[str]:
+    """Keyword-only parameters that no call in ``sources`` passes by name.
+
+    A call is matched to a function by its name alone, so a keyword given
+    to any function of that name counts.
+    """
+    params, passed = [], set()
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params += [(path.name, node.name, arg.arg)
+                           for arg in node.args.kwonlyargs]
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(
+                    node.func, "attr", None)
+                passed.update((name, kw.arg) for kw in node.keywords)
+    return [f"{module}: {func}({arg})" for module, func, arg in params
+            if (func, arg) not in passed]
+
+
+def test_every_keyword_only_parameter_is_passed():
+    # a keyword that no program call sets is a knob kept for tests alone
+    assert _unpassed_keywords(SOURCE_MODULES) == []
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
