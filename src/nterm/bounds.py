@@ -17,12 +17,13 @@ envelopes over m in [n, m_max] and classifies how the supremum behaves:
 
 For p = oo the squared error equals the tail sum of w_j**-2.
 ``class_error_infty`` sums a head and closes the tail with an integral, to
-1e-12.  One exp-sinh (double-exponential) rule in numpy integrates the
-integrand scaled to its start and peak, and the value is put together in
-logarithms; at 2 alpha = 1 the rule integrates the difference from the
-leading u**(-2 beta) term, which is added in closed form.  The reported
-``truncation_bound`` is the Euler-Maclaurin remainder bound plus the
-rule's error estimate.
+1e-12 (``converged``) or, where that target is missed, to the reported
+bound (``truncated-unknown``).  One exp-sinh (double-exponential) rule in
+numpy integrates the integrand scaled to its start and peak, and the value
+is put together in logarithms; at 2 alpha = 1 the rule integrates the
+difference from the leading u**(-2 beta) term, which is added in closed
+form.  The reported ``truncation_bound`` is the Euler-Maclaurin remainder
+bound plus the rule's error estimate.
 
 Squared errors are the internal currency throughout; square roots are taken
 only at presentation boundaries.
@@ -496,7 +497,11 @@ def class_error_infty(w: WeightModel, n: int) -> InftyTailResult:
     J + 1/2, evaluated by the exp-sinh rule of ``_tail_integral`` (at
     2 alpha = 1 with the leading term subtracted and added in closed form).
     ``truncation_bound`` adds the Euler-Maclaurin bound |g'(J + 1/2)|/12 of
-    the integral comparison and the rule's error estimate.
+    the integral comparison and the rule's error estimate.  The status is
+    ``converged`` when that bound meets the target and ``truncated-unknown``
+    when it does not: the head stops at _MAX_TERMS, and the rule's rounding
+    allowance, 64 eps of the integral, alone passes 1e-12 for an integral
+    above about 70.
     Tabulated families sum to the end of the table and report the
     remainder as unknown; a trailing-slope check flags tables whose terms
     visibly decay too slowly to converge.
@@ -557,9 +562,10 @@ def class_error_infty(w: WeightModel, n: int) -> InftyTailResult:
     head = math.fsum(head_terms.tolist())
     integral, rule_err = _tail_integral(
         alpha, beta, J + 0.5, epsabs=0.25 * _TAIL_TOL)
+    bound = em_bound(J) + rule_err
     return InftyTailResult(
         value_sq=head + integral,
-        truncation_bound=em_bound(J) + rule_err,
-        status=STATUS_CONVERGED,
+        truncation_bound=bound,
+        status=STATUS_CONVERGED if bound <= _TAIL_TOL else STATUS_TRUNCATED,
         terms_summed=J - n,
     )

@@ -22,9 +22,10 @@ or ``file:PATH``; ``--p`` is in (0, inf]; ``--n`` is an index (``17``,
 
 The two input files, ``--sequence PATH`` and ``--weights file:PATH``, have
 one format and one reader, ``weights.read_number_lines``: one number per
-line, lines cut as ``str.splitlines`` cuts them.  A sequence skips blank
-lines.  A weight table, line k being w_k, may end in blank lines but holds
-none inside; one there is exit 2, named as ``PATH:LINE``.  A line that is
+line, lines cut as ``str.splitlines`` cuts them, read into a float64 array
+of the numbers and the line numbers of the blank lines.  A sequence skips
+blank lines.  A weight table, line k being w_k, may end in blank lines but
+holds none inside; one there is exit 2, named as ``PATH:LINE``.  A line that is
 not a number is named as ``PATH:LINE`` too: exit 2 in a weight file, exit 3
 in a sequence file.  A file that cannot be read is exit 4.
 
@@ -155,9 +156,8 @@ def _run_bounds(ns) -> tuple[dict, int]:
 
 def _run_exact(ns) -> tuple[dict, int]:
     try:
-        # one expression, so that the list of lines is freed before the sums
-        x = CoefficientSequence(
-            [v for v in read_number_lines(ns.sequence) if v is not None])
+        # blank lines are skipped
+        x = CoefficientSequence(read_number_lines(ns.sequence)[0])
     except OSError as exc:
         raise IOError(f"cannot read sequence file: {exc}") from exc
     n_values = parse_n_spec(ns.n)

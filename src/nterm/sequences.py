@@ -7,9 +7,10 @@ remaining tail of the decreasing rearrangement.  All operations are pure
 functions on immutable inputs.
 
 Every tail is a prefix of the ascending sort of |x|, so ``scaled_tail_sqs``
-sorts once and answers a whole n grid from one pass of exact integer prefix
-sums; each sigma_n**2 is the correctly rounded sum of the tail's rounded,
-power-of-two scaled squares (its docstring gives the algorithm).
+sorts once and answers a whole n grid from exact integer sums over the few
+segments its tails cut; each sigma_n**2 is the correctly rounded sum of the
+tail's rounded, power-of-two scaled squares (its docstring gives the
+algorithm).
 """
 
 from __future__ import annotations
@@ -103,55 +104,72 @@ def scaled_tail_sqs(x, n_values) -> list[tuple[float, int]]:
     positive entry a = f * 2**k (f in [0.5, 1)) has the rounded square
     fl(f*f) * 2**(2k), where Q = fl(f*f) * 2**54 is an integer below 2**54.
     Where a * 2**-e >= 2**-511, its scaled square is normal and equals
-    Q * 2**(2k - 54 - 2e) exactly.  Q is split into three 18-bit limbs,
-    whose running sums over the sorted entries are integers held exactly in
-    float64 while they stay below 2**53, that is for fewer than 2**35
-    entries.  k is nondecreasing along the sort, so the entries sharing a k
-    are one contiguous run, and the running sums give each run's limb sums
-    within the tail by one subtraction.  Each limb sum times its power of
-    two is exact, so one short ``math.fsum`` per n, over those terms and the
-    squares below 2**-1022 (a sorted prefix of the tail, usually empty,
-    squared as they are), rounds the same exact total: the result does not
-    depend on the grid.
+    Q * 2**(2k - 54 - 2e) exactly.  Q is split into three 18-bit limbs.  k
+    is nondecreasing along the sort, so the entries sharing a k are one
+    contiguous run.  The limb sums are kept only at the indices a tail
+    reads: the run starts and each n's first normal square and end.  They
+    are the running sums of ``np.add.reduceat`` over those segments,
+    integers held exactly while they stay below 2**53, that is for fewer
+    than 2**35 entries, and give each run's limb sums within the tail by
+    one subtraction.  Each limb sum times its power of two is exact, so one
+    short ``math.fsum`` per n, over those terms and the squares below
+    2**-1022 (a sorted prefix of the tail, usually empty, squared as they
+    are), rounds the same exact total: the result does not depend on the
+    grid.  Besides x, the sort's 8 bytes per entry and then Q and one limb,
+    16 bytes per entry, are held.
     """
     n_values = [int(n) for n in n_values]
     for n in n_values:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-    a = np.abs(as_sequence(x).entries)
-    a.sort()
-    zeros = int(np.searchsorted(a, 0.0, side="right"))
-    pos = a[zeros:]
-    f, k = np.frexp(pos)
+    pos = np.abs(as_sequence(x).entries)
+    pos.sort()
+    pos = pos[int(np.searchsorted(pos, 0.0, side="right")):]
+    # tails[n] = (hi, e, lo): the tail pos[:hi] is scaled by 2**-e, and the
+    # scaled squares of pos[:lo] are below 2**-1022
+    tails = {}
+    for n in n_values:
+        hi = pos.size - n
+        if hi > 0:
+            e = math.frexp(float(pos[hi - 1]))[1]
+            lo = int(np.searchsorted(pos, math.ldexp(1.0, e - 511)))
+            tails[n] = (hi, e, lo)
+    if not tails:
+        return [(0.0, 0)] * len(n_values)
+    tiny = pos[:max(lo for _, _, lo in tails.values())].copy()
+    # the mantissas take the place of the entries
+    f, k = np.frexp(pos, out=(pos, None))
     # the first index of each run of equal k; the first run starts at 0
-    starts = np.flatnonzero(np.diff(k, prepend=k[:1] - 1))
+    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
     run_k = k[starts].astype(np.int64)
     del k
     f *= f
     q = np.ldexp(f, 54, out=f).astype(np.int64)
-    del f
-    # cum[:, i] = limb sums over pos[:i]; exact for fewer than 2**35 entries
-    cum = np.zeros((3, pos.size + 1))
+    del f, pos
+    # sorted by Python, not np.unique, whose first call imports numpy.ma
+    cuts = np.array(sorted({q.size, *starts.tolist(), *(
+        i for hi, _, lo in tails.values() for i in (lo, hi))}))
+    # cum[:, c] = limb sums over the entries before cuts[c]
+    cum = np.zeros((3, cuts.size))
     limb = np.empty_like(q)
     for row, shift in zip(cum, _LIMB_SHIFTS):
         np.right_shift(q, shift, out=limb)
-        row[1:] = np.bitwise_and(limb, _LIMB_MASK, out=limb)
+        np.bitwise_and(limb, _LIMB_MASK, out=limb)
+        row[1:] = np.cumsum(np.add.reduceat(limb, cuts[:-1]))
     del q, limb
-    np.cumsum(cum[:, 1:], axis=1, out=cum[:, 1:])
 
     out = []
     for n in n_values:
-        hi = a.size - n - zeros  # tail entries in pos[:hi]
-        if hi <= 0:
+        if n not in tails:
             out.append((0.0, 0))
             continue
-        e = math.frexp(float(pos[hi - 1]))[1]
-        lo = int(np.searchsorted(pos, math.ldexp(1.0, e - 511)))
-        terms = (np.ldexp(pos[:lo], -e) ** 2).tolist()
+        hi, e, lo = tails[n]
+        terms = (np.ldexp(tiny[:lo], -e) ** 2).tolist()
         first = int(np.searchsorted(starts, lo, side="right")) - 1
         last = int(np.searchsorted(starts, hi - 1, side="right")) - 1
-        cuts = np.concatenate(([lo], starts[first + 1:last + 1], [hi]))
-        sums = cum[:, cuts[1:]] - cum[:, cuts[:-1]]
+        at = np.searchsorted(cuts, np.concatenate(
+            ([lo], starts[first + 1:last + 1], [hi])))
+        sums = cum[:, at[1:]] - cum[:, at[:-1]]
         scale = 2 * run_k[first:last + 1] - 54 - 2 * e
         terms += np.ldexp(sums, scale + _LIMB_SHIFTS[:, None]).ravel().tolist()
         out.append((math.fsum(terms), e))

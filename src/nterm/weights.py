@@ -22,14 +22,16 @@ Models can also be written as short text specs (``const``,
 and config use; see ``parse_weight_spec``.
 
 ``read_number_lines`` reads both input files, weight tables and coefficient
-sequences: one number per line, None for a blank one.  A sequence drops
-blank lines; a weight table may only end in them.  Errors name
-``PATH:LINE``: exit 2 in a weight file and 3 in a sequence file at the CLI,
-where a file that cannot be read is exit 4.
+sequences, one number per line, into a float64 array of the numbers and a
+list of the blank lines' numbers.  A sequence drops blank lines; a weight
+table may only end in them.  Errors name ``PATH:LINE``: exit 2 in a weight
+file and 3 in a sequence file at the CLI, where a file that cannot be read
+is exit 4.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -238,7 +240,8 @@ class TabulatedWeights(WeightModel):
     """Explicit weight table, index 1 first; validated exhaustively."""
 
     def __init__(self, values: Sequence[float], source: str | None = None):
-        arr = np.asarray(values, dtype=np.float64).reshape(-1)
+        # a copy, so that the caller cannot change a validated table
+        arr = np.array(values, dtype=np.float64).reshape(-1)
         if arr.size == 0:
             raise WeightValidationError("weight table is empty")
         _check_values(arr)
@@ -353,51 +356,68 @@ def parse_weight_spec(spec: str) -> WeightModel:
         return PowLogWeights(params["alpha"], params["beta"])
     if head == "file":
         try:
-            entries = read_number_lines(body)
+            values, blanks = read_number_lines(body)
         except NotANumberError as exc:
             raise WeightSpecError(str(exc)) from None
         # blank lines may end the table, and only end it
-        while entries and entries[-1] is None:
-            entries.pop()
-        if None in entries:
-            raise WeightSpecError(f"{body}:{entries.index(None) + 1}: "
+        if blanks and blanks[0] <= values.size:
+            raise WeightSpecError(f"{body}:{blanks[0]}: "
                                   "blank line inside weight table")
-        return TabulatedWeights(entries, source=body)
+        return TabulatedWeights(values, source=body)
     raise WeightSpecError(f"unknown weight family {head!r}")
 
 
+# lines parsed per chunk of ``read_number_lines``
+_CHUNK_LINES = 2 ** 14
 # characters besides \n at which str.splitlines ends a line; float() strips
 # one at either end of a line, so a file holding any is cut by splitlines
 _LINE_BREAKS = "\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 
-def read_number_lines(path: str) -> list[float | None]:
-    """One entry per line of a text file, lines cut as ``str.splitlines``
-    cuts its text: the line's number, or None for a blank line.
+def read_number_lines(path: str) -> tuple[np.ndarray, list[int]]:
+    """The numbers of a text file, lines cut as ``str.splitlines`` cuts
+    its text: a float64 array of the non-blank lines' numbers, in order,
+    and the 1-based numbers of the blank lines.
 
-    The file is read a line at a time, so neither its text nor a list of its
-    lines is held while the numbers are parsed.  If a line does not parse,
-    or the file holds a line break other than \\n, the text is read again
-    and cut by ``str.splitlines``; that either parses or raises
-    ``NotANumberError`` naming the first such line as ``PATH:LINE``.
-    ``OSError`` and ``UnicodeDecodeError`` pass through.
+    The file is read ``_CHUNK_LINES`` lines at a time, each chunk parsed
+    into float64 at once, so neither its text nor a list of all its lines
+    or numbers is held.  If a line does not parse, or the file holds a line
+    break other than \\n, the text is read again and cut by
+    ``str.splitlines``; that either parses or raises ``NotANumberError``
+    naming the first such line as ``PATH:LINE``.  ``OSError`` and
+    ``UnicodeDecodeError`` pass through.
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            # float() ignores the whitespace around a number
-            entries = [None if t.isspace() else float(t) for t in fh]
+            chunks, blanks = [], []
+            while lines := list(itertools.islice(fh, _CHUNK_LINES)):
+                try:
+                    # parses as float() does, whitespace around a number too
+                    chunks.append(np.array(lines, dtype=np.float64))
+                except ValueError:
+                    # every chunk before this one is full
+                    first = len(chunks) * _CHUNK_LINES + 1
+                    blanks += [i for i, t in enumerate(lines, first)
+                               if t.isspace()]
+                    chunks.append(np.array(
+                        [t for t in lines if not t.isspace()],
+                        dtype=np.float64))
             fh.seek(0)
             blocks = iter(lambda: fh.read(2 ** 16), "")
             if any(c in b for b in blocks for c in _LINE_BREAKS):
                 raise ValueError("cut the lines as splitlines does")
         except ValueError:
             fh.seek(0)
-            entries = []
+            numbers, blanks = [], []
             for lineno, line in enumerate(fh.read().splitlines(), 1):
                 text = line.strip()
+                if not text:
+                    blanks.append(lineno)
+                    continue
                 try:
-                    entries.append(float(text) if text else None)
+                    numbers.append(float(text))
                 except ValueError:
                     raise NotANumberError(
                         f"{path}:{lineno}: not a number: {text!r}") from None
-    return entries
+            chunks = [np.array(numbers, dtype=np.float64)]
+    return np.concatenate(chunks) if chunks else np.empty(0), blanks

@@ -151,11 +151,12 @@ def powlog_tail_sq(alpha: float, beta: float, n: int, K: int = 1000):
     """sum_{j > n} j**(-2 alpha) log2(j+1)**(-2 beta), to about 30 digits.
 
     For 2 alpha > 1, or 2 alpha = 1 with 2 beta > 1, and beta >= 0, where
-    these are the powlog terms.  Terms n+1..K are summed directly.  The rest
-    is ``tail_integral`` from K + 1/2 with the Euler-Maclaurin midpoint
-    corrections g'/24 - 7 g'''/5760 (the next one is below 1e-20 at
-    K = 1000).
+    these are the powlog terms.  Terms n+1..max(K, 2n) are summed directly.
+    The rest is ``tail_integral`` from max(K, 2n) + 1/2 with the
+    Euler-Maclaurin midpoint corrections g'/24 - 7 g'''/5760 (the next one
+    is below 1e-20 from K = 1000 on).
     """
+    K = max(K, 2 * n)
     with mpmath.workdps(DIGITS):
         alpha, beta = mpmath.mpf(alpha), mpmath.mpf(beta)
 

@@ -207,8 +207,10 @@ class TestBounds:
                 "--p", "inf", "--n", "16", "--format", "json"])
         assert code == EXIT_OK and err == ""
         row = json.loads(out)["rows"][0]
-        assert row["status"] == "converged"
         assert row["value_sq"] == pytest.approx(3465734.93276236, rel=1e-12)
+        # the bound, 7.8e-8, misses the 1e-12 target, and the row says so
+        assert row["truncation_bound"] > 1e-12
+        assert row["status"] == "truncated-unknown"
 
 
 def test_import_leaves_scipy_unloaded():
@@ -222,6 +224,21 @@ def test_import_leaves_scipy_unloaded():
          "if m == 'scipy' or m.startswith('scipy.')))"],
         env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_exact_sums_leave_numpy_ma_unloaded():
+    # the first np.unique call imports numpy.ma, about 10 ms per process
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [x for x in [env.get("PYTHONPATH")] if x])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from nterm.sequences import scaled_tail_sqs; "
+         "scaled_tail_sqs([3.0, 1.0, 2.0 ** -600, 0.0], [0, 1, 2]); "
+         "print('numpy.ma' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestExact:

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from nterm import (
     weighted_lp_norm,
 )
 from nterm.sequences import scaled_tail_sqs, sigma_sq_exact
+from nterm.weights import read_number_lines
 
 import _ref
 from conftest import builtin_families, random_monotone_weights
@@ -209,6 +211,33 @@ class TestTailGrid:
 
     def test_empty_grid(self):
         assert scaled_tail_sqs([1.0, 2.0], []) == []
+
+    def test_peak_memory_of_read_and_sums(self, tmp_path):
+        # the arrays each step holds, in bytes per entry: the reader, the
+        # chunks' float64 arrays and their concatenation (16) plus one chunk
+        # of 2**14 lines, each a str of at most 100 bytes; the sums, besides
+        # x, the sort and then Q and one limb (16) plus the run starts and
+        # the cut indices, a few hundred entries here
+        size = 2 ** 17
+        numbers = np.random.default_rng(5).standard_normal(size)
+        path = tmp_path / "x.txt"
+        path.write_text("\n".join(map(repr, numbers.tolist())) + "\n")
+        grid = [2 ** i for i in range(4, 18)]
+        tracemalloc.start()
+        try:
+            values, blanks = read_number_lines(str(path))
+            read_peak = tracemalloc.get_traced_memory()[1]
+            x = CoefficientSequence(values)
+            del values
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            sums = scaled_tail_sqs(x, grid)
+            sums_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert read_peak <= 16 * size + 100 * 2 ** 14
+        assert sums_peak <= 17 * size
+        assert sums == _per_n(numbers, grid)
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError, match="n must be >= 0"):

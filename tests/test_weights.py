@@ -17,6 +17,7 @@ from nterm import (
     parse_weight_spec,
     predicted_rate,
 )
+from nterm.weights import NotANumberError, read_number_lines
 
 from conftest import builtin_families
 
@@ -338,3 +339,70 @@ class TestWeightFile:
         path.write_bytes(b"1\n" * 5000 + b"\xff\n")
         with pytest.raises(UnicodeDecodeError, match="position 10000"):
             parse_weight_spec(f"file:{path}")
+
+
+def test_table_is_copied_on_construction():
+    c = np.ones(4)
+    t = TabulatedWeights(c[:3])
+    c[1] = 5.0
+    assert t.values(3).tolist() == [1.0, 1.0, 1.0]
+
+
+CHUNK = 2 ** 14
+# float() and numpy's float64 parse agree on each of these
+ODD_NUMBERS = ["1_0", "\u0661\u0662", "nan", "-0", " \t1.5  ", "1e400",
+               "4.9e-324", "\uff11\uff12", "-inf", ".5"]
+
+
+def _as_float_and_splitlines(text: str) -> tuple[list[float], list[int]]:
+    lines = text.splitlines()
+    return ([float(t) for t in lines if t.strip()],
+            [i for i, t in enumerate(lines, 1) if not t.strip()])
+
+
+class TestReadNumberLines:
+    """The reader's numbers are float() of the lines ``str.splitlines``
+    cuts, bit for bit, on either side of a chunk's edge."""
+
+    @staticmethod
+    def _text(line: int, odd: str, newline: str, end: str) -> str:
+        rng = np.random.default_rng(line)
+        lines = [repr(v) for v in rng.standard_normal(CHUNK + 3).tolist()]
+        lines[:len(ODD_NUMBERS)] = ODD_NUMBERS
+        lines[line - 1] = odd
+        return newline.join(lines) + end
+
+    @pytest.mark.parametrize("line", [CHUNK - 1, CHUNK, CHUNK + 1])
+    # blank, whitespace only, a form feed that ends a number's line, and
+    # one alone
+    @pytest.mark.parametrize("odd", ["", " \t", "7\x0c", "\x0c"])
+    @pytest.mark.parametrize("newline, end", [
+        ("\n", "\n"), ("\r\n", "\r\n"), ("\n", "")])
+    def test_bits(self, tmp_path, line, odd, newline, end):
+        text = self._text(line, odd, newline, end)
+        path = tmp_path / "x.txt"
+        path.write_bytes(text.encode())
+        values, blanks = read_number_lines(str(path))
+        expected, expected_blanks = _as_float_and_splitlines(text)
+        assert values.dtype == np.float64
+        assert values.tobytes() == np.array(expected).tobytes()
+        assert blanks == expected_blanks
+
+    @pytest.mark.parametrize("line", [CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_bad_line_is_named(self, tmp_path, line, newline):
+        # a blank line in the first chunk, the bad one at ``line``
+        text = self._text(line, "x", newline, "")
+        text = text.replace(newline, newline * 2, 1)
+        path = tmp_path / "x.txt"
+        path.write_bytes(text.encode())
+        with pytest.raises(NotANumberError) as exc:
+            read_number_lines(str(path))
+        assert str(exc.value) == f"{path}:{line + 1}: not a number: 'x'"
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_bytes(b"")
+        values, blanks = read_number_lines(str(path))
+        assert values.dtype == np.float64 and values.size == 0
+        assert blanks == []
