@@ -345,9 +345,16 @@ def class_bounds(
         growth = 1.0 - 2.0 * (alpha + 1.0 / p)   # power of m in t_m
         log_growth = -2.0 * beta                 # power of log m in t_m
         # t_m grows for any growth > 0, whatever beta; only at growth in
-        # [-_EXPONENT_EPS, 0] does the log factor decide
+        # [-_EXPONENT_EPS, 0] does the log factor decide.  At 2 < p < oo
+        # the worst case carries a Hoelder tail sum_j w_j**-r, r =
+        # 2p/(p-2), which on the boundary (alpha r = 1) diverges for every
+        # beta r <= 1, though t_m itself may stay bounded there
         boundary = -_EXPONENT_EPS <= growth <= 0
-        divergent = growth > 0 or (boundary and log_growth > _EXPONENT_EPS)
+        if p > 2:
+            edge = beta * 2.0 * p / (p - 2.0) <= 1.0 + _EXPONENT_EPS
+        else:
+            edge = log_growth > _EXPONENT_EPS
+        divergent = growth > 0 or (boundary and edge)
         # a bounded envelope with a positive limit
         bounded = boundary and abs(log_growth) <= _EXPONENT_EPS
     elif trailing_confirmed or table_truncated:

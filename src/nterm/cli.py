@@ -307,12 +307,16 @@ _FLAGS = {
                  help="seed of the random oracle's sample set"),
     "iters": dict(type=int, default=20000,
                   help="random samples drawn; one sample set of ITERS "
-                       "draws serves every n of the run"),
+                       "draws serves every n of the run, drawn a block of "
+                       "rows at a time, so memory does not grow with "
+                       "ITERS"),
     "max_support": dict(type=int, default=64,
                         help="random samples live on the first "
                              "MAX_SUPPORT indices (fewer if the weight file "
                              "is shorter); at or past that n the random "
-                             "value is 0.0 with an empty witness"),
+                             "value is 0.0 with an empty witness; memory "
+                             "is one block of about 2^16 values, or one "
+                             "row where MAX_SUPPORT is larger"),
     "fix_log": dict(default="auto",
                     help="'auto' pins s to the predicted log exponent, "
                          "'none' fits it, or give a finite number"),

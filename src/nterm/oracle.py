@@ -11,6 +11,9 @@ Two engines are checked against the analytic bounds:
 * ``random_search_oracle`` samples random nonincreasing sequences scaled to
   the unit sphere on the first ``max_support`` indices; every sample is a
   valid lower bound.  It is the only engine independent of the envelope.
+  It draws and reduces its samples a block of rows at a time, about 2**16
+  values (one row where a row is longer), so its memory is one block of
+  rows and does not grow with ``iters``.
 
 Both engines are bitwise reproducible given a seed and configuration.
 
@@ -29,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import (
+    _BLOCK,
     STATUS_ATTAINED,
     STATUS_LIMIT,
     CumulativeWeightTable,
@@ -48,6 +52,10 @@ __all__ = [
     "certify",
 ]
 
+# rows per batch: a batch draws its supports and its exponential-or-uniform
+# choices in one call each, which fixes the stream's batch structure; its
+# values are drawn and reduced a block of rows at a time, so memory is one
+# block of rows, whatever iters
 _BATCH = 32768
 _CERTIFY_TOL = 1e-9
 
@@ -169,6 +177,35 @@ def _unit_rows_in_logs(vals: np.ndarray, wrow: np.ndarray,
     return np.exp(log_vals - log_norm)
 
 
+def _unit_rows(vals: np.ndarray, wrow: np.ndarray,
+               p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of vals scaled to unit weighted lp norm, and the mask of the
+    rows that have one (an all-zero row has not).
+
+    A norm past the float64 range comes out inf, or NaN where a product
+    overflowed; those rows are normed again in logarithms.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = vals * wrow[None, :]
+        if math.isinf(p):
+            norms = t.max(axis=1)
+        elif p == 1.0:
+            norms = t.sum(axis=1)
+        elif p == 2.0:
+            norms = np.sqrt((t * t).sum(axis=1))
+        else:
+            # scaled in place by the row maximum, so that t ** p cannot
+            # overflow
+            top = t.max(axis=1)
+            t /= np.where(top > 0, top, 1.0)[:, None]
+            norms = top * np.power(t, p, out=t).sum(axis=1) ** (1.0 / p)
+    big = ~np.isfinite(norms)
+    good = (norms > 0) | big
+    unit = vals / np.where(good, norms, 1.0)[:, None]
+    unit[big] = _unit_rows_in_logs(vals[big], wrow, p)
+    return unit, good
+
+
 def random_search_oracle(
     w: WeightModel,
     p: float,
@@ -187,6 +224,12 @@ def random_search_oracle(
     n >= support each tail is empty: the result is 0.0 with an empty
     witness, and a grid with no n below support draws nothing.  Returns
     one (value, witness) per n, in grid order.
+
+    A batch is drawn and reduced a block of max(1, _BLOCK // support) rows
+    at a time, so memory is one block of rows, whatever ``cfg.iters``.  The
+    blocks read the stream of one whole-batch draw, and a row replaces an
+    n's best only if strictly larger, so the earliest row wins a tie: the
+    result is that of one whole-batch reduction, bit for bit.
     """
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
@@ -206,52 +249,35 @@ def random_search_oracle(
     wrow = w.values(support)
 
     rng = np.random.default_rng(cfg.seed)
+    rows = max(1, _BLOCK // support)
+    columns = np.arange(support)[None, :]
     remaining = cfg.iters
     while remaining > 0:
         batch = min(_BATCH, remaining)
         remaining -= batch
-        k = rng.integers(1, support + 1, size=batch)
-        use_exp = (rng.random(batch) < 0.5)[:, None]
-        vals = rng.random((batch, support))
-        # -log1p(-u) on the exponential rows only; the others keep u
-        for op in (np.negative, np.log1p, np.negative):
-            op(vals, out=vals, where=use_exp)
-        vals[np.arange(support)[None, :] >= k[:, None]] = 0.0
-        vals.sort(axis=1)
-        vals = vals[:, ::-1]
+        batch_k = rng.integers(1, support + 1, size=batch)
+        batch_exp = rng.random(batch) < 0.5
+        for start in range(0, batch, rows):
+            vals = rng.random((min(rows, batch - start), support))
+            k = batch_k[start:start + rows]
+            use_exp = batch_exp[start:start + rows, None]
+            # -log1p(-u) on the exponential rows only; the others keep u
+            for op in (np.negative, np.log1p, np.negative):
+                op(vals, out=vals, where=use_exp)
+            vals[columns >= k[:, None]] = 0.0
+            vals.sort(axis=1)
+            vals, good = _unit_rows(vals[:, ::-1], wrow, p)
 
-        # a norm past the float64 range comes out inf, or NaN where a
-        # product overflowed; those rows are normed again in logarithms
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = vals * wrow[None, :]
-            if math.isinf(p):
-                norms = t.max(axis=1)
-            elif p == 1.0:
-                norms = t.sum(axis=1)
-            elif p == 2.0:
-                norms = np.sqrt((t * t).sum(axis=1))
-            else:
-                # scaled in place by the row maximum, so that t ** p
-                # cannot overflow
-                top = t.max(axis=1)
-                t /= np.where(top > 0, top, 1.0)[:, None]
-                norms = top * np.power(t, p, out=t).sum(axis=1) ** (1.0 / p)
-        big = ~np.isfinite(norms)
-        good = (norms > 0) | big
-        unit = vals / np.where(good, norms, 1.0)[:, None]
-        unit[big] = _unit_rows_in_logs(vals[big], wrow, p)
-        vals = unit
-
-        # sig = total - head, not a direct tail sum nor a cumsum: each
-        # rounds differently and can change which row wins a near-tie
-        sq = np.multiply(vals, vals, out=t)
-        total = sq.sum(axis=1)
-        for n, (best_val, _) in best.items():
-            sig = total - sq[:, :n].sum(axis=1)
-            sig[~good] = -1.0
-            i = int(np.argmax(sig))
-            if sig[i] > best_val:
-                best[n] = (float(sig[i]), vals[i].copy())
+            # sig = total - head, not a direct tail sum nor a cumsum: each
+            # rounds differently and can change which row wins a near-tie
+            sq = vals * vals
+            total = sq.sum(axis=1)
+            for n, (best_val, _) in best.items():
+                sig = total - sq[:, :n].sum(axis=1)
+                sig[~good] = -1.0
+                i = int(np.argmax(sig))
+                if sig[i] > best_val:
+                    best[n] = (float(sig[i]), vals[i].copy())
 
     results = {}
     for n, (_, row) in best.items():

@@ -349,10 +349,32 @@ class TestClassBounds:
         assert r.status == STATUS_DIVERGENT
         assert r.upper_sq == r.lower_sq == math.inf
 
-    @pytest.mark.parametrize("w, p", [(PowLogWeights(0.25, 0.0), 4.0),
-                                      (ConstantWeights(), 2.0)])
-    def test_zero_growth_has_a_limit(self, w, p):
-        assert class_bounds(w, p, 16).status == STATUS_LIMIT
+    def test_zero_growth_has_a_limit(self):
+        assert class_bounds(ConstantWeights(), 2.0, 16).status == STATUS_LIMIT
+
+    @pytest.mark.parametrize("beta", [0.0, 0.2, 0.25])
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_hoelder_boundary_above_2_diverges(self, beta, n):
+        # at p = 4 and alpha = 1/2 - 1/p = 0.25 the Hoelder tail
+        # sum_j j**-1 log2(j+1)**(-4 beta) diverges for beta r <= 1, r = 4
+        r = class_bounds(PowLogWeights(0.25, beta), 4.0, n)
+        assert r.status == STATUS_DIVERGENT
+        assert r.upper_sq == r.lower_sq == math.inf
+
+    def test_hoelder_boundary_witness_grows_without_bound(self):
+        # the unit-norm witness x_j = H_d**(-1/4) j**(-1/2), j <= d, of
+        # powlog(0.25, 0) at p = 4 has sigma_1**2 = (H_d - 1) / sqrt(H_d),
+        # 3.54 at d = 2**20, so the class error has no finite limit
+        w = PowLogWeights(0.25, 0.0)
+        for d, expected in [(2 ** 10, 2.38), (2 ** 16, 3.12)]:
+            j = np.arange(1.0, d + 1.0)
+            harmonic = math.fsum(1.0 / j)
+            x = harmonic ** -0.25 * j ** -0.5
+            assert weighted_lp_norm(x, w, 4.0) == pytest.approx(1.0)
+            sigma_sq = sigma_n_exact(x, 1) ** 2
+            assert sigma_sq == pytest.approx(
+                (harmonic - 1.0) / math.sqrt(harmonic), rel=1e-12)
+            assert sigma_sq == pytest.approx(expected, abs=0.005)
 
     def test_logpow_boundary_negative_log_attained(self):
         # growth exponent 0 with decaying log factor: max at finite m

@@ -189,6 +189,16 @@ class TestBounds:
         assert doc["rows"][0]["lower_sq"] == "inf"
         assert doc["rows"][0]["status"] == "divergent"
 
+    @pytest.mark.parametrize("beta, status", [
+        ("0", "divergent"), ("0.2", "divergent"), ("0.25", "divergent"),
+        ("0.3", "attained")])
+    def test_hoelder_boundary_above_2(self, capsys, beta, status):
+        # alpha = 1/2 - 1/p at p = 4: the tail diverges for 4 beta <= 1
+        doc = run_json(capsys, ["bounds", "--weights",
+                                f"powlog:alpha=0.25,beta={beta}", "--p", "4",
+                                "--n", "1"])
+        assert doc["rows"][0]["status"] == status
+
     def test_inf_p_rows(self, capsys):
         doc = run_json(capsys, ["bounds", "--weights",
                                 "powlog:alpha=1,beta=0", "--p", "inf",
@@ -839,6 +849,20 @@ class TestContract:
         code, out, err = run_cli(capsys, argv)
         assert code == EXIT_OK or (
             code == EXIT_CERTIFY_FAIL and argv[0] == "certify"), err
+        assert err == ""
+        jsonschema.validate(json.loads(out), SCHEMA)
+        assert "nan" not in out
+
+    @pytest.mark.parametrize("support, p", [
+        (2 ** 16 - 1, "1"), (2 ** 16, "0.003"), (2 ** 16 + 1, "3")])
+    def test_one_row_blocks(self, capsys, support, p):
+        # at and just past _BLOCK = 2**16 a block of the random oracle
+        # holds one row
+        code, out, err = run_cli(capsys, [
+            "certify", "--weights", "powlog:alpha=1,beta=0", "--p", p,
+            "--n", "1..2^7:dyadic", "--iters", "40",
+            "--max-support", str(support), "--format", "json"])
+        assert code in (EXIT_OK, EXIT_CERTIFY_FAIL), err
         assert err == ""
         jsonschema.validate(json.loads(out), SCHEMA)
         assert "nan" not in out

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -21,8 +22,8 @@ from nterm import (
     structure_oracle,
     weighted_lp_norm,
 )
-from nterm.bounds import STATUS_DIVERGENT, build_table, scan_length
-from nterm.oracle import _unit_rows_in_logs, oracle_table
+from nterm.bounds import _BLOCK, STATUS_DIVERGENT, build_table, scan_length
+from nterm.oracle import _BATCH, _unit_rows_in_logs, oracle_table
 from nterm.sequences import sigma_sq_exact
 
 import _ref
@@ -38,6 +39,19 @@ RANDOM_PIN = json.loads(
 RANDOM_PIN_WEIGHTS = {
     "powlog:alpha=1,beta=0": LINEAR,
     "table17": TabulatedWeights([1.0 + 0.25 * j for j in range(17)]),
+}
+# random_search_oracle at seed 7 on grids whose samples span several blocks
+# of rows and batches, recorded at commit 469c13d, in the format of
+# RANDOM_PIN with one entry per grid
+BLOCK_PIN = json.loads(
+    (Path(__file__).resolve().parent / "data" / "random_oracle_blocks.json")
+    .read_text())
+BLOCK_PIN_WEIGHTS = {
+    "powlog:alpha=1,beta=0": LINEAR,
+    "const": ConstantWeights(),
+    # at p = 2 a row's norm overflows once sum_j u_j**2 > 44.9, so most
+    # winning rows are normed in logarithms, in blocks past the first
+    "table129-level2e153": TabulatedWeights([2e153] * 129),
 }
 
 
@@ -369,6 +383,59 @@ class TestRandomSearchOracle:
         assert value == 0.0
         assert witness.entries.size == 0
         assert weights_evaluated == []
+
+
+class TestBlockedDraws:
+    """Each batch is drawn and reduced a block of max(1, _BLOCK // support)
+    rows at a time, with the bits of one whole-batch draw."""
+
+    @pytest.mark.parametrize("support, batch", [
+        (1, 70_000), (64, 3_000), (129, 1_000), (200, 700), (2 ** 16 + 1, 3)])
+    def test_blocks_read_the_stream_of_one_draw(self, support, batch):
+        whole_rng = np.random.default_rng(5)
+        whole = whole_rng.random((batch, support))
+        rng = np.random.default_rng(5)
+        rows = max(1, _BLOCK // support)
+        blocks = [rng.random((min(rows, batch - start), support))
+                  for start in range(0, batch, rows)]
+        assert np.array_equal(np.concatenate(blocks), whole)
+        assert rng.bit_generator.state == whole_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "case", BLOCK_PIN,
+        ids=[f"{c['weights']}-p{c['p']}-{c['iters']}x{c['max_support']}"
+             for c in BLOCK_PIN])
+    def test_recorded_grids_bit_for_bit(self, case):
+        # supports 129 and 200 do not divide _BLOCK, 70,000 draws cross two
+        # batch boundaries, and table129-level2e153 has winners normed in
+        # logarithms in blocks past the first
+        cfg = OracleConfig(seed=7, iters=case["iters"],
+                           max_support=case["max_support"])
+        grid = [row["n"] for row in case["rows"]]
+        results = random_search_oracle(
+            BLOCK_PIN_WEIGHTS[case["weights"]], float(case["p"]), grid, cfg)
+        for row, (value, witness) in zip(case["rows"], results):
+            assert value == float.fromhex(row["value_sq"]), row["n"]
+            assert np.array_equal(
+                witness.entries,
+                np.array([float.fromhex(x) for x in row["witness"]])), row["n"]
+
+    @pytest.mark.parametrize("support", [64, 200])
+    @pytest.mark.parametrize("iters", [20_000, 70_000])
+    def test_peak_memory_of_random_oracle(self, iters, support):
+        # held at once: at most six blocks of _BLOCK float64 values (the
+        # draw, its weighted copy and their squares, the unit rows and
+        # theirs), and the batch's k, rng.random(batch) and use_exp
+        # arrays, 8 + 8 + 1 B per row of _BATCH; nothing grows with iters
+        bound = 6 * 8 * _BLOCK + 17 * _BATCH
+        cfg = OracleConfig(seed=1, iters=iters, max_support=support)
+        tracemalloc.start()
+        try:
+            random_search_oracle(LINEAR, 2.0, [1, 16], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestOneDrawPerGrid:
