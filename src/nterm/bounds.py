@@ -15,10 +15,17 @@ envelopes over m in [n, m_max] and classifies how the supremum behaves:
 * ``truncated-unknown``   the scan ended before any of the above could be
                           confirmed.
 
+``divergent`` and ``limit-at-infinity`` are read from a closed-form model's
+exponents only.  A weight file's status comes from what was scanned:
+``attained`` when the scan confirms the maximum, else ``truncated-unknown``.
+``run_table`` is the one place that sizes a run's table: the scan end
+``scan_length`` of its largest n.
+
 For p = oo the squared error equals the tail sum of w_j**-2.
 ``class_error_infty`` sums a head and closes the tail with an integral, to
 1e-12 (``converged``) or, where that target is missed, to the reported
-bound (``truncated-unknown``).  One exp-sinh (double-exponential) rule in
+bound (``truncated-unknown``).  A weight file is summed to its end and
+reads ``truncated-unknown``.  One exp-sinh (double-exponential) rule in
 numpy integrates the integrand scaled to its start and peak, and the value
 is put together in logarithms; at 2 alpha = 1 the rule integrates the
 difference from the leading u**(-2 beta) term, which is added in closed
@@ -46,6 +53,7 @@ __all__ = [
     "build_table",
     "default_m_max",
     "scan_length",
+    "run_table",
     "class_bounds",
     "class_bounds_grid",
     "class_error_infty",
@@ -67,8 +75,6 @@ LOG_DOMAIN_THRESHOLD = 700.0
 # entries per block of the long double prefix sum (a 1 MiB buffer) and of
 # the envelope scan
 _BLOCK = 2 ** 16
-# trailing log-log slope above which a scanned envelope counts as divergent
-SLOPE_EPS = 0.01
 _EXPONENT_EPS = 1e-12
 _TAIL_TOL = 1e-12
 # longest p = oo head; past it truncation_bound may exceed _TAIL_TOL
@@ -223,17 +229,28 @@ def default_m_max(n: int) -> int:
     return max(1024, 64 * int(n))
 
 
-def scan_length(w: WeightModel, n: int, m_max: int | None = None, *,
-                lookahead: int = 0) -> int:
-    """Last index of the scan for n: ``m_max``, or ``default_m_max(n)``.
-
-    For a tabulated model it is clipped to ``known_length - lookahead``, so
-    that a scan reading w_{m + lookahead} stays inside the table.
-    """
+def scan_length(w: WeightModel, n: int, m_max: int | None = None) -> int:
+    """Last index of the scan for n: ``m_max``, or ``default_m_max(n)``,
+    clipped to the length of a tabulated model."""
     size = default_m_max(n) if m_max is None else int(m_max)
     if w.known_length is not None:
-        size = min(size, w.known_length - lookahead)
+        size = min(size, w.known_length)
     return size
+
+
+def run_table(w: WeightModel, p: float, n_values: Sequence[int],
+              m_max: int | None = None) -> CumulativeWeightTable:
+    """The one table of a run over ``n_values``: W_m up to the scan end of
+    the largest n, which covers the scan of every n.
+
+    A given ``m_max`` is checked first, against every n in grid order, so
+    that a bad one is named before any table is built.
+    """
+    for n in n_values:
+        if m_max is not None and m_max < n + 1:
+            raise ValueError(
+                f"m_max must be >= n + 1, got {m_max} < {n + 1}")
+    return build_table(w, p, scan_length(w, max(n_values), m_max))
 
 
 def _extrapolate_limit(t: np.ndarray, m_lo: int, m_eff: int) -> float | None:
@@ -252,20 +269,6 @@ def _extrapolate_limit(t: np.ndarray, m_lo: int, m_eff: int) -> float | None:
     return limit
 
 
-def _loglog_slope(j: np.ndarray, t: np.ndarray) -> float | None:
-    """Least-squares slope of log t vs log j; None below 8 points or when
-    a term is not positive."""
-    if t.size < 8 or np.any(t <= 0):
-        return None
-    x = np.log(j)
-    y = np.log(t)
-    x = x - x.mean()
-    denom = float(np.dot(x, x))
-    if denom == 0:
-        return None
-    return float(np.dot(x, y) / denom)
-
-
 def class_bounds(
     w: WeightModel,
     p: float,
@@ -277,20 +280,22 @@ def class_bounds(
     """Scan the two worst-case envelopes over m in [n, m_max] and classify.
 
     The scan starts at max(n, 1) since W_m is defined for m >= 1; the m = n
-    term of the lower envelope is zero anyway.  A reusable ``table`` may be
+    term of the lower envelope is zero anyway.  It ends at ``scan_length``:
+    past a weight file's end, where the scan is empty, the row is
+    ``truncated-unknown`` with zero values.  A reusable ``table`` may be
     passed when several n share one weight model; it is used as given, so
-    it must be of p and cover the scan.
+    it must be of p and cover the scan.  Without one, ``run_table`` builds
+    it.
     """
     if not 0 < p < math.inf:
         raise ValueError(f"p must be finite and positive, got {p}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     n = int(n)
-    if m_max is None:
-        m_max = default_m_max(n)
-    m_max = int(m_max)
-    if m_max < n + 1:
-        raise ValueError(f"m_max must be >= n + 1, got {m_max} < {n + 1}")
+    if table is None:
+        table = run_table(w, p, [n], m_max)
+    elif table.p != p:
+        raise ValueError(f"table is for p = {table.p}, not {p}")
 
     m_eff = scan_length(w, n, m_max)
     if m_eff < max(n, 1):
@@ -298,12 +303,6 @@ def class_bounds(
             n=n, lower_sq=0.0, upper_sq=0.0, argmax_m=None,
             status=STATUS_TRUNCATED, limit_estimate=None, m_scanned=0,
             scan_lower_sq=0.0, scan_upper_sq=0.0)
-    table_truncated = m_eff < m_max
-
-    if table is None:
-        table = build_table(w, p, m_eff)
-    elif table.p != p:
-        raise ValueError(f"table is for p = {table.p}, not {p}")
 
     m_lo = max(n, 1)
     # the envelopes (m - n [+ 1]) * W_m**-2, a block at a time: the lower
@@ -337,8 +336,9 @@ def class_bounds(
             status=status, limit_estimate=limit, m_scanned=int(m_eff),
             scan_lower_sq=scan_lower, scan_upper_sq=scan_upper)
 
-    # divergence and a limit candidate: from a closed-form model's exponents,
-    # else from the trailing slope of a tail neither confirmed nor truncated
+    # divergence and a limit candidate from a closed-form model's exponents
+    # alone; a weight file's status is read from its scan
+    divergent = bounded = False
     prof = w.asymptotic_exponents
     if prof is not None:
         alpha, beta = prof
@@ -357,16 +357,6 @@ def class_bounds(
         divergent = growth > 0 or (boundary and edge)
         # a bounded envelope with a positive limit
         bounded = boundary and abs(log_growth) <= _EXPONENT_EPS
-    elif trailing_confirmed or table_truncated:
-        divergent = bounded = False
-    else:
-        # over the last scanned decade
-        start = max(m_lo, m_eff // 10)
-        slope = _loglog_slope(np.arange(start, m_eff + 1, dtype=np.float64),
-                              t_up[start - m_lo:])
-        divergent = slope is not None and slope >= SLOPE_EPS
-        bounded = (slope is not None and not divergent
-                   and trailing_nondecreasing)
     limit = _extrapolate_limit(t_up, m_lo, m_eff) if bounded else None
 
     if divergent:
@@ -387,17 +377,11 @@ def class_bounds_grid(
     n_values: Sequence[int],
     m_max: int | None = None,
 ) -> list[BoundResult]:
-    """``class_bounds`` for every n of a grid, read from one shared table.
-
-    The table is as long as the longest scan: ``m_max``, or the default for
-    the largest n, clipped to the length of a tabulated model.
-    """
+    """``class_bounds`` for every n of a grid, read from one ``run_table``."""
     n_values = [int(n) for n in n_values]
     if not n_values:
         return []
-    size = scan_length(w, max(n_values), m_max)
-    # a bad m_max is left to class_bounds, which names it
-    table = build_table(w, p, size) if size >= 1 else None
+    table = run_table(w, p, n_values, m_max)
     return [class_bounds(w, p, n, m_max, table=table) for n in n_values]
 
 
@@ -509,9 +493,9 @@ def class_error_infty(w: WeightModel, n: int) -> InftyTailResult:
     when it does not: the head stops at _MAX_TERMS, and the rule's rounding
     allowance, 64 eps of the integral, alone passes 1e-12 for an integral
     above about 70.
-    Tabulated families sum to the end of the table and report the
-    remainder as unknown; a trailing-slope check flags tables whose terms
-    visibly decay too slowly to converge.
+    A weight file is summed to its end, terms j in [n + 1, L], and the
+    remainder past it is unknown: ``truncated-unknown`` with an infinite
+    bound, and 0.0 past the file's end.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -519,19 +503,9 @@ def class_error_infty(w: WeightModel, n: int) -> InftyTailResult:
 
     known = w.known_length
     if known is not None:
-        if n >= known:
-            return InftyTailResult(0.0, math.inf, STATUS_TRUNCATED, 0)
         terms = w.values(known)[n:] ** -2.0
-        j = np.arange(n + 1, known + 1, dtype=np.float64)
-        # over the last half of the terms
-        start = max(0, terms.size - max(8, terms.size // 2))
-        slope = _loglog_slope(j[start:], terms[start:])
-        if slope is not None and slope >= -1.0 + 0.05:
-            return InftyTailResult(
-                math.inf, math.inf, STATUS_DIVERGENT, int(terms.size))
-        value = math.fsum(terms.tolist())
-        return InftyTailResult(
-            value, math.inf, STATUS_TRUNCATED, int(terms.size))
+        return InftyTailResult(math.fsum(terms.tolist()), math.inf,
+                               STATUS_TRUNCATED, int(terms.size))
 
     prof = w.asymptotic_exponents
     if prof is None:

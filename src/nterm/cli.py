@@ -58,9 +58,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import class_bounds_grid, class_error_infty
-from .oracle import (OracleConfig, certify, oracle_table,
-                     random_search_oracle, structure_oracle)
+from .bounds import class_bounds_grid, class_error_infty, run_table
+from .oracle import (OracleConfig, certify, random_search_oracle,
+                     structure_oracle)
 from .ratefit import class_error_samples, dyadic_grid, fit_rate, ratio_envelope
 from .sequences import CoefficientSequence, extremal_sequence, scaled_tail_sqs
 from .weights import (
@@ -186,7 +186,8 @@ def _run_oracle(ns) -> tuple[dict, int]:
     w = parse_weight_spec(ns.weights)
     cfg = _oracle_config(ns)
     n_values = parse_n_spec(ns.n)
-    table = None if math.isinf(ns.p) else oracle_table(w, ns.p, n_values, cfg)
+    table = None if math.isinf(ns.p) else run_table(w, ns.p, n_values,
+                                                   cfg.m_max)
     randoms = random_search_oracle(w, ns.p, n_values, cfg)
     rows = []
     witnesses = {}
@@ -289,7 +290,10 @@ _FLAGS = {
                     help="const | logpow:beta=F | "
                          "powlog:alpha=F,beta=F | file:PATH, one weight "
                          "per line, blank lines only at the end; a bad "
-                         "line is exit 2, an unreadable file exit 4"),
+                         "line is exit 2, an unreadable file exit 4; a "
+                         "file's status is 'attained' when its scan "
+                         "confirms the maximum, else 'truncated-unknown', "
+                         "as at p = inf"),
     "p": dict(required=True, metavar="P",
               help="exponent in (0, inf]; 'inf' accepted"),
     "n": dict(required=True, metavar="N",
@@ -297,8 +301,7 @@ _FLAGS = {
     "m": dict(type=int, required=True),
     "m_max": dict(type=int, default=None,
                   help="last index of the scan, default max(1024, 64n); "
-                       "clipped to a weight file's length L (bounds, "
-                       "ratefit) or to L - 1 (oracle, certify)"),
+                       "clipped to a weight file's length L"),
     "sequence": dict(required=True, metavar="PATH",
                      help="text file, one coefficient per line; blank "
                           "lines are skipped, a line that is not a number "

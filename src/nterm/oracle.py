@@ -18,9 +18,9 @@ Two engines are checked against the analytic bounds:
 Both engines are bitwise reproducible given a seed and configuration.
 
 ``certify`` and the ``oracle`` command read one cumulative weight table per
-run, ``oracle_table``, sized for the largest n and shared by every n, and
-one random sample set per grid: ``random_search_oracle`` takes the whole n
-grid, and each n's result equals that of a one-n grid, bit for bit.
+run, ``bounds.run_table``, sized for the largest n and shared by every n,
+and one random sample set per grid: ``random_search_oracle`` takes the whole
+n grid, and each n's result equals that of a one-n grid, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .bounds import (
     STATUS_ATTAINED,
     STATUS_LIMIT,
     CumulativeWeightTable,
-    build_table,
     class_bounds,
+    run_table,
     scan_length,
 )
 from .sequences import CoefficientSequence, sigma_sq_exact
@@ -46,7 +46,6 @@ from .weights import WeightModel
 __all__ = [
     "OracleConfig",
     "CertificationReport",
-    "oracle_table",
     "structure_oracle",
     "random_search_oracle",
     "certify",
@@ -64,7 +63,8 @@ _CERTIFY_TOL = 1e-9
 class OracleConfig:
     """Shared oracle configuration; ``m_max=None`` means max(1024, 64n).
 
-    Either is clipped to ``known_length - 1``: the scan also reads w_{m+1}.
+    Either is clipped to a weight file's length, as the bound scan is: the
+    oracles scan the bound scan's own range.
     """
 
     m_max: int | None = None
@@ -79,25 +79,6 @@ class OracleConfig:
             raise ValueError(f"max_support must be >= 1, got {self.max_support}")
 
 
-def _resolve_m_max(cfg: OracleConfig, n: int, w: WeightModel) -> int:
-    m_max = scan_length(w, n, cfg.m_max, lookahead=1)
-    if m_max < n + 1:
-        raise ValueError(f"m_max must be >= n + 1, got {m_max} < {n + 1}")
-    return m_max
-
-
-def oracle_table(w: WeightModel, p: float, n_values: Sequence[int],
-                 cfg: OracleConfig) -> CumulativeWeightTable:
-    """The table the scans of every n share, sized for the largest n: it
-    reaches m_max + 1, the longest flat block of ``structure_oracle``.
-
-    Every n's m_max is checked first, in grid order, so that a bad one
-    fails before any table is built or random sample drawn.
-    """
-    size = max(_resolve_m_max(cfg, n, w) for n in n_values)
-    return build_table(w, p, size + 1)
-
-
 def structure_oracle(
     w: WeightModel,
     p: float,
@@ -109,44 +90,49 @@ def structure_oracle(
     """Maximize the squared tail error over two witness families.
 
     * Flat blocks, at every p: k entries W_k**-1, worth (k-n) / W_k**2, for
-      k in [n + 1, m_max + 1] (k <= n is worth 0).
+      k in [n + 1, m_max] (k <= n is worth 0).
     * Hoelder pairs, at p > 2 only: m entries b, then c at m + 1, for m in
-      [n + 1, m_max].  With r = 2p/(p-2) and V_m = W_m (m-n)**(-1/2) the
-      pair is worth (V_m**-r + w_{m+1}**-r)**(2/r), at b = y**(1/p) / W_m
-      and c = (1-y)**(1/p) / w_{m+1}, y = V_m**-r / (V_m**-r +
+      [n + 1, m_max - 1].  With r = 2p/(p-2) and V_m = W_m (m-n)**(-1/2)
+      the pair is worth (V_m**-r + w_{m+1}**-r)**(2/r), at b = y**(1/p) /
+      W_m and c = (1-y)**(1/p) / w_{m+1}, y = V_m**-r / (V_m**-r +
       w_{m+1}**-r).  It is a witness only where c <= b, that is
       W_m**p <= (m-n) w_{m+1}**p.
 
-    The values are compared in logarithms read from ``table``, used as
-    given (of p, covering m_max + 1), so a log-domain table cannot overflow
-    or give NaN; the weights are read, once, only at p > 2.  Returns the
-    best squared value with its witness; the value is recomputed from the
-    witness through ``sigma_sq_exact``, so the pair is always consistent.
+    m_max is the end of the bound scan, ``scan_length``; past a weight
+    file's end, where no k > n is left, the result is 0.0 with an empty
+    witness.  The values are compared in logarithms read from ``table``,
+    used as given (of p, covering m_max), or built by ``run_table``, so a
+    log-domain table cannot overflow or give NaN; the weights are read,
+    once, only for Hoelder pairs.  Returns the best squared value with its
+    witness; the value is recomputed from the witness through
+    ``sigma_sq_exact``, so the pair is always consistent.
     """
     if not 0 < p < math.inf:
         raise ValueError(f"p must be finite and positive, got {p}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     n = int(n)
-    m_max = _resolve_m_max(cfg, n, w)
     if table is None:
-        table = build_table(w, p, m_max + 1)
+        table = run_table(w, p, [n], cfg.m_max)
     elif table.p != p:
         raise ValueError(f"table is for p = {table.p}, not {p}")
+    m_max = scan_length(w, n, cfg.m_max)
+    if m_max < n + 1:
+        return 0.0, CoefficientSequence(np.zeros(0))
 
-    # log((k-n) / W_k**2) for k in [n + 1, m_max + 1]
-    log_W = table.log_W_slice(n + 1, m_max + 1)
-    log_excess = np.log(np.arange(1, m_max - n + 2, dtype=np.float64))
+    # log((k-n) / W_k**2) for k in [n + 1, m_max]
+    log_W = table.log_W_slice(n + 1, m_max)
+    log_excess = np.log(np.arange(1, m_max - n + 1, dtype=np.float64))
     flat = log_excess - 2.0 * log_W
     i = int(np.argmax(flat))
     best = float(flat[i])
     entries = np.full(n + 1 + i, math.sqrt(table.inv_sq(n + 1 + i)))
 
-    if p > 2:
-        # m in [n + 1, m_max]: drop the last flat block
+    if p > 2 and m_max > n + 1:
+        # m in [n + 1, m_max - 1]: drop the last flat block
         r = 2.0 * p / (p - 2.0)
         log_W, log_excess = log_W[:-1], log_excess[:-1]
-        log_next = np.log(w.values(m_max + 1)[n + 1:])
+        log_next = np.log(w.values(m_max)[n + 1:])
         log_V = log_W - 0.5 * log_excess
         pair = (2.0 / r) * np.logaddexp(-r * log_V, -r * log_next)
         pair[p * (log_W - log_next) > log_excess] = -np.inf
@@ -326,16 +312,18 @@ def certify(
 ) -> list[CertificationReport]:
     """Run bounds, structure oracle, and random oracle; check containment.
 
-    One report per n of the grid, all read from one ``oracle_table`` and
-    one random sample set: ``random_search_oracle`` runs once for the grid,
+    One report per n of the grid, all read from one ``run_table`` and one
+    random sample set: ``random_search_oracle`` runs once for the grid,
     and each n's ``random_sq`` equals that of a one-n grid.  Each check
     has a fixed slack of 1e-9, the report's ``tol``.  Check failures set
     the report's ``passed`` flag instead of raising, so harnesses can
     collect every combination before deciding.  The structure oracle's two
-    families are flat blocks and, at p > 2, Hoelder pairs.  At p <= 2
+    families are flat blocks and, at p > 2, Hoelder pairs, over the bound
+    scan's range, whose end is the report's ``m_max``.  At p <= 2
     ``structure_ge_scan_lower`` is an identity: the best flat block is the
-    lower envelope over a scan one index longer than the bound scan.  Both
-    envelopes need a finite p, so p = inf is rejected up front.
+    lower envelope of the bound scan.  Past a weight file's end every
+    engine's value is 0.0 and the checks pass.  Both envelopes need a
+    finite p, so p = inf is rejected up front.
     """
     if not 0 < p < math.inf:
         raise ValueError(f"certify needs a finite p > 0, got {p}")
@@ -344,12 +332,11 @@ def certify(
     n_values = [int(n) for n in n_values]
     if not n_values:
         return []
-    table = oracle_table(w, p, n_values, cfg)
+    table = run_table(w, p, n_values, cfg.m_max)
     randoms = random_search_oracle(w, p, n_values, cfg)
     reports = []
     for n, (random_sq, _) in zip(n_values, randoms):
-        m_max = _resolve_m_max(cfg, n, w)
-        bounds_result = class_bounds(w, p, n, m_max=m_max, table=table)
+        bounds_result = class_bounds(w, p, n, cfg.m_max, table=table)
         structure_sq, _ = structure_oracle(w, p, n, cfg, table=table)
 
         upper_ref = bounds_result.upper_sq
@@ -366,7 +353,7 @@ def certify(
             weights=w.spec_string(),
             p=float(p),
             n=n,
-            m_max=m_max,
+            m_max=scan_length(w, n, cfg.m_max),
             seed=cfg.seed,
             iters=cfg.iters,
             tol=_CERTIFY_TOL,

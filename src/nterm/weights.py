@@ -205,20 +205,32 @@ class PowLogWeights(WeightModel):
 
     def raw_value(self, j) -> np.ndarray:
         """Formula value i**alpha * log2(i+1)**beta without the running max,
-        written over j when j is a float64 array."""
+        written over j when j is a float64 array.  Where one factor
+        underflows to 0 and the other overflows, the product is NaN: only
+        those entries are summed in logarithms instead.
+        """
         j = np.asarray(j, dtype=np.float64)
         log_factor = np.add(j, 1.0, out=np.empty_like(j))
         np.log2(log_factor, out=log_factor)
         log_factor **= self.beta
+        # j is kept only where a NaN can arise
+        keep = (j.copy() if log_factor.min() == 0.0
+                or log_factor.max() == math.inf else None)
         j **= self.alpha
         j *= log_factor
+        if keep is not None:
+            nan = np.isnan(j)
+            k = keep[nan]
+            j[nan] = np.exp(self.alpha * np.log(k)
+                            + self.beta * np.log(np.log2(k + 1.0)))
         return j
 
     def values(self, m: int) -> np.ndarray:
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         j = np.arange(1, int(m) + 1, dtype=np.float64)
-        # a large alpha overflows to inf, and inf * 0 gives NaN
+        # a large alpha overflows to inf, and inf * 0 gives NaN until
+        # raw_value sums those entries in logarithms
         with np.errstate(over="ignore", invalid="ignore"):
             w = self.raw_value(j)
         return _finite(np.maximum.accumulate(w, out=w))

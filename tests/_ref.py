@@ -73,20 +73,20 @@ def table(w, p: float, M: int) -> dict[str, list]:
 
 
 def structure_sq(w, p: float, n_values, m_max: int) -> list:
-    """For each n: max (k - n) W_k**-2 over k in [n + 1, m_max + 1], and at
+    """For each n: max (k - n) W_k**-2 over k in [n + 1, m_max], and at
     p > 2 also (V_m**-r + w_{m+1}**-r)**(2/r), r = 2p/(p-2),
-    V_m = W_m (m-n)**-1/2, over m in [n + 1, m_max] with
+    V_m = W_m (m-n)**-1/2, over m in [n + 1, m_max - 1] with
     W_m**p <= (m-n) w_{m+1}**p."""
-    ref = table(w, p, m_max + 1)
+    ref = table(w, p, m_max)
     out = []
     with mpmath.workdps(DIGITS):
         p = mpmath.mpf(p)
         for n in n_values:
             best = max((k - n) * ref["inv_sq"][k - 1]
-                       for k in range(n + 1, m_max + 2))
+                       for k in range(n + 1, m_max + 1))
             if p > 2:
                 r = 2 * p / (p - 2)
-                for m in range(n + 1, m_max + 1):
+                for m in range(n + 1, m_max):
                     W, w_next = ref["W"][m - 1], ref["w"][m]
                     if W ** p <= (m - n) * w_next ** p:
                         V = W / mpmath.sqrt(m - n)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import nterm.bounds
-import nterm.oracle
 from nterm import (
     ConstantWeights,
     LogPowerWeights,
@@ -43,8 +42,7 @@ def table_sizes(monkeypatch) -> list[int]:
         sizes.append(M)
         return real(w, p, M)
 
-    for module in (nterm.bounds, nterm.oracle):
-        monkeypatch.setattr(module, "build_table", counting)
+    monkeypatch.setattr(nterm.bounds, "build_table", counting)
     return sizes
 
 

@@ -403,15 +403,25 @@ class TestClassBounds:
         assert r.upper_sq == pytest.approx(ref.upper_sq, rel=1e-12)
 
     def test_tabulated_divergent_heuristic(self):
+        # the envelope m**(1/3) still rises at the file's end: a file's
+        # status is read from its scan, not guessed from a trailing slope
         w = TabulatedWeights(np.ones(4096))
         r = class_bounds(w, 3.0, 1, m_max=4096)
-        assert r.status == STATUS_DIVERGENT
+        assert r.status == STATUS_TRUNCATED
+        assert (r.lower_sq, r.upper_sq) == (r.scan_lower_sq, r.scan_upper_sq)
+        # (m - n [+ 1]) / m**(2/3) at m = 4096
+        assert r.upper_sq == pytest.approx(16.0, rel=1e-13)
+        assert r.lower_sq == pytest.approx(4095 / 256, rel=1e-13)
 
     def test_tabulated_limit_heuristic(self):
+        # the envelope (m - 4) / m rises towards 1 at the file's end
         w = TabulatedWeights(np.ones(8192))
         r = class_bounds(w, 2.0, 5, m_max=8192)
-        assert r.status == STATUS_LIMIT
-        assert r.limit_estimate == pytest.approx(1.0, abs=1e-6)
+        assert r.status == STATUS_TRUNCATED
+        assert r.limit_estimate is None
+        assert (r.lower_sq, r.upper_sq) == (r.scan_lower_sq, r.scan_upper_sq)
+        assert r.upper_sq == pytest.approx(8188 / 8192, rel=1e-13)
+        assert r.lower_sq == pytest.approx(8187 / 8192, rel=1e-13)
 
     def test_monotone_in_n(self):
         for w, p in [(ConstantWeights(), 1.0), (LINEAR, 2.0),
@@ -425,14 +435,17 @@ class TestClassBounds:
                     assert r.lower_sq <= prev.lower_sq + 1e-15
                 prev = r
 
-    def test_sum_past_float64_range_diverges(self):
+    def test_sum_past_float64_range_scans_to_the_end(self):
         # W_m**p = m * e**699.9 leaves the float64 range near m = 19,500,
         # while the envelope (m - n + 1) / W_m**2 keeps growing like m**0.99
+        # to the file's end
         w = TabulatedWeights(np.full(2 ** 16, 33.1))
         r = class_bounds(w, 200.0, 1024)
         assert r.m_scanned == 2 ** 16
-        assert r.status == STATUS_DIVERGENT
-        assert r.upper_sq == r.lower_sq == math.inf
+        assert r.status == STATUS_TRUNCATED
+        assert r.upper_sq == r.scan_upper_sq == pytest.approx(
+            (2 ** 16 - 1023) / (33.1 ** 2 * 2.0 ** (16 * 2 / 200)),
+            rel=1e-12)
 
     def test_reused_table(self):
         table = build_table(LINEAR, 1.0, 4096)
@@ -613,15 +626,15 @@ class TestClassErrorInfty:
         assert r.status == STATUS_TRUNCATED
         assert math.isinf(r.truncation_bound)
 
-    @pytest.mark.parametrize("exponent, status", [
-        (0.0, STATUS_DIVERGENT),    # terms 1: trailing slope 0
-        (0.5, STATUS_TRUNCATED),    # terms j**-1: slope -1, below -0.95
-        (0.4, STATUS_DIVERGENT),    # terms j**-0.8: slope -0.8
-    ])
-    def test_tabulated_trailing_slope(self, exponent, status):
+    # terms 1, j**-1 and j**-0.8: a file is summed to its end, whatever
+    # its trailing slope
+    @pytest.mark.parametrize("exponent", [0.0, 0.5, 0.4])
+    def test_tabulated_trailing_slope(self, exponent):
         j = np.arange(1, 4097, dtype=np.float64)
         r = class_error_infty(TabulatedWeights(j ** exponent), 0)
-        assert r.status == status
+        assert r.status == STATUS_TRUNCATED
+        assert r.value_sq == math.fsum(((j ** exponent) ** -2.0).tolist())
+        assert math.isinf(r.truncation_bound)
         assert r.terms_summed == 4096
 
     def test_n_beyond_table(self):

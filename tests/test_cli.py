@@ -51,7 +51,10 @@ def run_json(capsys, argv):
 # scan_lower_sq, scan_upper_sq, bound_status).  structure_sq re-recorded
 # when the flat block of length m + 1 became k = m + 1 entries W_k**-1 read
 # from the table, not b = u_c**(1/p) / W_m: 5 of 9 values moved, by at most
-# 3.9e-16 relative
+# 3.9e-16 relative.  The n = 256 bound row re-recorded when the bound scan
+# of a file stopped guessing a status from its trailing slope and the
+# oracles' scan moved to the bound scan's range, m in [n, 300]: it was
+# "divergent" over [256, 299], and its scan_lower_sq now equals structure_sq
 TABLE300 = {
     1: (0.2137530363648663, 0.20384956620192218,
         0.2137530363648663, 1.0, "attained"),
@@ -70,7 +73,8 @@ TABLE300 = {
     128: (5.9055136071871994e-05, 0.0,
           5.9055136071872e-05, 5.990628185491374e-05, "attained"),
     256: (1.1464971394774705e-05, 0.0,
-          1.1310724802255095e-05, 1.1573764913935446e-05, "divergent"),
+          1.1464971394774705e-05, 1.172553892647413e-05,
+          "truncated-unknown"),
 }
 
 
@@ -401,8 +405,8 @@ class TestOneTablePerRun:
         run_json(capsys, [command, "--weights", "powlog:alpha=1,beta=0",
                           "--p", "2", "--n", "2^4..2^10:dyadic",
                           "--iters", "200"])
-        # the longest flat block of the structure oracle reads W_{m_max + 1}
-        assert table_sizes == [64 * 2 ** 10 + 1]
+        # the oracles scan the bound scan's range, which ends at m_max
+        assert table_sizes == [64 * 2 ** 10]
 
     def test_tabulated_values_unchanged(self, capsys, tmp_path):
         path = tmp_path / "w.txt"
@@ -418,8 +422,8 @@ class TestOneTablePerRun:
         assert {r["n"]: (r["structure_sq"], r["random_sq"],
                          r["scan_lower_sq"], r["scan_upper_sq"],
                          r["bound_status"]) for r in reports} == TABLE300
-        # the oracle scan reads w_{m+1}, so it ends one short of the table
-        assert [r["m_max"] for r in reports] == [299] * 9
+        # every engine scans to the end of the file
+        assert [r["m_max"] for r in reports] == [300] * 9
         assert all(r["passed"] for r in reports)
 
     @pytest.mark.parametrize("command", ["oracle", "certify"])
@@ -430,6 +434,51 @@ class TestOneTablePerRun:
         assert code == EXIT_DOMAIN and out == ""
         assert "got 40 < 65" in err
         assert err.count("\n") == 1
+
+
+class TestWeightFileScan:
+    """Every engine scans a weight file of L lines to its end, m = L, and
+    reads the file's status from that scan alone."""
+
+    @staticmethod
+    def linear_file(tmp_path) -> str:
+        path = tmp_path / "w.txt"
+        path.write_text("".join(f"{j}\n" for j in range(1, 101)))
+        return f"file:{path}"
+
+    def test_m_max_at_the_end_is_the_default_scan(self, capsys, tmp_path):
+        argv = ["bounds", "--weights", self.linear_file(tmp_path),
+                "--p", "1.5", "--n", "64"]
+        [row] = run_json(capsys, argv)["rows"]
+        assert run_json(capsys, argv + ["--m-max", "100"])["rows"] == [row]
+        assert (row["status"], row["m_scanned"]) == ("truncated-unknown", 100)
+
+    def test_inf_sums_the_file(self, capsys, tmp_path):
+        path = tmp_path / "ones.txt"
+        path.write_text("1.0\n" * 4096)
+        [row] = run_json(capsys, ["bounds", "--weights", f"file:{path}",
+                                  "--p", "inf", "--n", "0"])["rows"]
+        assert row["status"] == "truncated-unknown"
+        assert row["value_sq"] == 4096.0
+        assert row["terms_summed"] == 4096
+
+    @pytest.mark.parametrize("n", [1, 16, 64, 99, 100, 128])
+    def test_every_engine_runs_to_the_end(self, capsys, tmp_path, n):
+        argv = ["--weights", self.linear_file(tmp_path), "--p", "1.5",
+                "--n", str(n)]
+        [row] = run_json(capsys, ["bounds"] + argv)["rows"]
+        oracle = run_json(capsys, ["oracle", "--iters", "200"] + argv)
+        [report] = run_json(capsys, ["certify", "--iters", "200"]
+                            + argv)["reports"]
+        assert report["passed"]
+        assert report["m_max"] == 100
+        if n < 100:
+            assert report["m_max"] == row["m_scanned"]
+        else:
+            # past the file's end the structure oracle has no block left
+            assert oracle["rows"][0] == {
+                "n": n, "engine": "structure", "value_sq": 0.0}
+            assert oracle["witnesses"][f"structure:{n}"] == []
 
 
 class TestCertifyCommand:
@@ -679,16 +728,25 @@ class TestErrorPaths:
             "--n", "4"])
         assert code == EXIT_OK and err == ""
 
-    def test_nan_weights_one_line(self, capsys):
-        # j**51 overflows where log2(j + 1)**-300 is already 0: inf * 0
+    def test_nan_weights_summed_in_logs(self, capsys):
+        # j**51 overflows where log2(j + 1)**-300 is already 0: inf * 0 is
+        # NaN, so those weights are summed in logarithms, all below 1 here
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, [
                 "bounds", "--weights", "powlog:alpha=51,beta=-300", "--p",
                 "1", "--n", "2^15"])
-        assert code == EXIT_DOMAIN and out == ""
-        assert err.startswith("nterm: error=domain")
-        assert err.count("\n") == 1
+        assert code == EXIT_OK and err == ""
+        assert "attained" in out
+
+    def test_steep_power_of_a_vanishing_log(self, capsys):
+        # j**200 overflows and log2(j + 1)**-500 underflows from j = 35 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            doc = run_json(capsys, [
+                "bounds", "--weights", "powlog:alpha=200,beta=-500",
+                "--p", "1", "--n", "1"])
+        assert doc["rows"][0]["status"] == "attained"
 
     @pytest.mark.parametrize("command, spec", [
         ("bounds", "powlog:alpha=1,beta=-6"),      # plateau to ~2^29.5

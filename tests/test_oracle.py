@@ -22,8 +22,9 @@ from nterm import (
     structure_oracle,
     weighted_lp_norm,
 )
-from nterm.bounds import _BLOCK, STATUS_DIVERGENT, build_table, scan_length
-from nterm.oracle import _BATCH, _unit_rows_in_logs, oracle_table
+from nterm.bounds import (_BLOCK, STATUS_DIVERGENT, build_table, run_table,
+                          scan_length)
+from nterm.oracle import _BATCH, _unit_rows_in_logs
 from nterm.sequences import sigma_sq_exact
 
 import _ref
@@ -56,7 +57,11 @@ BLOCK_PIN_WEIGHTS = {
 
 
 def exhaustive_grid_oracle(weight_vals, p, n, m_max, grid=10_000):
-    """Independent maximizer: plain dense grid over (m, b), no refinement."""
+    """Independent maximizer: plain dense grid over (m, b), no refinement.
+
+    Heads m in [n, m_max] with c at m + 1, so weight_vals holds w_1 up to
+    w_{m_max + 1}; an infinite last weight allows no entry there.
+    """
     best = 0.0
     W_p = 0.0
     for m in range(1, m_max + 1):
@@ -113,17 +118,17 @@ class TestStructureOracle:
     ])
     def test_edge_cases_against_dense_grid(self, w, p, n, m_max):
         value, _ = structure_oracle(w, p, n, OracleConfig(m_max=m_max))
+        # the scan ends at m_max: no entry past it
         ref = exhaustive_grid_oracle(
-            w.values(m_max + 1), p, n, m_max, grid=4_000)
+            np.append(w.values(m_max), np.inf), p, n, m_max, grid=4_000)
         assert value >= ref - 1e-9
         assert value <= ref + 1e-4
 
-    def test_dominates_equal_entry_witness_of_length_m_max_plus_one(self):
-        # m_max + 1 equal entries are the m = m_max head with c = b; here
-        # that kink lies between the last two points of a 512-point grid
+    def test_dominates_equal_entry_witness_of_length_m_max(self):
+        # m_max equal entries are the last flat block of the scan
         w = LogPowerWeights(1.0)
         value, _ = structure_oracle(w, 1.0, 300, OracleConfig(m_max=500))
-        ref = sigma_n_exact(extremal_sequence(w, 1.0, 501), 300) ** 2
+        ref = sigma_n_exact(extremal_sequence(w, 1.0, 500), 300) ** 2
         assert value >= ref * (1 - 1e-12)
 
     def test_log_domain_table_raises_no_float_error(self):
@@ -189,7 +194,7 @@ class TestStructureOracle:
 
 class TestStructureOracleIsLowerEnvelope:
     """At p <= 2 the structure oracle is the best flat block, so it returns
-    max (m-n) / W_m**2 over m in [max(n, 1), m_max + 1]."""
+    max (m-n) / W_m**2 over m in [max(n, 1), m_max], the bound scan."""
 
     FAMILIES = {
         **builtin_families(),
@@ -198,7 +203,7 @@ class TestStructureOracleIsLowerEnvelope:
 
     @staticmethod
     def envelope(w, p, n, cfg):
-        top = scan_length(w, n, cfg.m_max, lookahead=1) + 1
+        top = scan_length(w, n, cfg.m_max)
         W_sq = np.cumsum(w.values(top) ** p) ** (2.0 / p)
         m = np.arange(1, top + 1)
         lo = max(n, 1)
@@ -212,7 +217,7 @@ class TestStructureOracleIsLowerEnvelope:
         value, _ = structure_oracle(w, p, n, cfg)
         assert value == pytest.approx(self.envelope(w, p, n, cfg), rel=1e-13)
 
-    # const is left out: at p = 3 its envelope keeps rising to m_max + 1
+    # const is left out: at p = 3 its envelope keeps rising to m_max
     @pytest.mark.parametrize("name", [k for k in FAMILIES if k != "const"])
     def test_concave_branch_exceeds_it_above_2(self, name):
         w, cfg = self.FAMILIES[name], OracleConfig()
@@ -245,7 +250,7 @@ class TestTwoFamiliesAgainstReference:
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
     def test_no_weights_read_at_p_le_2(self, weights_evaluated, p):
         cfg = OracleConfig()
-        table = oracle_table(LINEAR, p, [4, 64], cfg)
+        table = run_table(LINEAR, p, [4, 64], cfg.m_max)
         weights_evaluated.clear()
         for n in (4, 64):
             structure_oracle(LINEAR, p, n, cfg, table=table)
@@ -255,18 +260,18 @@ class TestTwoFamiliesAgainstReference:
         cfg = OracleConfig(m_max=64)
         with pytest.raises(ValueError, match="table is for p = 2.0, not 3"):
             structure_oracle(LINEAR, 3.0, 4, cfg,
-                             table=build_table(LINEAR, 2.0, 65))
+                             table=build_table(LINEAR, 2.0, 64))
         with pytest.raises(ValueError, match="table covers m in"):
             structure_oracle(LINEAR, 3.0, 4, cfg,
-                             table=build_table(LINEAR, 3.0, 64))
+                             table=build_table(LINEAR, 3.0, 63))
 
     def test_weights_read_once_per_call_above_2(self, weights_evaluated):
         cfg = OracleConfig()
-        table = oracle_table(LINEAR, 3.0, [4, 64], cfg)
+        table = run_table(LINEAR, 3.0, [4, 64], cfg.m_max)
         weights_evaluated.clear()
         for n in (4, 64):
             structure_oracle(LINEAR, 3.0, n, cfg, table=table)
-        assert weights_evaluated == [1024 + 1, 64 * 64 + 1]
+        assert weights_evaluated == [1024, 64 * 64]
 
 
 class TestRandomSearchOracle:
@@ -497,7 +502,7 @@ class TestCertify:
         per_n = [certify(LINEAR, 2.0, [n], cfg)[0] for n in grid]
         table_sizes.clear()
         assert certify(LINEAR, 2.0, grid, cfg) == per_n
-        assert table_sizes == [64 * 1024 + 1]
+        assert table_sizes == [64 * 1024]
 
     def test_empty_grid(self):
         assert certify(LINEAR, 2.0, []) == []
@@ -528,6 +533,32 @@ class TestCertify:
         a = certify(LINEAR, 1.0, [4, 8], OracleConfig(iters=5_000, seed=21))
         b = certify(LINEAR, 1.0, [4, 8], OracleConfig(iters=5_000, seed=21))
         assert a == b
+
+    @pytest.mark.parametrize("w, p", [
+        (ConstantWeights(), 2.0),    # the envelope rises to the scan's end
+        (ConstantWeights(), 1.0),
+        (LINEAR, 0.5),
+        (TabulatedWeights(np.arange(1.0, 101.0)), 1.5),
+    ], ids=["const-2", "const-1", "linear-0.5", "file100-1.5"])
+    def test_structure_is_the_scanned_lower_envelope(self, w, p):
+        # at p <= 2 the best flat block is the lower envelope, and both
+        # scan the same range
+        grid = [0, 1, 4, 16, 64, 99]
+        for rep in certify(w, p, grid, OracleConfig(iters=200, seed=2)):
+            assert rep.structure_sq == pytest.approx(
+                rep.scan_lower_sq, rel=1e-13), rep.n
+
+    def test_past_the_end_of_a_file(self):
+        # a file of 100 weights: n = 98 leaves one Hoelder pair, n = 99 a
+        # flat block and no pair, n >= 100 nothing
+        w = TabulatedWeights(np.arange(1.0, 101.0))
+        cfg = OracleConfig()
+        for n in (98, 99):
+            value, witness = structure_oracle(w, 3.0, n, cfg)
+            assert value > 0 and witness.entries.size in (n + 1, n + 2)
+        for n in (100, 128):
+            value, witness = structure_oracle(w, 3.0, n, cfg)
+            assert value == 0.0 and witness.entries.size == 0
 
     def test_bounds_agree_with_class_bounds(self):
         cfg = OracleConfig(iters=1_000, seed=0)

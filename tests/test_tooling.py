@@ -38,29 +38,40 @@ SOURCE_MODULES = sorted(
     (Path(__file__).resolve().parent.parent / "src" / "nterm").glob("*.py"))
 
 
-def _open_calls(node: ast.AST, where: str = "<module>") -> list[str]:
-    """The innermost enclosing function of every ``open(`` or ``.open(``
+def _callers(node: ast.AST, name: str, where: str = "<module>") -> list[str]:
+    """The innermost enclosing function of every ``name(`` or ``.name(``
     call under ``node``, or ``where`` outside any."""
     calls = []
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            calls += _open_calls(child, child.name)
+            calls += _callers(child, name, child.name)
             continue
-        if isinstance(child, ast.Call) and "open" in (
+        if isinstance(child, ast.Call) and name in (
                 getattr(child.func, "id", None),
                 getattr(child.func, "attr", None)):
             calls.append(where)
-        calls += _open_calls(child, where)
+        calls += _callers(child, name, where)
+    return calls
+
+
+def _source_callers(name: str) -> list[str]:
+    calls = []
+    for path in SOURCE_MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        calls += [f"{path.name}: {where}" for where in _callers(tree, name)]
     return calls
 
 
 def test_one_reader_opens_input_files():
     # the weight file and the sequence file have one format and one reader
-    calls = []
-    for path in SOURCE_MODULES:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        calls += [f"{path.name}: {name}" for name in _open_calls(tree)]
-    assert calls == ["weights.py: read_number_lines"]
+    assert _source_callers("open") == ["weights.py: read_number_lines"]
+
+
+def test_one_function_sizes_a_table():
+    # a run's table length is decided in one place; extremal_sequence
+    # tabulates the m it is asked for
+    assert sorted(_source_callers("build_table")) == [
+        "bounds.py: run_table", "sequences.py: extremal_sequence"]
 
 
 def _unpassed_keywords(sources: list[Path]) -> list[str]:

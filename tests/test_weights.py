@@ -19,6 +19,7 @@ from nterm import (
 )
 from nterm.weights import NotANumberError, read_number_lines
 
+import _ref
 from conftest import builtin_families
 
 
@@ -160,16 +161,22 @@ class TestValuesInPlace:
         assert np.array_equal(w.values(self.J.size),
                               np.maximum.accumulate(raw))
 
-    def test_powlog_overflow_bits_and_error(self):
-        # j**60 overflows at j = 137271; past it log2(j+1)**-300 is 0
+    def test_powlog_overflow_bits(self):
+        # j**60 overflows at j = 137271; past it log2(j+1)**-300 is 0, so
+        # the direct product is NaN there and the formula is summed in
+        # logarithms; every other entry keeps the direct product's bits
         w = PowLogWeights(60.0, -300.0)
         j = np.arange(1, 2 ** 18 + 1, dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
             raw = j ** 60.0 * np.log2(j + 1.0) ** -300.0
-            assert np.array_equal(w.raw_value(j.copy()), raw,
-                                  equal_nan=True)
-        with pytest.raises(ValueError, match="w_137271 is not finite"):
-            w.values(j.size)
+            got = w.raw_value(j.copy())
+        nan = np.isnan(raw)
+        assert np.flatnonzero(nan)[0] == 137271 - 1
+        assert np.array_equal(got[~nan], raw[~nan])
+        assert np.array_equal(got[nan], np.exp(
+            60.0 * np.log(j[nan]) - 300.0 * np.log(np.log2(j[nan] + 1.0))))
+        # the formula stays below w_1 = 1 up to 2**18
+        assert np.all(w.values(j.size) == 1.0)
 
     @pytest.mark.parametrize("w, limit_mib", [
         (LogPowerWeights(1.0), 9), (PowLogWeights(1.0, 0.0), 17),
@@ -207,11 +214,27 @@ class TestValuesChecksWhatItReturns:
             w.values(2 ** 20)
         assert not isinstance(exc.value, WeightValidationError)
 
-    def test_nan_from_inf_times_zero_is_named_quietly(self):
-        # j**51 overflows where log2(j + 1)**-300 has underflowed to 0
+    def test_nan_from_inf_times_zero_is_summed_in_logs(self):
+        # j**51 overflows where log2(j + 1)**-300 has underflowed to 0, yet
+        # the formula stays below 1 up to j = 2**28
         w = PowLogWeights(51.0, -300.0)
-        with pytest.raises(ValueError, match="is not finite"):
-            w.values(2 ** 21)
+        assert np.all(w.values(2 ** 21) == 1.0)
+
+    def test_steep_power_of_a_vanishing_log(self):
+        # the formula is e**-110 at j = 35, where j**200 overflows and
+        # log2(j + 1)**-500 underflows, and first passes 1 at j = 133
+        w = parse_weight_spec("powlog:alpha=200,beta=-500")
+        vals = w.values(1024)
+        assert np.isfinite(vals).all()
+        assert vals[131] == 1.0 < vals[132]
+        # each logarithm is rounded to about eps and then scaled by its
+        # exponent, in the direct product (log2(j + 1)**-500) and in the
+        # sum of logarithms alike: 1.3e-12 relative at j <= 1024
+        eps = np.finfo(np.float64).eps
+        bound = 2 * eps * (200 * math.log(1024)
+                           + 500 * (1 + math.log(math.log2(1025))))
+        rel = _ref.rel_errors(vals, _ref.weights(w, 1024))
+        assert rel.max() <= bound
 
 
 class TestPredictedRate:
