@@ -6,17 +6,20 @@ between ``max_m (m-n) / W_m**2`` and ``max_m (m-n+1) / W_m**2``, where
 envelopes over m in [n, m_max] and classifies how the supremum behaves:
 
 * ``attained``            the maximum sits at a finite index and the scan
-                          confirms the envelope keeps falling past it;
+                          confirms the envelope keeps falling past it, or,
+                          on a p = 2 plateau, stays below it;
 * ``limit-at-infinity``   the envelope increases towards a finite limit,
-                          which is estimated by extrapolation along a
-                          geometric index ladder;
+                          c**-2 at p = 2 on weights that end on a plateau c;
 * ``divergent``           the envelope grows without bound (the class error
                           is infinite for every n);
 * ``truncated-unknown``   the scan ended before any of the above could be
                           confirmed.
 
-``divergent`` and ``limit-at-infinity`` are read from a closed-form model's
-exponents only.  A weight file's status comes from what was scanned:
+``divergent`` and ``limit-at-infinity`` need a closed-form model's
+exponents: a plateau is the p = 2 case with exponents (0, 0), and the scan
+has reached it when its last two weights are equal.  Past the plateau's
+start W_m**2 = m c**2 + D, so both envelopes move monotonically towards
+c**-2.  A weight file's status comes from what was scanned:
 ``attained`` when the scan confirms the maximum, else ``truncated-unknown``.
 ``run_table`` is the one place that sizes a run's table: the scan end
 ``scan_length`` of its largest n.
@@ -38,6 +41,7 @@ only at presentation boundaries.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -72,8 +76,8 @@ STATUS_CONVERGED = "converged"
 
 # switch the prefix sums to log-domain accumulation before w_j**p overflows
 LOG_DOMAIN_THRESHOLD = 700.0
-# entries per block of the long double prefix sum (a 1 MiB buffer) and of
-# the envelope scan
+# entries per block of the long double prefix sum (a 1 MiB buffer), of
+# the envelope scan and of the p = oo head's fsum
 _BLOCK = 2 ** 16
 _EXPONENT_EPS = 1e-12
 _TAIL_TOL = 1e-12
@@ -206,12 +210,13 @@ def _prefix_sums_in_place(vals: np.ndarray, p: float) -> bool:
 class BoundResult:
     """Lower/upper squared worst-case error with attainment classification.
 
-    ``lower_sq``/``upper_sq`` are the class values (infinite when divergent,
-    both equal to the extrapolated limit when the supremum is approached at
-    infinity).  ``scan_lower_sq``/``scan_upper_sq`` always hold the finite
-    suprema found over the scanned index range; they are what a finite
-    witness or oracle can be compared against.  ``argmax_m`` is the index
-    where the upper envelope peaks, when it does.
+    ``lower_sq``/``upper_sq`` are the class values: infinite when divergent,
+    and where the scan has reached a p = 2 plateau c, the larger of the
+    scanned supremum and the limit c**-2 (both equal to it when the
+    supremum is approached at infinity).  ``scan_lower_sq``/``scan_upper_sq``
+    always hold the finite suprema found over the scanned index range; they
+    are what a finite witness or oracle can be compared against.
+    ``argmax_m`` is the index where the upper envelope peaks, when it does.
     """
 
     n: int
@@ -219,7 +224,6 @@ class BoundResult:
     upper_sq: float
     argmax_m: int | None
     status: str
-    limit_estimate: float | None
     m_scanned: int
     scan_lower_sq: float
     scan_upper_sq: float
@@ -251,22 +255,6 @@ def run_table(w: WeightModel, p: float, n_values: Sequence[int],
             raise ValueError(
                 f"m_max must be >= n + 1, got {m_max} < {n + 1}")
     return build_table(w, p, scan_length(w, max(n_values), m_max))
-
-
-def _extrapolate_limit(t: np.ndarray, m_lo: int, m_eff: int) -> float | None:
-    """Aitken step on t at m_eff/4, m_eff/2, m_eff (geometric ladder)."""
-    m0, m1, m2 = m_eff // 4, m_eff // 2, m_eff
-    if m0 < m_lo:
-        return None
-    t0, t1, t2 = (float(t[m - m_lo]) for m in (m0, m1, m2))
-    d1, d2 = t1 - t0, t2 - t1
-    denom = d2 - d1
-    if abs(denom) < 1e-300:
-        return t2
-    limit = t2 - d2 * d2 / denom
-    if not math.isfinite(limit) or limit < 0:
-        return t2
-    return limit
 
 
 def class_bounds(
@@ -301,8 +289,37 @@ def class_bounds(
     if m_eff < max(n, 1):
         return BoundResult(
             n=n, lower_sq=0.0, upper_sq=0.0, argmax_m=None,
-            status=STATUS_TRUNCATED, limit_estimate=None, m_scanned=0,
+            status=STATUS_TRUNCATED, m_scanned=0,
             scan_lower_sq=0.0, scan_upper_sq=0.0)
+
+    # divergence, and the plateau limit, from a closed-form model's
+    # exponents; a weight file's status is read from its scan
+    divergent, limit = False, None
+    prof = w.asymptotic_exponents
+    if prof is not None:
+        alpha, beta = prof
+        growth = 1.0 - 2.0 * (alpha + 1.0 / p)   # power of m in t_m
+        log_growth = -2.0 * beta                 # power of log m in t_m
+        # t_m grows for any growth > 0, whatever beta; only at growth in
+        # [-_EXPONENT_EPS, 0] does the log factor decide.  At 2 < p < oo
+        # the worst case carries a Hoelder tail sum_j w_j**-r, r =
+        # 2p/(p-2), which on the boundary (alpha r = 1) diverges for every
+        # beta r <= 1, though t_m itself may stay bounded there
+        boundary = -_EXPONENT_EPS <= growth <= 0
+        if p > 2:
+            edge = beta * 2.0 * p / (p - 2.0) <= 1.0 + _EXPONENT_EPS
+        else:
+            edge = log_growth > _EXPONENT_EPS
+        divergent = growth > 0 or (boundary and edge)
+        # p = 2 with exponents (0, 0): weights that end on a plateau c.
+        # Their running max rises strictly up to it, so the scan has reached
+        # it when its last two weights are equal; these are read before the
+        # envelope is allocated, so that the scan's peak does not grow
+        plateau = boundary and abs(log_growth) <= _EXPONENT_EPS
+        if plateau and not divergent and m_eff >= 2:
+            w_prev, w_end = w.values(m_eff)[-2:]
+            if w_prev == w_end:
+                limit = float(w_end) ** -2.0
 
     m_lo = max(n, 1)
     # the envelopes (m - n [+ 1]) * W_m**-2, a block at a time: the lower
@@ -323,51 +340,23 @@ def class_bounds(
     m_star = m_lo + i_up
     scan_upper = float(t_up[i_up])
 
-    window = max(64, m_star // 4)
-    trailing_confirmed = (
-        t_up.size > window and bool(np.all(t_up[-window:] < scan_upper)))
-    tail = t_up[-min(64, t_up.size):]
-    trailing_nondecreasing = bool(
-        np.all(np.diff(tail) >= -1e-15 * scan_upper))
-
-    def result(status, lower, upper, argmax=None, limit=None):
+    def result(status, lower, upper, argmax=None):
         return BoundResult(
             n=n, lower_sq=lower, upper_sq=upper, argmax_m=argmax,
-            status=status, limit_estimate=limit, m_scanned=int(m_eff),
+            status=status, m_scanned=int(m_eff),
             scan_lower_sq=scan_lower, scan_upper_sq=scan_upper)
-
-    # divergence and a limit candidate from a closed-form model's exponents
-    # alone; a weight file's status is read from its scan
-    divergent = bounded = False
-    prof = w.asymptotic_exponents
-    if prof is not None:
-        alpha, beta = prof
-        growth = 1.0 - 2.0 * (alpha + 1.0 / p)   # power of m in t_m
-        log_growth = -2.0 * beta                 # power of log m in t_m
-        # t_m grows for any growth > 0, whatever beta; only at growth in
-        # [-_EXPONENT_EPS, 0] does the log factor decide.  At 2 < p < oo
-        # the worst case carries a Hoelder tail sum_j w_j**-r, r =
-        # 2p/(p-2), which on the boundary (alpha r = 1) diverges for every
-        # beta r <= 1, though t_m itself may stay bounded there
-        boundary = -_EXPONENT_EPS <= growth <= 0
-        if p > 2:
-            edge = beta * 2.0 * p / (p - 2.0) <= 1.0 + _EXPONENT_EPS
-        else:
-            edge = log_growth > _EXPONENT_EPS
-        divergent = growth > 0 or (boundary and edge)
-        # a bounded envelope with a positive limit
-        bounded = boundary and abs(log_growth) <= _EXPONENT_EPS
-    limit = _extrapolate_limit(t_up, m_lo, m_eff) if bounded else None
 
     if divergent:
         return result(STATUS_DIVERGENT, math.inf, math.inf)
-    if limit is not None and limit > scan_upper * (1 + 1e-12):
-        return result(STATUS_LIMIT, limit, limit, limit=limit)
-    if trailing_confirmed:
+    if limit is not None:
+        # both envelopes move monotonically towards c**-2 past the scan
+        lower, upper = max(scan_lower, limit), max(scan_upper, limit)
+        if limit >= scan_upper:
+            return result(STATUS_LIMIT, lower, upper)
+        return result(STATUS_ATTAINED, lower, upper, argmax=m_star)
+    window = max(64, m_star // 4)
+    if t_up.size > window and bool(np.all(t_up[-window:] < scan_upper)):
         return result(STATUS_ATTAINED, scan_lower, scan_upper, argmax=m_star)
-    if limit is not None and trailing_nondecreasing:
-        limit = max(limit, scan_upper)
-        return result(STATUS_LIMIT, limit, limit, limit=limit)
     return result(STATUS_TRUNCATED, scan_lower, scan_upper)
 
 
@@ -480,6 +469,14 @@ def _tail_integral(alpha: float, beta: float, X: float,
     return value, rel * value + 2.0 * math.ulp(0.0)
 
 
+def _fsum(a: np.ndarray) -> float:
+    """``math.fsum`` of a float64 array, handed to it as Python floats a
+    block of ``_BLOCK`` at a time: one correctly rounded sum, the same bits
+    as over one list of all of them, without that list."""
+    return math.fsum(itertools.chain.from_iterable(
+        a[i:i + _BLOCK].tolist() for i in range(0, a.size, _BLOCK)))
+
+
 def class_error_infty(w: WeightModel, n: int) -> InftyTailResult:
     """Sum w_j**-2 for j > n to an absolute truncation bound of _TAIL_TOL.
 
@@ -504,8 +501,8 @@ def class_error_infty(w: WeightModel, n: int) -> InftyTailResult:
     known = w.known_length
     if known is not None:
         terms = w.values(known)[n:] ** -2.0
-        return InftyTailResult(math.fsum(terms.tolist()), math.inf,
-                               STATUS_TRUNCATED, int(terms.size))
+        return InftyTailResult(_fsum(terms), math.inf, STATUS_TRUNCATED,
+                               int(terms.size))
 
     prof = w.asymptotic_exponents
     if prof is None:
@@ -539,8 +536,7 @@ def class_error_infty(w: WeightModel, n: int) -> InftyTailResult:
         raise ValueError(f"weights stay on their plateau w_j = 1 past "
                          f"index {J}, the longest p = inf head")
 
-    head_terms = w.values(J)[n:] ** -2.0
-    head = math.fsum(head_terms.tolist())
+    head = _fsum(w.values(J)[n:] ** -2.0)
     integral, rule_err = _tail_integral(
         alpha, beta, J + 0.5, epsabs=0.25 * _TAIL_TOL)
     bound = em_bound(J) + rule_err

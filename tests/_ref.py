@@ -9,6 +9,9 @@ the float path and the log-domain path, weight evaluation included.
 ``structure_sq`` is the largest squared tail error over the two witness
 families of ``nterm.oracle.structure_oracle``, from that table.
 
+``powlog_plateau_sq`` is the p = 2 limit c**-2 of a powlog family that
+ends on a plateau c.
+
 ``scaled_tail_sq`` is the exact tail sum of one n by a sort and one
 ``math.fsum`` over the whole tail.
 
@@ -167,6 +170,29 @@ def powlog_tail_sq(alpha: float, beta: float, n: int, K: int = 1000):
         x0 = mpmath.mpf(K) + mpmath.mpf(1) / 2
         em = mpmath.diff(g, x0, 1) / 24 - 7 * mpmath.diff(g, x0, 3) / 5760
         return head + tail_integral(alpha, beta, x0) + em
+
+
+def powlog_plateau_sq(alpha: float, beta: float):
+    """c**-2 for the plateau c = max over integers i >= 1 of
+    i**alpha * log2(i+1)**beta, for alpha < 0, to about 50 digits.
+
+    In u = ln i the logarithm of the formula, alpha u + beta ln log2(e**u
+    + 1), is concave for beta > 0, so the integer maximum sits next to the
+    real one, the root of its derivative; for beta <= 0 it is at i = 1.
+    """
+    with mpmath.workdps(DIGITS):
+        alpha, beta = mpmath.mpf(alpha), mpmath.mpf(beta)
+        candidates = [mpmath.mpf(1)]
+        if beta > 0:
+            def slope(u):
+                e = mpmath.exp(u)
+                return alpha + beta * e / ((e + 1) * mpmath.log(e + 1))
+
+            x = mpmath.exp(mpmath.findroot(slope, -beta / alpha))
+            candidates += [max(mpmath.floor(x), 1), mpmath.ceil(x)]
+        c = max(i ** alpha * mpmath.log(i + 1, 2) ** beta
+                for i in candidates)
+        return c ** -2
 
 
 def scaled_tail_sq(x, n: int) -> tuple[float, int]:

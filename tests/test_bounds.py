@@ -289,18 +289,32 @@ class TestBoundedMemory:
         peak = self._peak(lambda: build_table(ConstantWeights(), 1.0, self.M))
         assert peak <= 2 * 8 * 2 ** 20 + 2 * 2 ** 20
 
-    def test_scan_holds_one_scan_array_and_blocks(self):
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_scan_holds_one_scan_array_and_blocks(self, p):
         n = 2 ** 14
 
         def scan():
-            table = build_table(ConstantWeights(), 1.0, self.M)
+            table = build_table(ConstantWeights(), p, self.M)
             tracemalloc.reset_peak()
-            class_bounds(ConstantWeights(), 1.0, n, table=table)
+            class_bounds(ConstantWeights(), p, n, table=table)
 
         # the table, W_m**-2 turned into the upper envelope in place, and
-        # two 2**16-entry blocks of the lower one
+        # two 2**16-entry blocks of the lower one; at p = 2 the weights
+        # read for the plateau are gone before the envelope is allocated
         scan_bytes = 8 * (self.M - n + 1)
         assert self._peak(scan) <= 8 * self.M + scan_bytes + 2 * 2 ** 20
+
+    def test_infty_file_head_is_not_one_list(self):
+        # the head's array and its square, not a Python list of all terms
+        w = TabulatedWeights(np.ones(self.M))
+        tracemalloc.start()
+        try:
+            r = class_error_infty(w, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.value_sq == 1048576.0
+        assert peak < 24 * 2 ** 20
 
 
 class TestClassBounds:
@@ -325,14 +339,18 @@ class TestClassBounds:
     def test_const_p2_limit_is_one(self):
         r = class_bounds(ConstantWeights(), 2.0, 5, m_max=4096)
         assert r.status == STATUS_LIMIT
-        assert r.lower_sq == r.upper_sq == r.limit_estimate
-        assert r.limit_estimate == pytest.approx(1.0, abs=1e-6)
+        assert r.lower_sq == r.upper_sq == 1.0
 
     def test_const_p2_constant_envelope(self):
         # at n = 1 the upper envelope is identically 1
         r = class_bounds(ConstantWeights(), 2.0, 1, m_max=2048)
         assert r.status == STATUS_LIMIT
-        assert r.limit_estimate == pytest.approx(1.0, abs=1e-6)
+        assert r.lower_sq == r.upper_sq == 1.0
+
+    def test_p_within_eps_of_2_reads_the_plateau_limit(self):
+        r = class_bounds(ConstantWeights(), 2.0 - 1e-13, 5)
+        assert r.status == STATUS_LIMIT
+        assert r.lower_sq == r.upper_sq == 1.0
 
     @pytest.mark.parametrize("p", [2.5, 3.0])
     def test_const_supercritical_divergent(self, p):
@@ -418,7 +436,6 @@ class TestClassBounds:
         w = TabulatedWeights(np.ones(8192))
         r = class_bounds(w, 2.0, 5, m_max=8192)
         assert r.status == STATUS_TRUNCATED
-        assert r.limit_estimate is None
         assert (r.lower_sq, r.upper_sq) == (r.scan_lower_sq, r.scan_upper_sq)
         assert r.upper_sq == pytest.approx(8188 / 8192, rel=1e-13)
         assert r.lower_sq == pytest.approx(8187 / 8192, rel=1e-13)
@@ -486,6 +503,47 @@ class TestClassBounds:
             x = rng.exponential(size=size)
             x /= weighted_lp_norm(x, w, p)
             assert sigma_n_exact(x, n) ** 2 <= r.upper_sq + 1e-9
+
+
+class TestPlateauLimit:
+    """p = 2 on powlog weights that end on a plateau c: the limit c**-2,
+    read from the weights once the scan has reached the plateau."""
+
+    def test_attained_inside_the_scan_as_with_a_long_scan(self):
+        # the formula peaks near i = e**50, far past both scans, so the
+        # trailing window decides, and it finds the same maximum
+        w = PowLogWeights(-0.01, 0.5)
+        rows = [class_bounds(w, 2.0, 64), class_bounds(w, 2.0, 64, 2 ** 20)]
+        for r in rows:
+            assert r.status == STATUS_ATTAINED
+            assert r.upper_sq == 0.129160571929646
+            assert r.argmax_m == 426
+        assert rows[0].lower_sq == rows[1].lower_sq
+
+    @pytest.mark.parametrize("alpha, beta, n_min, expected", [
+        (-0.5, 2.0, 16, 0.048293905047940168),
+        (-0.1, 0.5, 16, 0.37631579808882023),
+        (-0.5, 3.0, 64, 0.00095659077887480886),
+    ])
+    def test_limit_is_exact_and_the_same_for_every_n(
+            self, alpha, beta, n_min, expected):
+        ref = _ref.powlog_plateau_sq(alpha, beta)
+        assert abs(ref - expected) <= 1e-16 * ref
+        n_values = dyadic_grid(n_min, 1024)
+        rows = class_bounds_grid(PowLogWeights(alpha, beta), 2.0, n_values)
+        assert {(r.status, r.lower_sq, r.upper_sq) for r in rows} == {
+            (STATUS_LIMIT, rows[0].upper_sq, rows[0].upper_sq)}
+        assert abs(rows[0].upper_sq - ref) <= 1e-15 * ref
+
+    def test_attained_row_lower_rises_to_the_limit(self):
+        # the upper envelope peaks at m = 1 with 1 / w_1**2 = 1, above
+        # c**-2; the lower envelope stays below c**-2 over the scan
+        r = class_bounds(PowLogWeights(-0.5, 1.0), 2.0, 1)
+        assert (r.status, r.upper_sq, r.argmax_m) == (STATUS_ATTAINED, 1.0, 1)
+        assert r.scan_lower_sq < r.lower_sq
+        ref = _ref.powlog_plateau_sq(-0.5, 1.0)
+        assert abs(ref - 0.74192919069577879) <= 1e-16 * ref
+        assert abs(r.lower_sq - ref) <= 1e-15 * ref
 
 
 class TestClassBoundsGrid:

@@ -489,6 +489,18 @@ class TestCertifyCommand:
                                 "--iters", "2000"])
         assert doc["reports"][0]["passed"] is True
 
+    def test_p2_plateau_passes_without_a_limit_estimate(self, capsys):
+        # const at p = 2 reads the limit 1.0 at every n; the containment
+        # checks compare with the scan
+        doc = run_json(capsys, ["certify", "--weights", "const", "--p", "2",
+                                "--n", "2^0..2^6:dyadic"])
+        assert len(doc["reports"]) == 7
+        for report in doc["reports"]:
+            assert report["passed"] is True
+            assert report["bound_status"] == "limit-at-infinity"
+            assert report["lower_sq"] == report["upper_sq"] == 1.0
+            assert "limit_estimate" not in report
+
     def test_p_inf_rejected_before_any_table(self, capsys, table_sizes):
         code, out, err = run_cli(capsys, ["certify", "--weights", "const",
                                           "--p", "inf", "--n", "4"])
