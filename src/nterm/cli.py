@@ -26,8 +26,9 @@ line, lines cut as ``str.splitlines`` cuts them, read into a float64 array
 of the numbers and the line numbers of the blank lines.  A sequence skips
 blank lines.  A weight table, line k being w_k, may end in blank lines but
 holds none inside; one there is exit 2, named as ``PATH:LINE``.  A line that is
-not a number is named as ``PATH:LINE`` too: exit 2 in a weight file, exit 3
-in a sequence file.  A file that cannot be read is exit 4.
+not a number is named as ``PATH:LINE`` too, and a file that is not UTF-8 text
+is named by its path: either is exit 2 in a weight file, exit 3 in a sequence
+file.  A file that cannot be read is exit 4.
 
 Formats: ``table`` (human), ``csv``, ``json``.  JSON documents validate
 against ``schemas/output.json``; numbers serialize as shortest round-trip
@@ -42,6 +43,11 @@ first 1024, which parsing the spec checks, and exit 3 when a run reads it
 later.  An error writes nothing to stdout and one line to stderr,
 ``nterm: error=KIND detail=...``; a missing, unknown or malformed flag is
 KIND ``usage``.
+
+The CLI loads numpy with a single-thread OpenBLAS unless
+``OPENBLAS_NUM_THREADS`` is already set: it makes no BLAS call worth a
+thread, and a pool's idle worker would spin about 0.1 s of CPU in every
+process.  Importing the ``nterm`` package alone sets nothing.
 """
 
 from __future__ import annotations
@@ -49,12 +55,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass
 from io import StringIO
 from pathlib import Path
 from typing import Callable
+
+# No call here is worth a BLAS thread, and the pool's worker spins about
+# 0.1 s of CPU in every process.  OpenBLAS reads this once, when numpy
+# loads it, so it comes before the first import that loads numpy; a value
+# already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -290,7 +303,8 @@ _FLAGS = {
                     help="const | logpow:beta=F | "
                          "powlog:alpha=F,beta=F | file:PATH, one weight "
                          "per line, blank lines only at the end; a bad "
-                         "line is exit 2, an unreadable file exit 4; a "
+                         "line or a file that is not UTF-8 is exit 2, an "
+                         "unreadable file exit 4; a "
                          "file's status is 'attained' when its scan "
                          "confirms the maximum, else 'truncated-unknown', "
                          "as at p = inf"),

@@ -347,7 +347,8 @@ def parse_weight_spec(spec: str) -> WeightModel:
 
     Accepted forms: ``const``, ``logpow:beta=<f>``,
     ``powlog:alpha=<f>,beta=<f>``, ``file:<path>`` (text file, one weight
-    per line, line k is w_k, blank lines only at the end).
+    per line, line k is w_k, blank lines only at the end; a file that is
+    not UTF-8 text is a ``WeightSpecError`` naming its path).
     """
     spec = spec.strip()
     if spec == "const":
@@ -371,6 +372,8 @@ def parse_weight_spec(spec: str) -> WeightModel:
             values, blanks = read_number_lines(body)
         except NotANumberError as exc:
             raise WeightSpecError(str(exc)) from None
+        except UnicodeDecodeError as exc:
+            raise WeightSpecError(f"{body}: not UTF-8 text: {exc}") from None
         # blank lines may end the table, and only end it
         if blanks and blanks[0] <= values.size:
             raise WeightSpecError(f"{body}:{blanks[0]}: "

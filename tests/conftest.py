@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,28 @@ from nterm import (
     PowLogWeights,
     TabulatedWeights,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(*args: str, **env_vars: str | None) -> bytes:
+    """The stdout bytes of a fresh interpreter run with ``args`` and
+    ``src/`` first on its path; ``env_vars`` set its environment, None
+    removing a variable.
+
+    This process has numpy loaded already, so what an import does to a
+    process shows only in a new one.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [x for x in [env.get("PYTHONPATH")] if x])
+    for key, value in env_vars.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, check=True).stdout
 
 
 def builtin_families():

@@ -2,8 +2,6 @@ import json
 import math
 import os
 import re
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -25,6 +23,8 @@ from nterm.cli import (
     parse_n_spec,
     render,
 )
+
+from conftest import fresh_python
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "output.json")
@@ -228,31 +228,57 @@ class TestBounds:
 
 
 def test_import_leaves_scipy_unloaded():
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + [x for x in [env.get("PYTHONPATH")] if x])
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, nterm.cli; print(sorted(m for m in sys.modules "
-         "if m == 'scipy' or m.startswith('scipy.')))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    out = fresh_python(
+        "-c", "import sys, nterm.cli; print(sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')))")
+    assert out.strip() == b"[]"
 
 
 def test_exact_sums_leave_numpy_ma_unloaded():
     # the first np.unique call imports numpy.ma, about 10 ms per process
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + [x for x in [env.get("PYTHONPATH")] if x])
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from nterm.sequences import scaled_tail_sqs; "
-         "scaled_tail_sqs([3.0, 1.0, 2.0 ** -600, 0.0], [0, 1, 2]); "
-         "print('numpy.ma' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    out = fresh_python(
+        "-c", "import sys; from nterm.sequences import scaled_tail_sqs; "
+        "scaled_tail_sqs([3.0, 1.0, 2.0 ** -600, 0.0], [0, 1, 2]); "
+        "print('numpy.ma' in sys.modules)")
+    assert out.strip() == b"False"
+
+
+# the OS threads of the process and OPENBLAS_NUM_THREADS after the import
+_THREADS_AFTER_IMPORT = (
+    "import json, os, nterm.cli; print(json.dumps(["
+    "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
+    "else None, os.environ.get('OPENBLAS_NUM_THREADS')]))")
+# OpenBLAS starts a worker only where it finds a second CPU
+_COUNTS_THREADS = (os.path.isdir("/proc/self/task")
+                   and (os.cpu_count() or 1) >= 2)
+
+
+class TestBlasThreads:
+    """The CLI loads numpy with one OpenBLAS thread unless told otherwise."""
+
+    def test_cli_import_starts_no_blas_worker(self):
+        threads, var = json.loads(fresh_python(
+            "-c", _THREADS_AFTER_IMPORT, OPENBLAS_NUM_THREADS=None))
+        assert var == "1"
+        if _COUNTS_THREADS:
+            assert threads == 1
+
+    def test_a_set_value_wins(self):
+        threads, var = json.loads(fresh_python(
+            "-c", _THREADS_AFTER_IMPORT, OPENBLAS_NUM_THREADS="2"))
+        assert var == "2"
+        if _COUNTS_THREADS:
+            assert threads == 2
+
+    def test_ratefit_bytes_do_not_depend_on_blas_threads(self):
+        # ratefit's least-squares fit is the one LAPACK call of the CLI
+        argv = ["-m", "nterm.cli", "ratefit", "--weights",
+                "powlog:alpha=1,beta=0", "--p", "1.5",
+                "--n", "2^4..2^12:dyadic", "--format", "json"]
+        one = fresh_python(*argv, OPENBLAS_NUM_THREADS="1")
+        two = fresh_python(*argv, OPENBLAS_NUM_THREADS="2")
+        assert json.loads(one)["fit"]["poly_exponent"] > 0
+        assert one == two
 
 
 class TestExact:
@@ -790,6 +816,19 @@ class TestErrorPaths:
 
 
 class TestWeightFileThroughCli:
+    def test_undecodable_file_is_a_bad_spec(self, capsys, tmp_path):
+        # exit 2 like any bad line of a weight file; a sequence file that
+        # is not UTF-8 stays exit 3 (TestExact.test_undecodable_file)
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1.0\n\xff\n")
+        code, out, err = run_cli(capsys, ["bounds", "--weights",
+                                          f"file:{path}", "--p", "1",
+                                          "--n", "1"])
+        assert (code, out) == (EXIT_BAD_SPEC, "")
+        assert err.startswith("nterm: error=weight-spec")
+        assert str(path) in err and "position 4" in err
+        assert err.count("\n") == 1
+
     def test_tabulated_bounds(self, capsys, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("".join(f"{float(j)}\n" for j in range(1, 2001)))

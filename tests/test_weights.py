@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -358,9 +359,13 @@ class TestWeightFile:
             parse_weight_spec(f"file:{path}")
 
     def test_undecodable_file(self, tmp_path):
+        # the reader passes the decode error through; the spec names the path
         path = tmp_path / "w.txt"
         path.write_bytes(b"1\n" * 5000 + b"\xff\n")
         with pytest.raises(UnicodeDecodeError, match="position 10000"):
+            read_number_lines(str(path))
+        named = rf"^{re.escape(str(path))}: .*position 10000"
+        with pytest.raises(WeightSpecError, match=named):
             parse_weight_spec(f"file:{path}")
 
 
