@@ -19,8 +19,8 @@ _EXPORTS = {
                      "random_search_oracle", "structure_oracle"), "oracle"),
     **dict.fromkeys(("RateFit", "class_error_samples", "dyadic_grid",
                      "fit_rate", "ratio_envelope"), "ratefit"),
-    **dict.fromkeys(("CoefficientSequence", "as_sequence", "extremal_sequence",
-                     "sigma_n_exact", "weighted_lp_norm"), "sequences"),
+    **dict.fromkeys(("CoefficientSequence", "as_sequence", "sigma_n_exact",
+                     "weighted_lp_norm"), "sequences"),
     **dict.fromkeys(("ConstantWeights", "LogPowerWeights", "PowLogWeights",
                      "RatePrediction", "TabulatedWeights",
                      "UnsupportedFamilyError", "WeightModel",

@@ -101,55 +101,40 @@ _LOG_TINY = math.log(float(np.finfo(np.float64).tiny))
 class CumulativeWeightTable:
     """Prefix sums of w_j**p as float64, or their logarithms.
 
-    ``sums_p[k]`` is w_1**p + ... + w_{k+1}**p: the terms are float64, the
+    ``sums[k]`` is w_1**p + ... + w_{k+1}**p: the terms are float64, the
     running sum is accumulated in long double and rounded once to float64.
     ``build_table`` runs that sum in blocks of ``_BLOCK`` terms, carrying
     the last long double sum of a block into the first term of the next, so
     it makes the same additions in the same order as one long double
-    ``cumsum`` over all terms and gives the same bits.  ``sums_p`` is empty
-    in log-domain mode, where ``log_sums_p`` holds the logarithms instead;
-    that mode is taken when a term or the sum would leave the float64 range.
+    ``cumsum`` over all terms and gives the same bits.  With ``log_domain``
+    set, ``sums`` holds the logarithms of those sums instead; that mode is
+    taken when a term or the sum would leave the float64 range.
     """
 
     p: float
-    sums_p: np.ndarray
-    log_sums_p: np.ndarray | None
+    sums: np.ndarray
     log_domain: bool
-    length: int
-
-    def W(self, m: int) -> float:
-        """Cumulative weight W_m; inf past the float64 range."""
-        self._check_index(m)
-        with np.errstate(over="ignore"):
-            if self.log_domain:
-                return float(np.exp(self.log_sums_p[m - 1] / self.p))
-            return float(self.sums_p[m - 1] ** (1.0 / self.p))
 
     def log_W_slice(self, m_lo: int, m_hi: int) -> np.ndarray:
         """log W_m for m in [m_lo, m_hi] as a float64 array."""
-        self._check_index(m_lo)
-        self._check_index(m_hi)
+        seg = self._slice(m_lo, m_hi)
         if self.log_domain:
-            return self.log_sums_p[m_lo - 1:m_hi] / self.p
-        return np.log(self.sums_p[m_lo - 1:m_hi]) / self.p
-
-    def inv_sq(self, m: int) -> float:
-        """W_m**-2."""
-        return float(self.inv_sq_slice(m, m)[0])
+            return seg / self.p
+        return np.log(seg) / self.p
 
     def inv_sq_slice(self, m_lo: int, m_hi: int) -> np.ndarray:
         """W_m**-2 for m in [m_lo, m_hi] as a new float64 array."""
-        self._check_index(m_lo)
-        self._check_index(m_hi)
+        seg = self._slice(m_lo, m_hi)
         if self.log_domain:
-            seg = self.log_sums_p[m_lo - 1:m_hi]
             return np.exp((-2.0 / self.p) * seg)
-        return self.sums_p[m_lo - 1:m_hi] ** (-2.0 / self.p)
+        return seg ** (-2.0 / self.p)
 
-    def _check_index(self, m: int) -> None:
-        if not 1 <= m <= self.length:
-            raise ValueError(
-                f"table covers m in [1, {self.length}], got {m}")
+    def _slice(self, m_lo: int, m_hi: int) -> np.ndarray:
+        for m in (m_lo, m_hi):
+            if not 1 <= m <= self.sums.size:
+                raise ValueError(
+                    f"table covers m in [1, {self.sums.size}], got {m}")
+        return self.sums[m_lo - 1:m_hi]
 
 
 def build_table(w: WeightModel, p: float, M: int) -> CumulativeWeightTable:
@@ -172,16 +157,13 @@ def build_table(w: WeightModel, p: float, M: int) -> CumulativeWeightTable:
     # term and the sums may overwrite it
     if p * float(np.log(vals[-1])) <= LOG_DOMAIN_THRESHOLD:
         if _prefix_sums_in_place(vals, p):
-            return CumulativeWeightTable(
-                p=float(p), sums_p=vals, log_sums_p=None, log_domain=False,
-                length=M)
+            return CumulativeWeightTable(p=float(p), sums=vals,
+                                         log_domain=False)
         vals = w.values(M)
     log_sums = np.log(vals, out=vals)
     log_sums *= p
     np.logaddexp.accumulate(log_sums, out=log_sums)
-    return CumulativeWeightTable(
-        p=float(p), sums_p=np.empty(0), log_sums_p=log_sums,
-        log_domain=True, length=M)
+    return CumulativeWeightTable(p=float(p), sums=log_sums, log_domain=True)
 
 
 def _prefix_sums_in_place(vals: np.ndarray, p: float) -> bool:

@@ -7,7 +7,6 @@ unless bracketed) and ``_FLAGS`` declares each flag; the parser, the JSON
 * ``bounds --weights --p --n [--m-max]``: worst-case error bounds per n
   (tail sums when p = inf)
 * ``exact --sequence --n``: exact sigma_n of a sequence file
-* ``extremal --weights --p --m``: the equal-entry unit-sphere witness
 * ``oracle --weights --p --n [--m-max --seed --iters --max-support]``:
   structured and random-search maximizer values
 * ``certify``, with the flags of ``oracle``: bounds vs. oracles
@@ -75,7 +74,7 @@ from .bounds import class_bounds_grid, class_error_infty, run_table
 from .oracle import (OracleConfig, certify, random_search_oracle,
                      structure_oracle)
 from .ratefit import class_error_samples, dyadic_grid, fit_rate, ratio_envelope
-from .sequences import CoefficientSequence, extremal_sequence, scaled_tail_sqs
+from .sequences import CoefficientSequence, scaled_tail_sqs
 from .weights import (
     UnsupportedFamilyError,
     WeightSpecError,
@@ -122,10 +121,6 @@ def _parse_p(text: str) -> float:
     if math.isnan(p) or p <= 0:
         raise ValueError(f"p must be positive, got {text!r}")
     return p
-
-
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
 
 
 def _jsonable(obj):
@@ -182,12 +177,6 @@ def _run_exact(ns) -> tuple[dict, int]:
                      "support_len": x.support_len})
     return ({"rows": rows, "columns": ["n", "sigma_sq", "sigma", "support_len"]},
             EXIT_OK)
-
-
-def _run_extremal(ns) -> tuple[dict, int]:
-    w = parse_weight_spec(ns.weights)
-    seq = extremal_sequence(w, ns.p, ns.m)
-    return {"entries": seq.entries.tolist(), "m": ns.m}, EXIT_OK
 
 
 def _oracle_config(ns) -> OracleConfig:
@@ -304,15 +293,15 @@ _FLAGS = {
                          "powlog:alpha=F,beta=F | file:PATH, one weight "
                          "per line, blank lines only at the end; a bad "
                          "line or a file that is not UTF-8 is exit 2, an "
-                         "unreadable file exit 4; a "
-                         "file's status is 'attained' when its scan "
-                         "confirms the maximum, else 'truncated-unknown', "
-                         "as at p = inf"),
+                         "unreadable file exit 4; at finite p a file's "
+                         "status is 'attained' when its scan confirms the "
+                         "maximum, else 'truncated-unknown'; at p = inf "
+                         "a file is summed to its end and always reads "
+                         "'truncated-unknown'"),
     "p": dict(required=True, metavar="P",
               help="exponent in (0, inf]; 'inf' accepted"),
     "n": dict(required=True, metavar="N",
               help="index or dyadic range like 2^4..2^12:dyadic"),
-    "m": dict(type=int, required=True),
     "m_max": dict(type=int, default=None,
                   help="last index of the scan, default max(1024, 64n); "
                        "clipped to a weight file's length L"),
@@ -350,14 +339,13 @@ _COMMON_FLAGS = ("format", "output")
 class Command:
     """A subcommand: its flags, runner and table/csv rows.
 
-    ``rows`` flattens the payload to (rows, columns); None means the
-    payload's ``entries`` print as one comma-separated line in both formats.
+    ``rows`` flattens the payload to (rows, columns).
     """
 
     help: str
     flags: tuple[str, ...]
     runner: Callable[[argparse.Namespace], tuple[dict, int]]
-    rows: Callable[[dict], tuple[list[dict], list[str]]] | None
+    rows: Callable[[dict], tuple[list[dict], list[str]]]
 
 
 _ORACLE_FLAGS = ("weights", "p", "n", "m_max", "seed", "iters", "max_support")
@@ -368,8 +356,6 @@ COMMANDS = {
                       _run_bounds, _listed_rows),
     "exact": Command("exact sigma_n of a sequence file",
                      ("n", "sequence"), _run_exact, _listed_rows),
-    "extremal": Command("equal-entry unit-sphere sequence",
-                        ("weights", "p", "m"), _run_extremal, None),
     "oracle": Command("structured and random-search maximizer values",
                       _ORACLE_FLAGS, _run_oracle, _listed_rows),
     "certify": Command("bounds vs. oracles cross-check at finite p",
@@ -418,7 +404,7 @@ def _csv_cell(v) -> str:
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, float):
-        return _fmt_float(v)
+        return repr(float(v))
     return str(v)
 
 
@@ -450,8 +436,6 @@ def render(ns: argparse.Namespace, payload: dict) -> str:
         doc.update(payload)
         return json.dumps(_jsonable(doc), sort_keys=True,
                           separators=(",", ":"), allow_nan=False) + "\n"
-    if cmd.rows is None:
-        return ",".join(_fmt_float(v) for v in payload["entries"]) + "\n"
     rows, columns = cmd.rows(payload)
     if ns.format == "csv":
         return _render_rows_csv(rows, columns)

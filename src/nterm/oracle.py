@@ -124,7 +124,8 @@ def structure_oracle(
     flat = log_excess - 2.0 * log_W
     i = int(np.argmax(flat))
     best = float(flat[i])
-    entries = np.full(n + 1 + i, math.sqrt(table.inv_sq(n + 1 + i)))
+    k = n + 1 + i
+    entries = np.full(k, math.sqrt(table.inv_sq_slice(k, k)[0]))
 
     if p > 2 and m_max > n + 1:
         # m in [n + 1, m_max - 1]: drop the last flat block

@@ -47,7 +47,6 @@ class RateFit:
     log_exponent: float
     intercept: float
     residual_rms: float
-    grid: tuple[int, ...]
 
 
 def _check_samples(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +101,6 @@ def fit_rate(
         log_exponent=s,
         intercept=intercept,
         residual_rms=residual_rms,
-        grid=tuple(int(v) for v in ns),
     )
 
 

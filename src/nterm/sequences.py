@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import build_table
 from .weights import WeightModel
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "scaled_tail_sqs",
     "sigma_sq_exact",
     "sigma_n_exact",
-    "extremal_sequence",
 ]
 
 
@@ -195,14 +193,3 @@ def sigma_n_exact(x, n: int) -> float:
     """
     (s, e), = scaled_tail_sqs(x, [n])
     return math.ldexp(math.sqrt(s), e)
-
-
-def extremal_sequence(w: WeightModel, p: float, m: int) -> CoefficientSequence:
-    """m equal entries 1/W_m: a unit-sphere element of the weighted lp ball."""
-    if math.isinf(p):
-        raise ValueError("p must be finite")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    m = int(m)
-    W = build_table(w, p, m).W(m)
-    return CoefficientSequence(np.full(m, 1.0 / W))

@@ -334,8 +334,11 @@ def _parse_params(body: str, spec: str) -> dict[str, float]:
         if "=" not in part:
             raise WeightSpecError(f"bad parameter {part!r} in {spec!r}")
         key, _, raw = part.partition("=")
+        key = key.strip()
+        if key in params:
+            raise WeightSpecError(f"repeated parameter {key!r} in {spec!r}")
         try:
-            params[key.strip()] = float(raw)
+            params[key] = float(raw)
         except ValueError:
             raise WeightSpecError(
                 f"bad numeric value {raw!r} in {spec!r}") from None

@@ -18,7 +18,6 @@ from nterm import (
     class_bounds_grid,
     class_error_infty,
     dyadic_grid,
-    extremal_sequence,
     sigma_n_exact,
     weighted_lp_norm,
 )
@@ -65,26 +64,26 @@ def brute_envelopes(weight_vals, p, n, m_max):
 class TestBuildTable:
     def test_const_p1(self):
         t = build_table(ConstantWeights(), 1.0, 4)
-        assert [float(s) for s in t.sums_p] == [1, 2, 3, 4]
-        assert [t.W(m) for m in (1, 2, 3, 4)] == [1, 2, 3, 4]
+        assert [float(s) for s in t.sums] == [1, 2, 3, 4]
+        assert t.inv_sq_slice(1, 4).tolist() == [1, 1 / 4, 1 / 9, 1 / 16]
 
     def test_const_p_half(self):
         t = build_table(ConstantWeights(), 0.5, 4)
-        assert [t.W(m) for m in (1, 2, 3, 4)] == pytest.approx([1, 4, 9, 16])
+        assert t.inv_sq_slice(1, 4).tolist() == [1, 1 / 16, 1 / 81, 1 / 256]
 
     def test_linear_p1(self):
         t = build_table(LINEAR, 1.0, 3)
-        assert [float(s) for s in t.sums_p] == [1, 3, 6]
-        assert t.W(3) == 6.0
+        assert [float(s) for s in t.sums] == [1, 3, 6]
+        assert t.inv_sq_slice(3, 3)[0] == 1 / 36
 
     def test_strictly_increasing_and_floor(self):
         for name, w in builtin_families().items():
             for p in (0.5, 1.0, 2.0):
                 t = build_table(w, p, 512)
-                assert np.all(np.diff(t.sums_p) > 0), name
+                assert np.all(np.diff(t.sums) > 0), name
                 m = np.arange(1, 513)
-                W = np.array([t.W(int(k)) for k in m])
-                assert np.all(W >= m ** (1.0 / p) * (1 - 1e-12)), name
+                assert np.all(t.log_W_slice(1, 512) >= np.log(m) / p
+                              + math.log1p(-1e-12)), name
 
     def test_tabulated_too_short(self):
         with pytest.raises(ValueError, match="up to index 3, requested 10"):
@@ -106,7 +105,8 @@ class TestBuildTable:
         for m in (1, 7, 32):
             ref = float(logsumexp(logs[:m])) / 8.0
             assert log_W[m - 1] == pytest.approx(ref, rel=1e-12)
-        assert t.inv_sq(32) == pytest.approx(math.exp(-2 * log_W[-1]))
+        assert t.inv_sq_slice(32, 32)[0] == pytest.approx(
+            math.exp(-2 * log_W[-1]))
 
     def test_small_weights_stay_linear(self):
         assert not build_table(LINEAR, 2.0, 1024).log_domain
@@ -149,7 +149,7 @@ def _ref_arrays(w, p, M=REF_M):
 
 
 class TestTableAgainstReference:
-    """W_m, W_m**-2 and log W_m against 50 digits, m = 1..1500."""
+    """W_m**-2 and log W_m against 50 digits, m = 1..1500."""
 
     @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("name", list(REF_FAMILIES))
@@ -169,13 +169,10 @@ class TestTableAgainstReference:
         # S**y with y = fl(-2/p) or fl(1/p): the rounding of y costs
         # |y ln S| ulps, on top of |y| rel_S and the pow call itself
         inv_sq_bound = (2 / p) * (rel_S + log_S * U) + C_F * U
-        W_bound = (1 / p) * (rel_S + log_S * U) + C_F * U
         log_W_bound = rel_S / p + (C_F + 1) * U * np.abs(ref["log_W"])
 
         inv_sq = t.inv_sq_slice(1, REF_M)
         assert np.all(_ref.rel_errors(inv_sq, ref["inv_sq"]) <= inv_sq_bound)
-        W = [t.W(int(k)) for k in m]
-        assert np.all(_ref.rel_errors(W, ref["W"]) <= W_bound)
         log_W = t.log_W_slice(1, REF_M)
         assert np.all(_ref.abs_errors(log_W, ref["log_W"]) <= log_W_bound)
 
@@ -204,13 +201,10 @@ class TestTableAgainstReference:
         # exp(fl(-2/p) * L): the rounded factor and product cost 2 ulps of
         # the argument
         inv_sq_bound = (2 / p) * abs_L + 2 * U * (2 / p) * L + C_F * U
-        W_bound = abs_L / p + U * L / p + C_F * U
         log_W_bound = abs_L / p + U * L / p
 
         inv_sq = t.inv_sq_slice(1, M)
         assert np.all(_ref.rel_errors(inv_sq, ref["inv_sq"]) <= inv_sq_bound)
-        W = [t.W(int(k)) for k in m]
-        assert np.all(_ref.rel_errors(W, ref["W"]) <= W_bound)
         log_W = t.log_W_slice(1, M)
         assert np.all(_ref.abs_errors(log_W, ref["log_W"]) <= log_W_bound)
 
@@ -236,8 +230,8 @@ class TestBlockedTable:
         w = BLOCK_FAMILIES[name]
         t = build_table(w, p, M)
         assert not t.log_domain
-        assert t.sums_p.dtype == np.float64 and t.sums_p.size == M
-        assert np.array_equal(t.sums_p, _ref.prefix_sums_p(w, p, M))
+        assert t.sums.dtype == np.float64 and t.sums.size == M
+        assert np.array_equal(t.sums, _ref.prefix_sums_p(w, p, M))
 
     def test_sum_past_float64_range_in_a_later_block(self):
         # 1e303 * m passes the float64 maximum at m = 179,770, in the third
@@ -248,7 +242,7 @@ class TestBlockedTable:
             warnings.simplefilter("error")
             t = build_table(w, 1.0, 2 ** 18)
         assert t.log_domain
-        assert np.array_equal(t.log_sums_p, np.logaddexp.accumulate(
+        assert np.array_equal(t.sums, np.logaddexp.accumulate(
             1.0 * np.log(w.values(2 ** 18))))
 
     @pytest.mark.parametrize("w, p", [
@@ -487,10 +481,10 @@ class TestClassBounds:
             r = class_bounds(w, 1.0, n, m_max=m_max)
             table = build_table(w, 1.0, m_max)
             for m in range(n + 1, m_max + 1, 13):
-                seq = extremal_sequence(w, 1.0, m)
+                inv_sq = table.inv_sq_slice(m, m)[0]
+                seq = np.full(m, math.sqrt(inv_sq))
                 got = sigma_n_exact(seq, n) ** 2
-                assert got == pytest.approx(
-                    (m - n) * table.inv_sq(m), rel=1e-10)
+                assert got == pytest.approx((m - n) * inv_sq, rel=1e-10)
                 assert got <= r.lower_sq + 1e-12
 
     def test_membership_consistency(self, rng):
@@ -602,7 +596,8 @@ class TestSandwichWidth:
                         continue
                     width = r.upper_sq - r.lower_sq
                     assert 0.0 <= width, (name, p, r.n)
-                    assert width <= table.inv_sq(max(r.n, 1)) + 1e-15, (
+                    k = max(r.n, 1)
+                    assert width <= table.inv_sq_slice(k, k)[0] + 1e-15, (
                         name, p, r.n)
 
     def test_divergent_has_no_width(self):

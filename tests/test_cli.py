@@ -131,8 +131,6 @@ class TestParams:
           "weights": "logpow:beta=1"}),
         (["exact", "--sequence", "x.txt", "--n", "3", "--format", "csv"],
          {"format": "json", "n": "3", "sequence": "x.txt"}),
-        (["extremal", "--weights", "const", "--p", "2", "--m", "4"],
-         {"format": "json", "m": 4, "p": 2.0, "weights": "const"}),
         (["oracle", "--weights", "powlog:alpha=1,beta=0", "--p", "0.5",
           "--n", "2", "--seed", "7", "--iters", "100"],
          {"format": "json", "iters": 100, "max_support": 64, "n": "2",
@@ -378,20 +376,6 @@ class TestExact:
                                           "--n", n, "--format", fmt])
         assert (code, err) == (EXIT_OK, "")
         assert out == EXACT_RECORDED[key]
-
-
-class TestExtremal:
-    def test_csv_row(self, capsys):
-        code, out, _ = run_cli(capsys, [
-            "extremal", "--weights", "const", "--p", "2", "--m", "4",
-            "--format", "csv"])
-        assert code == EXIT_OK
-        assert out == "0.5,0.5,0.5,0.5\n"
-
-    def test_json(self, capsys):
-        doc = run_json(capsys, ["extremal", "--weights", "const", "--p", "1",
-                                "--m", "3"])
-        assert doc["entries"] == pytest.approx([1 / 3] * 3)
 
 
 class TestOracleCommand:
@@ -646,7 +630,6 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("command, extra", [
         ("bounds", ["--p", "1", "--n", "1"]),
-        ("extremal", ["--p", "1", "--m", "2"]),
     ])
     def test_missing_weight_file(self, capsys, command, extra):
         code, out, err = run_cli(capsys, [
@@ -688,6 +671,19 @@ class TestErrorPaths:
                                         "--n", "0..2^4:dyadic"])
         assert code == EXIT_DOMAIN
         assert err.startswith("nterm: error=domain")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec, key", [
+        ("powlog:alpha=1,beta=0,alpha=3", "alpha"),
+        ("powlog:alpha=1, alpha=3,beta=0", "alpha"),
+        ("logpow:beta=1,beta=2", "beta")])
+    def test_repeated_weight_parameter(self, capsys, spec, key):
+        # a second value of a parameter is an error, not the value used
+        code, out, err = run_cli(capsys, ["bounds", "--weights", spec,
+                                          "--p", "1", "--n", "4"])
+        assert (code, out) == (EXIT_BAD_SPEC, "")
+        assert err.startswith("nterm: error=weight-spec")
+        assert f"repeated parameter {key!r}" in err and spec in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("spec", [
@@ -911,7 +907,6 @@ def _argv(draw, directory: str) -> list[str]:
         "n": _mostly(st.sampled_from(
             ["0", "1", "3", "2^4", "2^6", "2^0..2^3:dyadic",
              "1..2^7:dyadic"]), ["0..2^2:dyadic", "2^2..2^1:dyadic", "x"]),
-        "m": _int(1, 40),
         "m_max": _int(1, 300),
         "sequence": _mostly(
             st.sampled_from([f"{directory}/s_short", f"{directory}/s_huge"]),
@@ -950,8 +945,6 @@ class TestContract:
         "certify --weights file:{dir}/w_steep --p 2 --n 0",
         "oracle --weights const --p 0.003 --n 1",
         "certify --weights const --p 0.003 --n 1",
-        # W_m past the float64 range
-        "extremal --weights const --p 0.003 --m 40",
     ])
     def test_overflowing_norms(self, capsys, contract_dir, argv):
         argv = argv.format(dir=contract_dir).split() + ["--format", "json"]

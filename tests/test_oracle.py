@@ -16,7 +16,6 @@ from nterm import (
     certify,
     class_bounds,
     dyadic_grid,
-    extremal_sequence,
     random_search_oracle,
     sigma_n_exact,
     structure_oracle,
@@ -128,7 +127,9 @@ class TestStructureOracle:
         # m_max equal entries are the last flat block of the scan
         w = LogPowerWeights(1.0)
         value, _ = structure_oracle(w, 1.0, 300, OracleConfig(m_max=500))
-        ref = sigma_n_exact(extremal_sequence(w, 1.0, 500), 300) ** 2
+        table = build_table(w, 1.0, 500)
+        block = np.full(500, math.sqrt(table.inv_sq_slice(500, 500)[0]))
+        ref = sigma_n_exact(block, 300) ** 2
         assert value >= ref * (1 - 1e-12)
 
     def test_log_domain_table_raises_no_float_error(self):

@@ -55,11 +55,6 @@ class TestFitRate:
                        fixed_log_exponent=0.0)
         assert fit.intercept == pytest.approx(math.log(3.0), abs=1e-10)
 
-    def test_grid_recorded(self):
-        fit = fit_rate(power_law_samples(0.5, hi=2 ** 13),
-                       fixed_log_exponent=0.0)
-        assert fit.grid == tuple(dyadic_grid(64, 2 ** 13))
-
     def test_nonpositive_sigma_rejected(self):
         samples = power_law_samples(0.5)
         samples[3] = (samples[3][0], 0.0)

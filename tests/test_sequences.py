@@ -12,8 +12,6 @@ from nterm import (
     CoefficientSequence,
     ConstantWeights,
     PowLogWeights,
-    build_table,
-    extremal_sequence,
     sigma_n_exact,
     weighted_lp_norm,
 )
@@ -21,7 +19,7 @@ from nterm.sequences import scaled_tail_sqs, sigma_sq_exact
 from nterm.weights import read_number_lines
 
 import _ref
-from conftest import builtin_families, random_monotone_weights
+from conftest import random_monotone_weights
 
 
 def _exact_product(a: float, b: float) -> bool:
@@ -256,58 +254,6 @@ class TestRearrangementNeverIncreasesWeightedNorm:
             before = weighted_lp_norm(entries, w, p)
             after = weighted_lp_norm(decreasing(entries), w, p)
             assert after <= before + 1e-12 * max(before, 1.0)
-
-
-class TestExtremalSequence:
-    def test_const_p2(self):
-        seq = extremal_sequence(ConstantWeights(), 2, 4)
-        assert seq.entries.tolist() == [0.5, 0.5, 0.5, 0.5]
-
-    def test_const_p1(self):
-        seq = extremal_sequence(ConstantWeights(), 1, 3)
-        assert np.allclose(seq.entries, 1 / 3)
-
-    def test_linear_weights_p1(self):
-        # W_2 = 1 + 2 = 3 for w_j = j
-        seq = extremal_sequence(PowLogWeights(1, 0), 1, 2)
-        assert np.allclose(seq.entries, 1 / 3)
-
-    def test_m_zero_rejected(self):
-        with pytest.raises(ValueError):
-            extremal_sequence(ConstantWeights(), 1, 0)
-
-    def test_p_inf_rejected(self):
-        with pytest.raises(ValueError):
-            extremal_sequence(ConstantWeights(), math.inf, 3)
-
-    def test_entries_that_underflow_are_zero(self):
-        # W_40 = 40**(1/0.003) is past the float64 range, so 1/W_40 is 0.0;
-        # the suite turns the overflow warning into an error
-        assert build_table(ConstantWeights(), 0.003, 40).W(40) == math.inf
-        seq = extremal_sequence(ConstantWeights(), 0.003, 40)
-        assert seq.entries.tolist() == [0.0] * 40
-        # W_8 = 8**(1/0.003) = 2**1000 is not
-        assert extremal_sequence(ConstantWeights(), 0.003, 8).entries[0] > 0
-
-    @pytest.mark.parametrize("name", list(builtin_families()))
-    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
-    def test_unit_norm(self, name, p):
-        w = builtin_families()[name]
-        for m in (1, 7, 64):
-            seq = extremal_sequence(w, p, m)
-            assert weighted_lp_norm(seq, w, p) == pytest.approx(1.0, rel=1e-12)
-
-    @pytest.mark.parametrize("name", list(builtin_families()))
-    def test_tail_identity(self, name):
-        # sigma_n(s_m)**2 == (m - n) / W_m**2 for every n < m
-        w = builtin_families()[name]
-        p = 1.0
-        for m in (2, 9, 64, 300):
-            table = build_table(w, p, m)
-            seq = extremal_sequence(w, p, m)
-            for n in range(m):
-                assert sigma_sq_exact(seq, n) == pytest.approx(
-                    (m - n) * table.inv_sq(m), rel=1e-10)
 
 
 class TestFlattenHead:

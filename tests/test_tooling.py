@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -68,10 +69,25 @@ def test_one_reader_opens_input_files():
 
 
 def test_one_function_sizes_a_table():
-    # a run's table length is decided in one place; extremal_sequence
-    # tabulates the m it is asked for
-    assert sorted(_source_callers("build_table")) == [
-        "bounds.py: run_table", "sequences.py: extremal_sequence"]
+    # a run's table length is decided in one place
+    assert _source_callers("build_table") == ["bounds.py: run_table"]
+
+
+SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "schemas"
+                     / "output.json").read_text(encoding="utf-8"))
+
+
+def test_schema_matches_the_command_table():
+    # a command or flag deleted from the CLI leaves no schema entry behind
+    from nterm.cli import COMMANDS
+
+    definitions = SCHEMA["definitions"]
+    commands = {definitions[branch["$ref"].rsplit("/", 1)[1]]
+                ["properties"]["command"]["const"]
+                for branch in SCHEMA["oneOf"]}
+    assert commands == set(COMMANDS)
+    flags = {f for cmd in COMMANDS.values() for f in cmd.flags}
+    assert set(definitions["params"]["properties"]) == {"format", *flags}
 
 
 def _unpassed_keywords(sources: list[Path]) -> list[str]:
