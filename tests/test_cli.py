@@ -388,6 +388,12 @@ class TestOracleCommand:
         assert engines["random"] <= engines["structure"] + 1e-9
         assert "structure:1" in doc["witnesses"]
 
+    def test_structure_witness_is_a_flat_block(self, capsys):
+        # const, p = 1: (k - 2) / k**2 is largest at k = 4, W_4 = 4
+        doc = run_json(capsys, ["oracle", "--weights", "const", "--p", "1",
+                                "--n", "2", "--iters", "100"])
+        assert doc["witnesses"]["structure:2"] == [0.25] * 4
+
     def test_inf_p_runs_random_only(self, capsys):
         doc = run_json(capsys, ["oracle", "--weights",
                                 "powlog:alpha=1,beta=0", "--p", "inf",
@@ -630,6 +636,8 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("command, extra", [
         ("bounds", ["--p", "1", "--n", "1"]),
+        ("oracle", ["--p", "1", "--n", "1"]),
+        ("certify", ["--p", "1", "--n", "1"]),
     ])
     def test_missing_weight_file(self, capsys, command, extra):
         code, out, err = run_cli(capsys, [

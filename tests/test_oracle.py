@@ -168,6 +168,22 @@ class TestStructureOracle:
                     assert value == pytest.approx(
                         sigma_n_exact(witness, n) ** 2, rel=1e-10)
 
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_witness_is_the_best_flat_block(self, p):
+        # at p <= 2 the witness is k copies of W_k**-1 at the best k
+        for name, w in builtin_families().items():
+            table = build_table(w, p, 256)
+            for n in (0, 1, 5):
+                value, witness = structure_oracle(
+                    w, p, n, OracleConfig(m_max=256), table=table)
+                k = witness.entries.size
+                assert k > n, (name, n)
+                block = np.full(k, math.sqrt(table.inv_sq_slice(k, k)[0]))
+                assert np.array_equal(witness.entries, block), (name, n)
+                blocks = (np.arange(1, 256 - n + 1)
+                          * table.inv_sq_slice(n + 1, 256))
+                assert value >= blocks.max() * (1 - 1e-12), (name, n)
+
     def test_value_is_the_exact_tail_sum(self):
         # squaring the rounded root sigma_n_exact gives 0.12500000000000003
         value, witness = structure_oracle(ConstantWeights(), 1.0, 2,

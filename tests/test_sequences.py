@@ -12,6 +12,7 @@ from nterm import (
     CoefficientSequence,
     ConstantWeights,
     PowLogWeights,
+    build_table,
     sigma_n_exact,
     weighted_lp_norm,
 )
@@ -19,7 +20,7 @@ from nterm.sequences import scaled_tail_sqs, sigma_sq_exact
 from nterm.weights import read_number_lines
 
 import _ref
-from conftest import random_monotone_weights
+from conftest import builtin_families, random_monotone_weights
 
 
 def _exact_product(a: float, b: float) -> bool:
@@ -254,6 +255,75 @@ class TestRearrangementNeverIncreasesWeightedNorm:
             before = weighted_lp_norm(entries, w, p)
             after = weighted_lp_norm(decreasing(entries), w, p)
             assert after <= before + 1e-12 * max(before, 1.0)
+
+
+def flat_block(table, m: int) -> CoefficientSequence:
+    """m equal entries W_m**-1, read from the table as the structure
+    oracle reads its flat-block witness."""
+    return CoefficientSequence(
+        np.full(m, math.sqrt(table.inv_sq_slice(m, m)[0])))
+
+
+class TestFlatBlock:
+    """m copies of W_m**-1: a unit-sphere element of the weighted lp ball
+    with sigma_n**2 = (m - n) / W_m**2, the p <= 2 worst case."""
+
+    def test_const_p2(self):
+        seq = flat_block(build_table(ConstantWeights(), 2, 4), 4)
+        assert seq.entries.tolist() == [0.5, 0.5, 0.5, 0.5]
+
+    def test_const_p1(self):
+        seq = flat_block(build_table(ConstantWeights(), 1, 3), 3)
+        assert np.allclose(seq.entries, 1 / 3)
+
+    def test_linear_weights_p1(self):
+        # W_2 = 1 + 2 = 3 for w_j = j
+        seq = flat_block(build_table(PowLogWeights(1, 0), 1, 2), 2)
+        assert np.allclose(seq.entries, 1 / 3)
+
+    def test_m_zero_rejected(self):
+        table = build_table(ConstantWeights(), 1, 8)
+        with pytest.raises(ValueError, match=r"covers m in \[1, 8\], got 0"):
+            flat_block(table, 0)
+
+    def test_m_past_the_table_rejected(self):
+        table = build_table(ConstantWeights(), 1, 8)
+        with pytest.raises(ValueError, match=r"covers m in \[1, 8\], got 9"):
+            flat_block(table, 9)
+
+    def test_entries_that_underflow_are_zero(self):
+        # W_40 = 40**(1/0.003) is past the float64 range, so W_40**-2 is
+        # 0.0; the suite turns an overflow warning into an error
+        table = build_table(ConstantWeights(), 0.003, 40)
+        assert not table.log_domain
+        assert table.log_W_slice(40, 40)[0] > math.log(sys.float_info.max)
+        assert flat_block(table, 40).entries.tolist() == [0.0] * 40
+        # the entries are read through W_m**-2: W_8 = 2**1000 is finite but
+        # its square is not, while W_2 = 2**333.3... squares to a normal
+        assert flat_block(table, 8).entries.tolist() == [0.0] * 8
+        assert flat_block(table, 2).entries[0] == pytest.approx(
+            2.0 ** (-1 / 0.003), rel=1e-9)
+
+    @pytest.mark.parametrize("name", list(builtin_families()))
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_unit_norm(self, name, p):
+        w = builtin_families()[name]
+        table = build_table(w, p, 64)
+        for m in (1, 7, 64):
+            seq = flat_block(table, m)
+            assert weighted_lp_norm(seq, w, p) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("name", list(builtin_families()))
+    def test_tail_identity(self, name):
+        # sigma_n(s_m)**2 == (m - n) / W_m**2 for every n < m
+        w = builtin_families()[name]
+        table = build_table(w, 1.0, 300)
+        for m in (2, 9, 64, 300):
+            seq = flat_block(table, m)
+            inv_sq = table.inv_sq_slice(m, m)[0]
+            for n in range(m):
+                assert sigma_sq_exact(seq, n) == pytest.approx(
+                    (m - n) * inv_sq, rel=1e-10)
 
 
 class TestFlattenHead:
