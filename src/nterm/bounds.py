@@ -3,26 +3,47 @@
 For 0 < p < oo the squared worst-case error over the unit ball is squeezed
 between ``max_m (m-n) / W_m**2`` and ``max_m (m-n+1) / W_m**2``, where
 ``W_m = (w_1**p + ... + w_m**p)**(1/p)``.  ``class_bounds`` scans both
-envelopes over m in [n, m_max] and classifies how the supremum behaves:
+envelopes over m from n on, up to a cap, ``m_max`` or ``default_m_max(n)``
+clipped to a weight file's length, and classifies how the supremum behaves:
 
-* ``attained``            the maximum sits at a finite index and the scan
+* ``attained``            the maximum sits at a finite index: at p <= 2 it is
+                          proved by the bound below; at p > 2 the scan
                           confirms the envelope keeps falling past it, or,
                           on a p = 2 plateau, stays below it;
 * ``limit-at-infinity``   the envelope increases towards a finite limit,
                           c**-2 at p = 2 on weights that end on a plateau c;
 * ``divergent``           the envelope grows without bound (the class error
                           is infinite for every n);
-* ``truncated-unknown``   the scan ended before any of the above could be
-                          confirmed.
+* ``truncated-unknown``   the scan reached its cap before any of the above
+                          could be shown.
 
-``divergent`` and ``limit-at-infinity`` need a closed-form model's
-exponents: a plateau is the p = 2 case with exponents (0, 0), and the scan
-has reached it when its last two weights are equal.  Past the plateau's
-start W_m**2 = m c**2 + D, so both envelopes move monotonically towards
-c**-2.  A weight file's status comes from what was scanned:
-``attained`` when the scan confirms the maximum, else ``truncated-unknown``.
-``run_table`` is the one place that sizes a run's table: the scan end
-``scan_length`` of its largest n.
+At p <= 2 the maximum is proved, not guessed.  Weights never decrease, so
+past a check index M, W_m**p >= B + (m - M) c with B = W_M**p and
+c = w_M**p, and with a = 2/p >= 1 and A = M - n + delta (delta = 0 for the
+lower envelope, 1 for the upper) every later value is at most
+sup_{s >= 1} (A + s) / (B + s c)**a, which ``_log_tail_bound`` gives in
+closed form.  The scan checks that bound at every multiple of ``_STRIDE``
+and at its cap, and stops at the first check index where both bounds are
+at or below the running maxima: ``m_scanned`` is that index, and the row
+is ``attained``.  The comparison is made in logarithms with the relative
+margin of ``_proof_margin``, so it holds for log-domain tables and for the
+rounded sums.  A row whose proof does not close by the cap is
+``truncated-unknown``.  On a weight file the bound covers every
+nondecreasing continuation of the file, so ``attained`` is true of them all.
+
+The bound proves nothing at p > 2 (there a < 1), nor where the exponents
+decide: ``divergent``, or a plateau, the p = 2 case with exponents (0, 0).
+Those rows scan to the cap and keep the classification by exponents:
+the plateau is reached when the last two weights of the scan are equal,
+and past its start W_m**2 = m c**2 + D, so both envelopes move
+monotonically towards c**-2.  Otherwise they read ``attained`` when the
+envelope's last max(64, m*/4) values, m* its argmax, lie below the
+maximum, else ``truncated-unknown``.
+
+``run_table`` is the one place that sizes a run's table.  At p <= 2 it
+grows the table, doubling it, until the proof of every n of the grid has
+closed or the largest cap is reached; otherwise it builds it to the
+largest cap.
 
 For p = oo the squared error equals the tail sum of w_j**-2.
 ``class_error_infty`` sums a head and closes the tail with an integral, to
@@ -79,6 +100,12 @@ LOG_DOMAIN_THRESHOLD = 700.0
 # entries per block of the long double prefix sum (a 1 MiB buffer), of
 # the envelope scan and of the p = oo head's fsum
 _BLOCK = 2 ** 16
+# the proof's check indices are the multiples of _STRIDE and the cap, so
+# that a row's stop depends on (w, p, n, m_max) alone, never on the grid
+_STRIDE = 256
+# relative margin of the proof's comparison per unit of a = 2/p, besides
+# the rounding of the sums (see _proof_margin)
+_PROOF_MARGIN = 2.0 ** -30
 _EXPONENT_EPS = 1e-12
 _TAIL_TOL = 1e-12
 # longest p = oo head; past it truncation_bound may exceed _TAIL_TOL
@@ -97,6 +124,11 @@ _LOG_MAX = math.log(float(np.finfo(np.float64).max))
 _LOG_TINY = math.log(float(np.finfo(np.float64).tiny))
 
 
+def _check_p(p: float) -> None:
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must be finite and positive, got {p}")
+
+
 @dataclass(frozen=True, eq=False)
 class CumulativeWeightTable:
     """Prefix sums of w_j**p as float64, or their logarithms.
@@ -106,14 +138,21 @@ class CumulativeWeightTable:
     ``build_table`` runs that sum in blocks of ``_BLOCK`` terms, carrying
     the last long double sum of a block into the first term of the next, so
     it makes the same additions in the same order as one long double
-    ``cumsum`` over all terms and gives the same bits.  With ``log_domain``
-    set, ``sums`` holds the logarithms of those sums instead; that mode is
-    taken when a term or the sum would leave the float64 range.
+    ``cumsum`` over all terms and gives the same bits; ``carry`` is the
+    last of those sums, from which a longer table continues (None in log
+    domain).  With
+    ``log_domain`` set, ``sums`` holds the logarithms of those sums instead;
+    that mode is taken when a term or the sum would leave the float64
+    range.  ``weights`` maps m to w_m at every multiple of ``_STRIDE``, at
+    the last two indices and at the indices ``run_table`` asks for: what
+    the proof and the plateau test of ``class_bounds`` read.
     """
 
     p: float
     sums: np.ndarray
     log_domain: bool
+    weights: dict
+    carry: np.longdouble | None
 
     def log_W_slice(self, m_lo: int, m_hi: int) -> np.ndarray:
         """log W_m for m in [m_lo, m_hi] as a float64 array."""
@@ -129,6 +168,13 @@ class CumulativeWeightTable:
             return np.exp((-2.0 / self.p) * seg)
         return seg ** (-2.0 / self.p)
 
+    def weight(self, m: int) -> float:
+        """w_m, where the table keeps it."""
+        try:
+            return self.weights[m]
+        except KeyError:
+            raise ValueError(f"table keeps no weight w_{m}") from None
+
     def _slice(self, m_lo: int, m_hi: int) -> np.ndarray:
         for m in (m_lo, m_hi):
             if not 1 <= m <= self.sums.size:
@@ -137,42 +183,69 @@ class CumulativeWeightTable:
         return self.sums[m_lo - 1:m_hi]
 
 
-def build_table(w: WeightModel, p: float, M: int) -> CumulativeWeightTable:
+def build_table(w: WeightModel, p: float, M: int, keep=(),
+                base: CumulativeWeightTable | None = None
+                ) -> CumulativeWeightTable:
     """Tabulate prefix p-th power sums of the weights up to index M.
 
     The weights are raised to p and summed in place, a block of ``_BLOCK``
     terms at a time through one long double buffer; the table holds the
-    weights' array and that buffer, nothing of length M besides.  Sums only
-    grow, so the first block whose last long double sum passes the float64
-    maximum sends the whole table to log domain, before any of it is
-    rounded: the same decision as testing the last sum of all.
+    weights' array and that buffer, nothing of length M besides, and keeps
+    w_m at the multiples of ``_STRIDE``, at M - 1 and M and at every index
+    of ``keep``.  Sums only grow, so the first block whose last long double
+    sum passes the float64 maximum sends the whole table to log domain,
+    before any of it is rounded: the same decision as testing the last sum
+    of all.
+
+    ``base``, a shorter table of the same weights and p, is extended: its
+    sums are copied, and the new ones continue from its ``carry``, or from
+    its last logarithm, so the table has the bits of one built whole.  The
+    base's sums are held besides while the new ones are summed.
     """
-    if not 0 < p < math.inf:
-        raise ValueError(f"p must be finite and positive, got {p}")
+    _check_p(p)
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     M = int(M)
+    start = 0 if base is None else base.sums.size
     vals = w.values(M)
+    kept = dict(zip(range(_STRIDE, M + 1, _STRIDE),
+                    vals[_STRIDE - 1::_STRIDE].tolist()))
+    kept.update((m, float(vals[m - 1])) for m in (*keep, M - 1, M)
+                if 1 <= m <= M)
     # values() hands out a fresh nondecreasing array, so w_M is the largest
     # term and the sums may overwrite it
-    if p * float(np.log(vals[-1])) <= LOG_DOMAIN_THRESHOLD:
-        if _prefix_sums_in_place(vals, p):
-            return CumulativeWeightTable(p=float(p), sums=vals,
-                                         log_domain=False)
-        vals = w.values(M)
-    log_sums = np.log(vals, out=vals)
-    log_sums *= p
-    np.logaddexp.accumulate(log_sums, out=log_sums)
-    return CumulativeWeightTable(p=float(p), sums=log_sums, log_domain=True)
+    log_base = base is not None and base.log_domain
+    log_domain = (log_base
+                  or p * float(np.log(vals[-1])) > LOG_DOMAIN_THRESHOLD)
+    carry = None
+    if not log_domain:
+        carry = _prefix_sums_in_place(
+            vals[start:], p, np.longdouble(0.0) if base is None
+            else base.carry)
+        if carry is None:
+            log_domain, vals = True, w.values(M)
+    if log_domain:
+        if not log_base:
+            start = 0   # the whole table is summed in logarithms
+        log_sums = np.log(vals[start:], out=vals[start:])
+        log_sums *= p
+        if start:
+            log_sums[0] = np.logaddexp(base.sums[-1], log_sums[0])
+        np.logaddexp.accumulate(log_sums, out=log_sums)
+    if start:
+        vals[:start] = base.sums
+    return CumulativeWeightTable(p=float(p), sums=vals, log_domain=log_domain,
+                                 weights=kept, carry=carry)
 
 
-def _prefix_sums_in_place(vals: np.ndarray, p: float) -> bool:
+def _prefix_sums_in_place(vals: np.ndarray, p: float,
+                          carry: np.longdouble) -> np.longdouble | None:
     """Replace vals by the float64 roundings of the long double prefix sums
-    of vals**p; False, with vals partly overwritten, once a sum passes the
+    of vals**p, continued from the long double sum ``carry``, and return
+    the last sum; None, with vals partly overwritten, once a sum passes the
     float64 maximum."""
     top = np.finfo(np.float64).max
     buf = np.empty(min(_BLOCK, vals.size), dtype=np.longdouble)
-    carry = np.longdouble(0.0)
     for start in range(0, vals.size, _BLOCK):
         seg = vals[start:start + _BLOCK]
         np.power(seg, p, out=seg)
@@ -183,9 +256,9 @@ def _prefix_sums_in_place(vals: np.ndarray, p: float) -> bool:
         carry = sums[-1]
         # every term is below e**700, but their sum may pass float64's range
         if carry > top:
-            return False
+            return None
         seg[:] = sums
-    return True
+    return carry
 
 
 @dataclass(frozen=True)
@@ -196,9 +269,10 @@ class BoundResult:
     and where the scan has reached a p = 2 plateau c, the larger of the
     scanned supremum and the limit c**-2 (both equal to it when the
     supremum is approached at infinity).  ``scan_lower_sq``/``scan_upper_sq``
-    always hold the finite suprema found over the scanned index range; they
-    are what a finite witness or oracle can be compared against.
-    ``argmax_m`` is the index where the upper envelope peaks, when it does.
+    always hold the finite suprema found over the scanned index range, up
+    to ``m_scanned``; they are what a finite witness or oracle can be
+    compared against.  ``argmax_m`` is the index where the upper envelope
+    peaks, when it does.
     """
 
     n: int
@@ -216,27 +290,169 @@ def default_m_max(n: int) -> int:
 
 
 def scan_length(w: WeightModel, n: int, m_max: int | None = None) -> int:
-    """Last index of the scan for n: ``m_max``, or ``default_m_max(n)``,
-    clipped to the length of a tabulated model."""
+    """Cap of the scan for n: ``m_max``, or ``default_m_max(n)``, clipped
+    to the length of a tabulated model."""
     size = default_m_max(n) if m_max is None else int(m_max)
     if w.known_length is not None:
         size = min(size, w.known_length)
     return size
 
 
+def _regime(w: WeightModel, p: float) -> tuple[bool, bool]:
+    """(divergent, plateau) from a closed-form model's exponents; a weight
+    file has none, and is neither."""
+    prof = w.asymptotic_exponents
+    if prof is None:
+        return False, False
+    alpha, beta = prof
+    growth = 1.0 - 2.0 * (alpha + 1.0 / p)   # power of m in t_m
+    log_growth = -2.0 * beta                 # power of log m in t_m
+    # t_m grows for any growth > 0, whatever beta; only at growth in
+    # [-_EXPONENT_EPS, 0] does the log factor decide.  At 2 < p < oo the
+    # worst case carries a Hoelder tail sum_j w_j**-r, r = 2p/(p-2), which
+    # on the boundary (alpha r = 1) diverges for every beta r <= 1, though
+    # t_m itself may stay bounded there
+    boundary = -_EXPONENT_EPS <= growth <= 0
+    if p > 2:
+        edge = beta * 2.0 * p / (p - 2.0) <= 1.0 + _EXPONENT_EPS
+    else:
+        edge = log_growth > _EXPONENT_EPS
+    divergent = growth > 0 or (boundary and edge)
+    # p = 2 with exponents (0, 0): weights that end on a plateau c
+    plateau = boundary and abs(log_growth) <= _EXPONENT_EPS
+    return divergent, plateau and not divergent
+
+
+def _proves(w: WeightModel, p: float) -> bool:
+    """Whether ``class_bounds`` proves its maximum and stops there."""
+    return p <= 2 and not any(_regime(w, p))
+
+
+def _log_tail_bound(A, log_B, log_c, p: float):
+    """log sup_{s >= 1} (A + s) / (B + s c)**a, a = 2/p >= 1, from log B
+    and log c: a bound on (m - n + delta) / W_m**2 for every m > M, where
+    A = M - n + delta, B = W_M**p and c = w_M**p.
+
+    (A + s) / (B + s c)**a rises up to s = (B - a c A) / ((a - 1) c) and
+    falls past it; at a = 1 it is monotone, towards 1/c.
+    """
+    a = 2.0 / p
+    r = np.exp(log_B - log_c)            # B / c, in [1, M]
+    if a == 1.0:
+        return np.maximum(np.log(A + 1.0) - log_c - np.log(r + 1.0), -log_c)
+    s = np.maximum(1.0, (r - a * A) / (a - 1.0))
+    return np.log(A + s) - a * (log_c + np.log(r + s))
+
+
+def _proof_margin(table: CumulativeWeightTable, end: int) -> float:
+    """The proof's relative margin for a scan capped at ``end``, taken as a
+    logarithm: a = 2/p times _PROOF_MARGIN, for the rounding of the bound,
+    of the envelope and of the structure oracle's logarithms, plus ``end``
+    times the rounding of one entry of the sums past the check index,
+    2**-63 of a long double sum or, in log domain, 2**-40 (a few ulp of a
+    log-sum below 1500)."""
+    per_entry = 2.0 ** -40 if table.log_domain else 2.0 ** -63
+    return 2.0 / table.p * (_PROOF_MARGIN + end * per_entry)
+
+
+def _closed(table: CumulativeWeightTable, n: int, checks: np.ndarray,
+            lower: np.ndarray, upper: np.ndarray,
+            margin: float) -> np.ndarray:
+    """At each check index M, whether both envelopes' bounds past M are at
+    or below the running maxima ``lower`` and ``upper``, with ``margin``."""
+    sums = table.sums[checks - 1]
+    log_B = sums if table.log_domain else np.log(sums)
+    log_c = table.p * np.log([table.weight(int(M)) for M in checks])
+    A = (checks - n).astype(np.float64)
+    with np.errstate(divide="ignore"):
+        log_lower, log_upper = np.log(lower), np.log(upper)
+    return ((_log_tail_bound(A, log_B, log_c, table.p) + margin <= log_lower)
+            & (_log_tail_bound(A + 1.0, log_B, log_c, table.p) + margin
+               <= log_upper))
+
+
+def _scan(table: CumulativeWeightTable, n: int, end: int, proved: bool,
+          lo: int | None = None) -> tuple | None:
+    """Scan the envelopes (m - n [+ 1]) W_m**-2 over m in [lo, end], lo =
+    max(n, 1) unless given, a block at a time.
+
+    Returns (lower, upper, m_star, stop, closed): the envelopes' maxima
+    over [lo, stop] and the first index of the upper one's.  With
+    ``proved`` set, stop is the first check index (a multiple of
+    ``_STRIDE``, or end) where the bounds past it are at or below both
+    maxima, and closed is True; else stop is end.  An empty range gives
+    zeros and stop = 0; None where the table ends before the scan.  A
+    block ends at a multiple of ``_STRIDE``, or at end, and holds about
+    ``_BLOCK`` entries at most; with ``proved`` set the first one runs
+    about as far past lo as lo itself, and each next one twice as far as
+    the last.  m - n is an integer below 2**53, exact in a float64
+    arange, so each product is the one of the whole-array formula.
+    """
+    lo = max(n, 1) if lo is None else lo
+    if end < lo:
+        return 0.0, 0.0, None, 0, False
+    size = table.sums.size
+    margin = _proof_margin(table, end)
+    lower, upper, m_star = 0.0, -1.0, None
+    m, length = lo, max(lo, _STRIDE) if proved else _BLOCK
+    while m <= size:
+        hi = min(end, size, -(-(m + length - 1) // _STRIDE) * _STRIDE)
+        t_up = table.inv_sq_slice(m, hi)
+        k = np.arange(m - n, hi - n + 1, dtype=np.float64)
+        t_low = k * t_up
+        k += 1.0
+        t_up *= k
+        stop, closed = hi, False
+        if proved:
+            checks = np.arange(-(-m // _STRIDE) * _STRIDE, hi + 1, _STRIDE)
+            if hi == end and not (checks.size and checks[-1] == end):
+                checks = np.append(checks, end)
+            at = checks - m
+            ok = _closed(
+                table, n, checks,
+                np.maximum(np.maximum.accumulate(t_low)[at], lower),
+                np.maximum(np.maximum.accumulate(t_up)[at], upper), margin)
+            if ok.any():
+                stop, closed = int(checks[np.argmax(ok)]), True
+                t_low, t_up = t_low[:stop - m + 1], t_up[:stop - m + 1]
+        lower = max(lower, float(t_low.max()))
+        i = int(np.argmax(t_up))
+        if t_up[i] > upper:
+            upper, m_star = float(t_up[i]), m + i
+        if closed or stop == end:
+            return lower, upper, m_star, stop, closed
+        m, length = stop + 1, min(2 * length, _BLOCK)
+    return None
+
+
 def run_table(w: WeightModel, p: float, n_values: Sequence[int],
               m_max: int | None = None) -> CumulativeWeightTable:
-    """The one table of a run over ``n_values``: W_m up to the scan end of
-    the largest n, which covers the scan of every n.
+    """The one table of a run over ``n_values``, keeping the weights at
+    each n's cap and the index before it.
 
     A given ``m_max`` is checked first, against every n in grid order, so
-    that a bad one is named before any table is built.
+    that a bad one is named before any table is built.  Where
+    ``class_bounds`` proves its maximum (p <= 2), the table starts at
+    2 (n_max + _STRIDE) entries and doubles, each one extended from the
+    last, until the proof of every n closes inside it or it reaches the
+    largest cap; otherwise it is built to the largest cap at once.
     """
+    _check_p(p)
     for n in n_values:
         if m_max is not None and m_max < n + 1:
             raise ValueError(
                 f"m_max must be >= n + 1, got {m_max} < {n + 1}")
-    return build_table(w, p, scan_length(w, max(n_values), m_max))
+    ends = [scan_length(w, n, m_max) for n in n_values]
+    keep = {m for end in ends for m in (end - 1, end)}
+    top = max(ends)
+    size = min(top, 2 * (max(n_values) + _STRIDE)) if _proves(w, p) else top
+    table = None
+    while True:
+        table = build_table(w, p, size, keep, table)
+        if size == top or all(_scan(table, n, end, True)
+                              for n, end in zip(n_values, ends)):
+            return table
+        size = min(2 * size, top)
 
 
 def class_bounds(
@@ -247,18 +463,18 @@ def class_bounds(
     *,
     table: CumulativeWeightTable | None = None,
 ) -> BoundResult:
-    """Scan the two worst-case envelopes over m in [n, m_max] and classify.
+    """Scan the two worst-case envelopes over m from n on and classify.
 
     The scan starts at max(n, 1) since W_m is defined for m >= 1; the m = n
-    term of the lower envelope is zero anyway.  It ends at ``scan_length``:
-    past a weight file's end, where the scan is empty, the row is
-    ``truncated-unknown`` with zero values.  A reusable ``table`` may be
+    term of the lower envelope is zero anyway.  Its cap is ``scan_length``;
+    at p <= 2 it stops earlier, where the proof closes (see the module
+    docstring).  Past a weight file's end, where the scan is empty, the row
+    is ``truncated-unknown`` with zero values.  A reusable ``table`` may be
     passed when several n share one weight model; it is used as given, so
-    it must be of p and cover the scan.  Without one, ``run_table`` builds
-    it.
+    it must be of p and reach the scan's stop.  Without one, ``run_table``
+    builds it.
     """
-    if not 0 < p < math.inf:
-        raise ValueError(f"p must be finite and positive, got {p}")
+    _check_p(p)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     n = int(n)
@@ -267,79 +483,43 @@ def class_bounds(
     elif table.p != p:
         raise ValueError(f"table is for p = {table.p}, not {p}")
 
-    m_eff = scan_length(w, n, m_max)
-    if m_eff < max(n, 1):
-        return BoundResult(
-            n=n, lower_sq=0.0, upper_sq=0.0, argmax_m=None,
-            status=STATUS_TRUNCATED, m_scanned=0,
-            scan_lower_sq=0.0, scan_upper_sq=0.0)
+    end = scan_length(w, n, m_max)
+    divergent, plateau = _regime(w, p)
+    proved = _proves(w, p)
+    scan = _scan(table, n, end, proved)
+    if scan is None:
+        raise ValueError(f"table covers m in [1, {table.sums.size}], short "
+                         f"of the scan for n = {n} (cap {end})")
+    scan_lower, scan_upper, m_star, stop, closed = scan
 
-    # divergence, and the plateau limit, from a closed-form model's
-    # exponents; a weight file's status is read from its scan
-    divergent, limit = False, None
-    prof = w.asymptotic_exponents
-    if prof is not None:
-        alpha, beta = prof
-        growth = 1.0 - 2.0 * (alpha + 1.0 / p)   # power of m in t_m
-        log_growth = -2.0 * beta                 # power of log m in t_m
-        # t_m grows for any growth > 0, whatever beta; only at growth in
-        # [-_EXPONENT_EPS, 0] does the log factor decide.  At 2 < p < oo
-        # the worst case carries a Hoelder tail sum_j w_j**-r, r =
-        # 2p/(p-2), which on the boundary (alpha r = 1) diverges for every
-        # beta r <= 1, though t_m itself may stay bounded there
-        boundary = -_EXPONENT_EPS <= growth <= 0
-        if p > 2:
-            edge = beta * 2.0 * p / (p - 2.0) <= 1.0 + _EXPONENT_EPS
-        else:
-            edge = log_growth > _EXPONENT_EPS
-        divergent = growth > 0 or (boundary and edge)
-        # p = 2 with exponents (0, 0): weights that end on a plateau c.
-        # Their running max rises strictly up to it, so the scan has reached
-        # it when its last two weights are equal; these are read before the
-        # envelope is allocated, so that the scan's peak does not grow
-        plateau = boundary and abs(log_growth) <= _EXPONENT_EPS
-        if plateau and not divergent and m_eff >= 2:
-            w_prev, w_end = w.values(m_eff)[-2:]
-            if w_prev == w_end:
-                limit = float(w_end) ** -2.0
-
-    m_lo = max(n, 1)
-    # the envelopes (m - n [+ 1]) * W_m**-2, a block at a time: the lower
-    # one, whose terms are >= 0, only for its maximum, the upper one in place
-    # of W_m**-2.  m - n is an integer below 2**53, exact in a float64
-    # arange, so each product is the one of the whole-array formula
-    t_up = table.inv_sq_slice(m_lo, m_eff)
-    scan_lower = 0.0
-    for start in range(0, t_up.size, _BLOCK):
-        seg = t_up[start:start + _BLOCK]
-        k = np.arange(m_lo - n + start, m_lo - n + start + seg.size,
-                      dtype=np.float64)
-        scan_lower = max(scan_lower, float((k * seg).max()))
-        k += 1.0
-        seg *= k
-
-    i_up = int(np.argmax(t_up))
-    m_star = m_lo + i_up
-    scan_upper = float(t_up[i_up])
-
-    def result(status, lower, upper, argmax=None):
+    def result(status, lower=scan_lower, upper=scan_upper, argmax=None):
         return BoundResult(
             n=n, lower_sq=lower, upper_sq=upper, argmax_m=argmax,
-            status=status, m_scanned=int(m_eff),
+            status=status, m_scanned=stop,
             scan_lower_sq=scan_lower, scan_upper_sq=scan_upper)
 
+    if stop == 0:
+        return result(STATUS_TRUNCATED)
+    if proved:
+        if closed:
+            return result(STATUS_ATTAINED, argmax=m_star)
+        return result(STATUS_TRUNCATED)
     if divergent:
         return result(STATUS_DIVERGENT, math.inf, math.inf)
-    if limit is not None:
+    # the plateau family's running max rises strictly up to c, so the scan
+    # has reached it when its last two weights are equal
+    if plateau and end >= 2 and table.weight(end - 1) == table.weight(end):
+        limit = table.weight(end) ** -2.0
         # both envelopes move monotonically towards c**-2 past the scan
         lower, upper = max(scan_lower, limit), max(scan_upper, limit)
         if limit >= scan_upper:
             return result(STATUS_LIMIT, lower, upper)
         return result(STATUS_ATTAINED, lower, upper, argmax=m_star)
     window = max(64, m_star // 4)
-    if t_up.size > window and bool(np.all(t_up[-window:] < scan_upper)):
-        return result(STATUS_ATTAINED, scan_lower, scan_upper, argmax=m_star)
-    return result(STATUS_TRUNCATED, scan_lower, scan_upper)
+    if (end - max(n, 1) + 1 > window
+            and _scan(table, n, end, False, end - window + 1)[1] < scan_upper):
+        return result(STATUS_ATTAINED, argmax=m_star)
+    return result(STATUS_TRUNCATED)
 
 
 def class_bounds_grid(

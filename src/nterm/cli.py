@@ -293,9 +293,12 @@ _FLAGS = {
                          "powlog:alpha=F,beta=F | file:PATH, one weight "
                          "per line, blank lines only at the end; a bad "
                          "line or a file that is not UTF-8 is exit 2, an "
-                         "unreadable file exit 4; at finite p a file's "
-                         "status is 'attained' when its scan confirms the "
-                         "maximum, else 'truncated-unknown'; at p = inf "
+                         "unreadable file exit 4; at p <= 2 a file's "
+                         "status is 'attained' when the bound past the "
+                         "scan proves its maximum, for every "
+                         "nondecreasing continuation of the file, at "
+                         "2 < p < inf when its scan confirms it, else "
+                         "'truncated-unknown'; at p = inf "
                          "a file is summed to its end and always reads "
                          "'truncated-unknown'"),
     "p": dict(required=True, metavar="P",
@@ -303,8 +306,9 @@ _FLAGS = {
     "n": dict(required=True, metavar="N",
               help="index or dyadic range like 2^4..2^12:dyadic"),
     "m_max": dict(type=int, default=None,
-                  help="last index of the scan, default max(1024, 64n); "
-                       "clipped to a weight file's length L"),
+                  help="cap of the scan, default max(1024, 64n); clipped "
+                       "to a weight file's length L; at p <= 2 the scan "
+                       "stops where its maximum is proved, m_scanned"),
     "sequence": dict(required=True, metavar="PATH",
                      help="text file, one coefficient per line; blank "
                           "lines are skipped, a line that is not a number "

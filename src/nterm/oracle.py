@@ -18,8 +18,8 @@ Two engines are checked against the analytic bounds:
 Both engines are bitwise reproducible given a seed and configuration.
 
 ``certify`` and the ``oracle`` command read one cumulative weight table per
-run, ``bounds.run_table``, sized for the largest n and shared by every n,
-and one random sample set per grid: ``random_search_oracle`` takes the whole
+run, ``bounds.run_table``, sized for the grid and shared by every n, and
+one random sample set per grid: ``random_search_oracle`` takes the whole
 n grid, and each n's result equals that of a one-n grid, bit for bit.
 """
 
@@ -36,7 +36,6 @@ from .bounds import (
     CumulativeWeightTable,
     class_bounds,
     run_table,
-    scan_length,
 )
 from .sequences import CoefficientSequence, sigma_sq_exact
 from .weights import WeightModel
@@ -61,8 +60,9 @@ _CERTIFY_TOL = 1e-9
 class OracleConfig:
     """Shared oracle configuration; ``m_max=None`` means max(1024, 64n).
 
-    Either is clipped to a weight file's length, as the bound scan is: the
-    oracles scan the bound scan's own range.
+    Either is the cap of the bound scan, clipped to a weight file's length.
+    The structure oracle scans the bound scan's own range, which at p <= 2
+    ends where the bound's proof closed.
     """
 
     m_max: int | None = None
@@ -96,9 +96,10 @@ def structure_oracle(
       w_{m+1}**-r).  It is a witness only where c <= b, that is
       W_m**p <= (m-n) w_{m+1}**p.
 
-    m_max is the end of the bound scan, ``scan_length``; past a weight
-    file's end, where no k > n is left, the result is 0.0 with an empty
-    witness.  The values are compared in logarithms read from ``table``,
+    m_max is the end of the bound scan, ``m_scanned`` of ``class_bounds``:
+    the cap, or at p <= 2 the index where its proof closed, past which no
+    flat block is worth more.  Past a weight file's end, where no k > n is
+    left, the result is 0.0 with an empty witness.  The values are compared in logarithms read from ``table``,
     used as given (of p, covering m_max), or built by ``run_table``, so a
     log-domain table cannot overflow or give NaN; the weights are read,
     once, only for Hoelder pairs.  Returns the best squared value with its
@@ -114,7 +115,7 @@ def structure_oracle(
         table = run_table(w, p, [n], cfg.m_max)
     elif table.p != p:
         raise ValueError(f"table is for p = {table.p}, not {p}")
-    m_max = scan_length(w, n, cfg.m_max)
+    m_max = class_bounds(w, p, n, cfg.m_max, table=table).m_scanned
     if m_max < n + 1:
         return 0.0, CoefficientSequence(np.zeros(0))
 
@@ -318,7 +319,8 @@ def certify(
     the report's ``passed`` flag instead of raising, so harnesses can
     collect every combination before deciding.  The structure oracle's two
     families are flat blocks and, at p > 2, Hoelder pairs, over the bound
-    scan's range, whose end is the report's ``m_max``.  At p <= 2
+    scan's range, whose end, the row's ``m_scanned``, is the report's
+    ``m_max``.  At p <= 2
     ``structure_ge_scan_lower`` is an identity: the best flat block is the
     lower envelope of the bound scan.  ``structure_le_upper`` compares with
     ``scan_upper_sq`` whatever the status, the stricter reference: a
@@ -352,7 +354,7 @@ def certify(
             weights=w.spec_string(),
             p=float(p),
             n=n,
-            m_max=scan_length(w, n, cfg.m_max),
+            m_max=bounds_result.m_scanned,
             seed=cfg.seed,
             iters=cfg.iters,
             tol=_CERTIFY_TOL,

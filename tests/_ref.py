@@ -9,6 +9,9 @@ the float path and the log-domain path, weight evaluation included.
 ``structure_sq`` is the largest squared tail error over the two witness
 families of ``nterm.oracle.structure_oracle``, from that table.
 
+``envelope_max`` is the vertex maximum of either envelope over a range of
+m, from that table.
+
 ``powlog_plateau_sq`` is the p = 2 limit c**-2 of a powlog family that
 ends on a plateau c.
 
@@ -97,6 +100,14 @@ def structure_sq(w, p: float, n_values, m_max: int) -> list:
                                    (V ** -r + w_next ** -r) ** (2 / r))
             out.append(best)
     return out
+
+
+def envelope_max(ref: dict, n: int, m_lo: int, m_hi: int, delta: int):
+    """max (m - n + delta) W_m**-2 over m in [m_lo, m_hi], from a ``table``
+    reaching m_hi: the vertex maximum, at 50 digits."""
+    with mpmath.workdps(DIGITS):
+        return max((m - n + delta) * ref["inv_sq"][m - 1]
+                   for m in range(m_lo, m_hi + 1))
 
 
 def rel_errors(values, ref) -> np.ndarray:

@@ -65,9 +65,9 @@ def table_sizes(monkeypatch) -> list[int]:
     sizes = []
     real = nterm.bounds.build_table
 
-    def counting(w, p, M):
+    def counting(w, p, M, *args):
         sizes.append(M)
-        return real(w, p, M)
+        return real(w, p, M, *args)
 
     monkeypatch.setattr(nterm.bounds, "build_table", counting)
     return sizes

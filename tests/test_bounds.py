@@ -23,14 +23,19 @@ from nterm import (
 )
 from nterm.bounds import (
     _MAX_TERMS,
+    _STRIDE,
     STATUS_ATTAINED,
     STATUS_CONVERGED,
     STATUS_DIVERGENT,
     STATUS_LIMIT,
     STATUS_TRUNCATED,
     _TAIL_TOL,
+    _log_tail_bound,
+    _proof_margin,
     _tail_integral,
     _tail_integrand_derivative,
+    default_m_max,
+    run_table,
 )
 
 import _ref
@@ -233,6 +238,35 @@ class TestBlockedTable:
         assert t.sums.dtype == np.float64 and t.sums.size == M
         assert np.array_equal(t.sums, _ref.prefix_sums_p(w, p, M))
 
+    @pytest.mark.parametrize("M0, M", [(1, 2), (300, 2 ** 16 + 7),
+                                       (2 ** 16, 3 * 2 ** 16 + 5)])
+    @pytest.mark.parametrize("name", list(BLOCK_FAMILIES))
+    def test_extended_table_equals_one_built_whole(self, name, M0, M):
+        # the long double carry continues the sum with the same bits
+        w = BLOCK_FAMILIES[name]
+        base = build_table(w, 1.5, M0)
+        t = build_table(w, 1.5, M, (), base)
+        assert np.array_equal(t.sums, _ref.prefix_sums_p(w, 1.5, M))
+        assert t.weights == build_table(w, 1.5, M).weights
+
+    @pytest.mark.parametrize("w, p, M0, M", [
+        (LOG_DOMAIN_WEIGHTS, 5.0, 700, REF_M),          # log from the start
+        (SUM_OVERFLOW_WEIGHTS, 200.0, 19000, 19600),    # sum passes the max
+        (PowLogWeights(12.0, 0.0), 5.0, 2 ** 16, 2 ** 17)])  # last term does
+    def test_extended_into_log_domain(self, w, p, M0, M):
+        t = build_table(w, p, M, (), build_table(w, p, M0))
+        whole = build_table(w, p, M)
+        assert t.log_domain and whole.log_domain
+        assert np.array_equal(t.sums, whole.sums)
+
+    def test_kept_weights(self):
+        t = build_table(LINEAR, 1.0, 1000, (7, 999, 2000))
+        assert t.weights == {256: 256.0, 512: 512.0, 768: 768.0, 7: 7.0,
+                             999: 999.0, 1000: 1000.0}
+        assert t.weight(768) == 768.0
+        with pytest.raises(ValueError, match="table keeps no weight w_8"):
+            t.weight(8)
+
     def test_sum_past_float64_range_in_a_later_block(self):
         # 1e303 * m passes the float64 maximum at m = 179,770, in the third
         # block; the first two blocks alone would fit
@@ -297,6 +331,22 @@ class TestBoundedMemory:
         # read for the plateau are gone before the envelope is allocated
         scan_bytes = 8 * (self.M - n + 1)
         assert self._peak(scan) <= 8 * self.M + scan_bytes + 2 * 2 ** 20
+
+    def test_proved_grid_table_stops_near_twice_n(self):
+        # the proof closes near 2n, so the table ends near 2**16, not 2**21
+        peak = self._peak(lambda: class_bounds_grid(
+            ConstantWeights(), 1.0, dyadic_grid(2 ** 4, 2 ** 15)))
+        assert peak < 4 * 2 ** 20
+
+    def test_plateau_read_costs_no_second_weight_array(self):
+        # the plateau test reads the two weights the table kept; the scan
+        # holds blocks, not an array of the table's length
+        w, n = PowLogWeights(-0.5, 2.0), 2 ** 14
+        table_peak = self._peak(lambda: run_table(w, 2.0, [n]))
+        assert table_peak > 8 * 2 ** 20
+        assert class_bounds(w, 2.0, n).status == STATUS_LIMIT
+        assert self._peak(lambda: class_bounds(w, 2.0, n)) <= (
+            table_peak + 2 ** 16)
 
     def test_infty_file_head_is_not_one_list(self):
         # the head's array and its square, not a Python list of all terms
@@ -402,9 +452,11 @@ class TestClassBounds:
             class_bounds(ConstantWeights(), math.inf, 1)
 
     def test_tabulated_exhaustion_is_not_an_error(self):
+        # the bound at the file's end proves the maximum for every
+        # nondecreasing continuation of the file
         w = TabulatedWeights(np.arange(1.0, 41.0))
         r = class_bounds(w, 1.0, 1, m_max=4096)
-        assert r.status == STATUS_TRUNCATED
+        assert r.status == STATUS_ATTAINED
         assert r.m_scanned == 40
 
     def test_tabulated_attained_when_confirmed(self):
@@ -466,13 +518,16 @@ class TestClassBounds:
 
     def test_passed_table_is_used_as_given(self):
         # a table of another p, or one shorter than the scan, is refused,
-        # not rebuilt
+        # not rebuilt; this scan's proof closes at m = 256
         with pytest.raises(ValueError, match="table is for p = 2.0, not 1"):
             class_bounds(LINEAR, 1.0, 3, m_max=4096,
                          table=build_table(LINEAR, 2.0, 4096))
         with pytest.raises(ValueError, match="table covers m in"):
             class_bounds(LINEAR, 1.0, 3, m_max=4096,
-                         table=build_table(LINEAR, 1.0, 4095))
+                         table=build_table(LINEAR, 1.0, 255))
+        assert class_bounds(LINEAR, 1.0, 3, m_max=4096,
+                            table=build_table(LINEAR, 1.0, 256)).m_scanned \
+            == 256
 
     def test_witness_consistency(self):
         # every equal-entry witness stays below the reported lower envelope
@@ -551,11 +606,13 @@ class TestClassBoundsGrid:
                 class_bounds(w, p, n, m_max=8192) for n in grid]
 
     def test_clipped_to_tabulated_length(self):
-        # default_m_max(2048) = 131072 is past the end of the weights
+        # default_m_max(2048) = 131072 is past the end of the weights, but
+        # the proof closes at the first multiple of 256 past about 1.4 n
         w = TabulatedWeights(np.arange(1.0, 4097.0))
         grid = dyadic_grid(16, 2048)
         got = class_bounds_grid(w, 1.5, grid)
-        assert [r.m_scanned for r in got] == [1024, 2048] + [4096] * 6
+        assert [r.m_scanned for r in got] == (
+            [256] * 4 + [512, 768, 1536, 3072])
         assert got == [class_bounds(w, 1.5, n) for n in grid]
 
     def test_bad_m_max_is_named(self):
@@ -566,6 +623,110 @@ class TestClassBoundsGrid:
 
     def test_empty_grid(self):
         assert class_bounds_grid(ConstantWeights(), 1.0, []) == []
+
+
+def _full_range_reference(table, n, m_hi):
+    """lower, upper and argmax over m in [max(n, 1), m_hi] in one pass."""
+    m_lo = max(n, 1)
+    inv_sq = table.inv_sq_slice(m_lo, m_hi)
+    k = np.arange(m_lo - n, m_hi - n + 1, dtype=np.float64)
+    t_up = (k + 1.0) * inv_sq
+    i = int(np.argmax(t_up))
+    return float((k * inv_sq).max()), float(t_up[i]), m_lo + i
+
+
+PROVED_FAMILIES = dict(
+    builtin_families(),
+    random=random_monotone_weights(np.random.default_rng(31),
+                                   default_m_max(2 ** 12)))
+
+
+class TestProvedScan:
+    """At p <= 2 the scan stops where the bound past it proves the maximum,
+    with the values of a scan to the cap."""
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 1.9, 2.0])
+    @pytest.mark.parametrize("name", list(PROVED_FAMILIES))
+    def test_values_equal_the_full_range(self, name, p):
+        w = PROVED_FAMILIES[name]
+        grid = dyadic_grid(1, 2 ** 12)
+        table = build_table(w, p, default_m_max(grid[-1]))
+        for r in class_bounds_grid(w, p, grid):
+            lower, upper, argmax = _full_range_reference(
+                table, r.n, default_m_max(r.n))
+            assert (r.scan_lower_sq, r.scan_upper_sq) == (lower, upper)
+            if r.status == STATUS_LIMIT:   # const at p = 2, scanned to the cap
+                assert r.m_scanned == default_m_max(r.n)
+                continue
+            assert r.status == STATUS_ATTAINED, (name, p, r.n)
+            assert (r.lower_sq, r.upper_sq, r.argmax_m) == (
+                lower, upper, argmax), (name, p, r.n)
+            assert r.m_scanned % _STRIDE == 0
+            assert r.m_scanned < default_m_max(r.n) or r.n < 16
+
+    # const at p = 2 is a plateau, scanned to the cap, not proved
+    @pytest.mark.parametrize("name, p", [
+        (name, p) for name in PROVED_FAMILIES for p in (0.5, 1.0, 2.0)
+        if (name, p) != ("const", 2.0)])
+    def test_bound_at_the_stop_covers_the_vertices_past_it(self, name, p):
+        # the bound, with its margin, against the 50-digit vertex maximum
+        # over [M + 1, 16 M]
+        w = PROVED_FAMILIES[name]
+        rows = class_bounds_grid(w, p, [0, 3, 40])
+        top = 16 * max(r.m_scanned for r in rows)
+        ref = _ref.table(w, p, top)
+        table = build_table(w, p, top)
+        for r in rows:
+            M, n = r.m_scanned, r.n
+            assert r.status == STATUS_ATTAINED
+            margin = _proof_margin(table, default_m_max(n))
+            log_B = math.log(table.sums[M - 1])
+            log_c = p * math.log(table.weight(M))
+            for delta in (0, 1):
+                bound = math.exp(float(_log_tail_bound(
+                    M - n + delta, log_B, log_c, p)) + margin)
+                vertex = _ref.envelope_max(ref, n, M + 1, top, delta)
+                assert vertex <= bound, (name, p, n, delta)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0])
+    def test_stop_is_the_same_alone_and_in_a_grid(self, p):
+        w = PROVED_FAMILIES["random"]
+        grid = [0, 1, 5, 17, 100, 333, 1000, 2 ** 12]
+        for m_max in (None, 3000, 2 ** 13 + 1):
+            ns = [n for n in grid if m_max is None or n < m_max]
+            alone = [class_bounds(w, p, n, m_max) for n in ns]
+            assert class_bounds_grid(w, p, ns, m_max) == alone
+            assert class_bounds_grid(w, p, ns[::-1], m_max) == alone[::-1]
+
+    def test_cap_before_the_proof_is_truncated(self):
+        # (m - 1000) / m**2 still rises at the cap m = 1500 (its peak is at
+        # m = 2000), so nothing past the cap is ruled out
+        r = class_bounds(ConstantWeights(), 1.0, 1000, m_max=1500)
+        assert (r.status, r.m_scanned, r.argmax_m) == (
+            STATUS_TRUNCATED, 1500, None)
+        assert r.lower_sq == r.scan_lower_sq == 500 * 1500.0 ** -2
+
+    def test_the_cap_is_a_check_index(self):
+        # a 40-entry file has no multiple of the stride, and its proof
+        # closes at its end; so does a cap of 300 for n = 100 on const
+        r = class_bounds(TabulatedWeights(np.arange(1.0, 41.0)), 1.0, 1)
+        assert (r.status, r.m_scanned) == (STATUS_ATTAINED, 40)
+        r = class_bounds(ConstantWeights(), 1.0, 100, m_max=300)
+        assert (r.status, r.m_scanned, r.argmax_m) == (
+            STATUS_ATTAINED, 256, 198)
+
+    @pytest.mark.parametrize("p", [2.5, 5.0])
+    def test_above_2_scans_to_the_cap(self, p):
+        r = class_bounds(LINEAR, p, 40)
+        assert r.m_scanned == default_m_max(40)
+
+    @pytest.mark.parametrize("w, status", [
+        (PowLogWeights(1e-13, -1.0), STATUS_DIVERGENT),
+        (ConstantWeights(), STATUS_LIMIT),
+        (PowLogWeights(-0.01, 0.5), STATUS_ATTAINED)])   # short of the plateau
+    def test_exponent_rows_scan_to_the_cap(self, w, status):
+        r = class_bounds(w, 2.0, 40)
+        assert (r.status, r.m_scanned) == (status, default_m_max(40))
 
 
 class TestSandwichWidth:

@@ -421,8 +421,9 @@ class TestOneTablePerRun:
         run_json(capsys, [command, "--weights", "powlog:alpha=1,beta=0",
                           "--p", "2", "--n", "2^4..2^10:dyadic",
                           "--iters", "200"])
-        # the oracles scan the bound scan's range, which ends at m_max
-        assert table_sizes == [64 * 2 ** 10]
+        # one table, 2 (n_max + 256) long, holds every proof: the oracles
+        # scan the bound scan's range, which ends where its proof closed
+        assert table_sizes == [2 * (2 ** 10 + 256)]
 
     def test_tabulated_values_unchanged(self, capsys, tmp_path):
         path = tmp_path / "w.txt"
@@ -438,8 +439,9 @@ class TestOneTablePerRun:
         assert {r["n"]: (r["structure_sq"], r["random_sq"],
                          r["scan_lower_sq"], r["scan_upper_sq"],
                          r["bound_status"]) for r in reports} == TABLE300
-        # every engine scans to the end of the file
-        assert [r["m_max"] for r in reports] == [300] * 9
+        # every engine scans to where the bound's proof closed, or to the
+        # end of the file where it does not close (n = 256)
+        assert [r["m_max"] for r in reports] == [256] * 8 + [300]
         assert all(r["passed"] for r in reports)
 
     @pytest.mark.parametrize("command", ["oracle", "certify"])
@@ -453,8 +455,9 @@ class TestOneTablePerRun:
 
 
 class TestWeightFileScan:
-    """Every engine scans a weight file of L lines to its end, m = L, and
-    reads the file's status from that scan alone."""
+    """Every engine scans a weight file of L lines at most to its end,
+    m = L, and reads the file's status from that scan alone; at p <= 2 the
+    scan stops where the bound proves its maximum."""
 
     @staticmethod
     def linear_file(tmp_path) -> str:
@@ -467,7 +470,8 @@ class TestWeightFileScan:
                 "--p", "1.5", "--n", "64"]
         [row] = run_json(capsys, argv)["rows"]
         assert run_json(capsys, argv + ["--m-max", "100"])["rows"] == [row]
-        assert (row["status"], row["m_scanned"]) == ("truncated-unknown", 100)
+        # the bound at the file's end proves the maximum
+        assert (row["status"], row["m_scanned"]) == ("attained", 100)
 
     def test_inf_sums_the_file(self, capsys, tmp_path):
         path = tmp_path / "ones.txt"
@@ -487,10 +491,11 @@ class TestWeightFileScan:
         [report] = run_json(capsys, ["certify", "--iters", "200"]
                             + argv)["reports"]
         assert report["passed"]
-        assert report["m_max"] == 100
-        if n < 100:
-            assert report["m_max"] == row["m_scanned"]
-        else:
+        # no multiple of 256 lies inside the file, so every proof is
+        # checked at its end; past the end the scan is empty
+        assert report["m_max"] == row["m_scanned"] == (100 if n <= 100
+                                                        else 0)
+        if n >= 100:
             # past the file's end the structure oracle has no block left
             assert oracle["rows"][0] == {
                 "n": n, "engine": "structure", "value_sq": 0.0}
@@ -849,7 +854,7 @@ class TestWeightFileThroughCli:
         bounds = run_json(capsys, ["bounds"] + argv)
         fit = run_json(capsys, ["ratefit"] + argv)
         assert [r["m_scanned"] for r in bounds["rows"]] == (
-            [1024, 2048] + [4096] * 6)
+            [256] * 4 + [512, 768, 1536, 3072])
         assert fit["samples"] == [
             {"n": r["n"], "sigma": math.sqrt(r["upper_sq"])}
             for r in bounds["rows"]]

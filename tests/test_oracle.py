@@ -519,7 +519,8 @@ class TestCertify:
         per_n = [certify(LINEAR, 2.0, [n], cfg)[0] for n in grid]
         table_sizes.clear()
         assert certify(LINEAR, 2.0, grid, cfg) == per_n
-        assert table_sizes == [64 * 1024]
+        # one table, 2 (n_max + 256) long, holds the proof of every n
+        assert table_sizes == [2 * (1024 + 256)]
 
     def test_empty_grid(self):
         assert certify(LINEAR, 2.0, []) == []
