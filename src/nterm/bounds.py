@@ -40,10 +40,10 @@ monotonically towards c**-2.  Otherwise they read ``attained`` when the
 envelope's last max(64, m*/4) values, m* its argmax, lie below the
 maximum, else ``truncated-unknown``.
 
-``run_table`` is the one place that sizes a run's table.  At p <= 2 it
-grows the table, doubling it, until the proof of every n of the grid has
-closed or the largest cap is reached; otherwise it builds it to the
-largest cap.
+``run_table`` is the one place that sizes a run's table, and it scans
+each n of the grid once.  At p <= 2 it doubles the table, building it
+whole again, until the proof of every n has closed or the largest cap is
+reached; otherwise it builds it to the largest cap.
 
 For p = oo the squared error equals the tail sum of w_j**-2.
 ``class_error_infty`` sums a head and closes the tail with an integral, to
@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -138,9 +138,7 @@ class CumulativeWeightTable:
     ``build_table`` runs that sum in blocks of ``_BLOCK`` terms, carrying
     the last long double sum of a block into the first term of the next, so
     it makes the same additions in the same order as one long double
-    ``cumsum`` over all terms and gives the same bits; ``carry`` is the
-    last of those sums, from which a longer table continues (None in log
-    domain).  With
+    ``cumsum`` over all terms and gives the same bits.  With
     ``log_domain`` set, ``sums`` holds the logarithms of those sums instead;
     that mode is taken when a term or the sum would leave the float64
     range.  ``weights`` maps m to w_m at every multiple of ``_STRIDE``, at
@@ -152,7 +150,6 @@ class CumulativeWeightTable:
     sums: np.ndarray
     log_domain: bool
     weights: dict
-    carry: np.longdouble | None
 
     def log_W_slice(self, m_lo: int, m_hi: int) -> np.ndarray:
         """log W_m for m in [m_lo, m_hi] as a float64 array."""
@@ -183,9 +180,8 @@ class CumulativeWeightTable:
         return self.sums[m_lo - 1:m_hi]
 
 
-def build_table(w: WeightModel, p: float, M: int, keep=(),
-                base: CumulativeWeightTable | None = None
-                ) -> CumulativeWeightTable:
+def build_table(w: WeightModel, p: float, M: int,
+                keep=()) -> CumulativeWeightTable:
     """Tabulate prefix p-th power sums of the weights up to index M.
 
     The weights are raised to p and summed in place, a block of ``_BLOCK``
@@ -196,17 +192,11 @@ def build_table(w: WeightModel, p: float, M: int, keep=(),
     sum passes the float64 maximum sends the whole table to log domain,
     before any of it is rounded: the same decision as testing the last sum
     of all.
-
-    ``base``, a shorter table of the same weights and p, is extended: its
-    sums are copied, and the new ones continue from its ``carry``, or from
-    its last logarithm, so the table has the bits of one built whole.  The
-    base's sums are held besides while the new ones are summed.
     """
     _check_p(p)
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     M = int(M)
-    start = 0 if base is None else base.sums.size
     vals = w.values(M)
     kept = dict(zip(range(_STRIDE, M + 1, _STRIDE),
                     vals[_STRIDE - 1::_STRIDE].tolist()))
@@ -214,38 +204,25 @@ def build_table(w: WeightModel, p: float, M: int, keep=(),
                 if 1 <= m <= M)
     # values() hands out a fresh nondecreasing array, so w_M is the largest
     # term and the sums may overwrite it
-    log_base = base is not None and base.log_domain
-    log_domain = (log_base
-                  or p * float(np.log(vals[-1])) > LOG_DOMAIN_THRESHOLD)
-    carry = None
-    if not log_domain:
-        carry = _prefix_sums_in_place(
-            vals[start:], p, np.longdouble(0.0) if base is None
-            else base.carry)
-        if carry is None:
-            log_domain, vals = True, w.values(M)
-    if log_domain:
-        if not log_base:
-            start = 0   # the whole table is summed in logarithms
-        log_sums = np.log(vals[start:], out=vals[start:])
-        log_sums *= p
-        if start:
-            log_sums[0] = np.logaddexp(base.sums[-1], log_sums[0])
-        np.logaddexp.accumulate(log_sums, out=log_sums)
-    if start:
-        vals[:start] = base.sums
-    return CumulativeWeightTable(p=float(p), sums=vals, log_domain=log_domain,
-                                 weights=kept, carry=carry)
+    if p * float(np.log(vals[-1])) <= LOG_DOMAIN_THRESHOLD:
+        if _prefix_sums_in_place(vals, p):
+            return CumulativeWeightTable(p=float(p), sums=vals,
+                                         log_domain=False, weights=kept)
+        vals = w.values(M)
+    log_sums = np.log(vals, out=vals)
+    log_sums *= p
+    np.logaddexp.accumulate(log_sums, out=log_sums)
+    return CumulativeWeightTable(p=float(p), sums=log_sums, log_domain=True,
+                                 weights=kept)
 
 
-def _prefix_sums_in_place(vals: np.ndarray, p: float,
-                          carry: np.longdouble) -> np.longdouble | None:
+def _prefix_sums_in_place(vals: np.ndarray, p: float) -> bool:
     """Replace vals by the float64 roundings of the long double prefix sums
-    of vals**p, continued from the long double sum ``carry``, and return
-    the last sum; None, with vals partly overwritten, once a sum passes the
+    of vals**p; False, with vals partly overwritten, once a sum passes the
     float64 maximum."""
     top = np.finfo(np.float64).max
     buf = np.empty(min(_BLOCK, vals.size), dtype=np.longdouble)
+    carry = np.longdouble(0.0)
     for start in range(0, vals.size, _BLOCK):
         seg = vals[start:start + _BLOCK]
         np.power(seg, p, out=seg)
@@ -256,9 +233,9 @@ def _prefix_sums_in_place(vals: np.ndarray, p: float,
         carry = sums[-1]
         # every term is below e**700, but their sum may pass float64's range
         if carry > top:
-            return None
+            return False
         seg[:] = sums
-    return carry
+    return True
 
 
 @dataclass(frozen=True)
@@ -349,9 +326,10 @@ def _proof_margin(table: CumulativeWeightTable, end: int) -> float:
     logarithm: a = 2/p times _PROOF_MARGIN, for the rounding of the bound,
     of the envelope and of the structure oracle's logarithms, plus ``end``
     times the rounding of one entry of the sums past the check index,
-    2**-63 of a long double sum or, in log domain, 2**-40 (a few ulp of a
-    log-sum below 1500)."""
-    per_entry = 2.0 ** -40 if table.log_domain else 2.0 ** -63
+    the long double epsilon of a long double sum or, in log domain, 2**-40
+    (a few ulp of a log-sum below 1500)."""
+    per_entry = (2.0 ** -40 if table.log_domain
+                 else float(np.finfo(np.longdouble).eps))
     return 2.0 / table.p * (_PROOF_MARGIN + end * per_entry)
 
 
@@ -426,19 +404,25 @@ def _scan(table: CumulativeWeightTable, n: int, end: int, proved: bool,
 
 
 def run_table(w: WeightModel, p: float, n_values: Sequence[int],
-              m_max: int | None = None) -> CumulativeWeightTable:
-    """The one table of a run over ``n_values``, keeping the weights at
-    each n's cap and the index before it.
+              m_max: int | None = None
+              ) -> tuple[CumulativeWeightTable, list[BoundResult]]:
+    """The one table of a run over ``n_values``, and each n's bounds row
+    read from it, as ``class_bounds`` gives it alone.
 
-    A given ``m_max`` is checked first, against every n in grid order, so
-    that a bad one is named before any table is built.  Where
+    ``n`` and a given ``m_max`` are checked first, against every n in grid
+    order, so that a bad one is named before any table is built.  The table
+    keeps the weights at each n's cap and the index before it.  Where
     ``class_bounds`` proves its maximum (p <= 2), the table starts at
-    2 (n_max + _STRIDE) entries and doubles, each one extended from the
-    last, until the proof of every n closes inside it or it reaches the
-    largest cap; otherwise it is built to the largest cap at once.
+    2 (n_max + _STRIDE) entries; when an n's scan runs past its end before
+    the proof closes, it is dropped and built whole again at twice the
+    length, up to the largest cap, and that n is scanned again.  Otherwise
+    it is built to the largest cap at once.
     """
     _check_p(p)
+    n_values = [int(n) for n in n_values]
     for n in n_values:
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         if m_max is not None and m_max < n + 1:
             raise ValueError(
                 f"m_max must be >= n + 1, got {m_max} < {n + 1}")
@@ -446,13 +430,19 @@ def run_table(w: WeightModel, p: float, n_values: Sequence[int],
     keep = {m for end in ends for m in (end - 1, end)}
     top = max(ends)
     size = min(top, 2 * (max(n_values) + _STRIDE)) if _proves(w, p) else top
-    table = None
-    while True:
-        table = build_table(w, p, size, keep, table)
-        if size == top or all(_scan(table, n, end, True)
-                              for n, end in zip(n_values, ends)):
-            return table
-        size = min(2 * size, top)
+    table, rows = None, []
+    for n, end in zip(n_values, ends):
+        row = None
+        while row is None:
+            if table is None:
+                table = build_table(w, p, size, keep)
+            row = _bounds_row(w, p, n, end, table)
+            if row is None:
+                # the table ends before the proof closed: drop it before
+                # one twice as long is built
+                table, size = None, min(2 * size, top)
+        rows.append(row)
+    return table, rows
 
 
 def class_bounds(
@@ -471,25 +461,42 @@ def class_bounds(
     docstring).  Past a weight file's end, where the scan is empty, the row
     is ``truncated-unknown`` with zero values.  A reusable ``table`` may be
     passed when several n share one weight model; it is used as given, so
-    it must be of p and reach the scan's stop.  Without one, ``run_table``
-    builds it.
+    it must be of p and reach the scan's stop, and the weights at the cap
+    and the index before it that it does not keep are read from ``w``.
+    Without one, ``run_table`` builds it.
     """
     _check_p(p)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     n = int(n)
     if table is None:
-        table = run_table(w, p, [n], m_max)
-    elif table.p != p:
+        return run_table(w, p, [n], m_max)[1][0]
+    if table.p != p:
         raise ValueError(f"table is for p = {table.p}, not {p}")
-
     end = scan_length(w, n, m_max)
+    missing = [m for m in (end - 1, end)
+               if 1 <= m <= table.sums.size and m not in table.weights]
+    if missing:
+        vals = w.values(missing[-1])
+        table = replace(table, weights={
+            **table.weights, **{m: float(vals[m - 1]) for m in missing}})
+    row = _bounds_row(w, p, n, end, table)
+    if row is None:
+        raise ValueError(f"table covers m in [1, {table.sums.size}], short "
+                         f"of the scan for n = {n} (cap {end})")
+    return row
+
+
+def _bounds_row(w: WeightModel, p: float, n: int, end: int,
+                table: CumulativeWeightTable) -> BoundResult | None:
+    """``class_bounds`` for n with the cap ``end``, read from ``table``,
+    which keeps w_m at ``end`` and ``end - 1``; None where the table ends
+    before the scan's stop."""
     divergent, plateau = _regime(w, p)
     proved = _proves(w, p)
     scan = _scan(table, n, end, proved)
     if scan is None:
-        raise ValueError(f"table covers m in [1, {table.sums.size}], short "
-                         f"of the scan for n = {n} (cap {end})")
+        return None
     scan_lower, scan_upper, m_star, stop, closed = scan
 
     def result(status, lower=scan_lower, upper=scan_upper, argmax=None):
@@ -532,8 +539,7 @@ def class_bounds_grid(
     n_values = [int(n) for n in n_values]
     if not n_values:
         return []
-    table = run_table(w, p, n_values, m_max)
-    return [class_bounds(w, p, n, m_max, table=table) for n in n_values]
+    return run_table(w, p, n_values, m_max)[1]
 
 
 @dataclass(frozen=True)

@@ -188,14 +188,17 @@ def _run_oracle(ns) -> tuple[dict, int]:
     w = parse_weight_spec(ns.weights)
     cfg = _oracle_config(ns)
     n_values = parse_n_spec(ns.n)
-    table = None if math.isinf(ns.p) else run_table(w, ns.p, n_values,
-                                                   cfg.m_max)
+    table = bounds = None
+    if not math.isinf(ns.p):
+        table, bounds = run_table(w, ns.p, n_values, cfg.m_max)
     randoms = random_search_oracle(w, ns.p, n_values, cfg)
     rows = []
     witnesses = {}
-    for n, (r_sq, r_wit) in zip(n_values, randoms):
-        if not math.isinf(ns.p):
-            s_sq, s_wit = structure_oracle(w, ns.p, n, cfg, table=table)
+    for i, (n, (r_sq, r_wit)) in enumerate(zip(n_values, randoms)):
+        if table is not None:
+            s_sq, s_wit = structure_oracle(
+                w, ns.p, n, cfg, table=table,
+                m_scanned=bounds[i].m_scanned)
             rows.append({"n": n, "engine": "structure", "value_sq": s_sq})
             witnesses[f"structure:{n}"] = s_wit.entries.tolist()
         rows.append({"n": n, "engine": "random", "value_sq": r_sq})

@@ -84,6 +84,7 @@ def structure_oracle(
     cfg: OracleConfig,
     *,
     table: CumulativeWeightTable | None = None,
+    m_scanned: int | None = None,
 ) -> tuple[float, CoefficientSequence]:
     """Maximize the squared tail error over two witness families.
 
@@ -96,15 +97,18 @@ def structure_oracle(
       w_{m+1}**-r).  It is a witness only where c <= b, that is
       W_m**p <= (m-n) w_{m+1}**p.
 
-    m_max is the end of the bound scan, ``m_scanned`` of ``class_bounds``:
+    m_max is the end of the bound scan, ``m_scanned`` of n's bounds row:
     the cap, or at p <= 2 the index where its proof closed, past which no
-    flat block is worth more.  Past a weight file's end, where no k > n is
-    left, the result is 0.0 with an empty witness.  The values are compared in logarithms read from ``table``,
-    used as given (of p, covering m_max), or built by ``run_table``, so a
-    log-domain table cannot overflow or give NaN; the weights are read,
-    once, only for Hoelder pairs.  Returns the best squared value with its
-    witness; the value is recomputed from the witness through
-    ``sigma_sq_exact``, so the pair is always consistent.
+    flat block is worth more.  A caller that holds the row passes it as
+    ``m_scanned``; else it is read from ``class_bounds`` on ``table``, or
+    from ``run_table``.  Past a weight file's end, where no k > n is left,
+    the result is 0.0 with an empty witness.  The values are compared in
+    logarithms read from ``table``, used as given (of p, covering m_max),
+    or built by ``run_table``, so a log-domain table cannot overflow or
+    give NaN; the weights are read, once, only for Hoelder pairs.  Returns
+    the best squared value with its witness; the value is recomputed from
+    the witness through ``sigma_sq_exact``, so the pair is always
+    consistent.
     """
     if not 0 < p < math.inf:
         raise ValueError(f"p must be finite and positive, got {p}")
@@ -112,10 +116,13 @@ def structure_oracle(
         raise ValueError(f"n must be >= 0, got {n}")
     n = int(n)
     if table is None:
-        table = run_table(w, p, [n], cfg.m_max)
+        table, (row,) = run_table(w, p, [n], cfg.m_max)
+        m_scanned = row.m_scanned
     elif table.p != p:
         raise ValueError(f"table is for p = {table.p}, not {p}")
-    m_max = class_bounds(w, p, n, cfg.m_max, table=table).m_scanned
+    elif m_scanned is None:
+        m_scanned = class_bounds(w, p, n, cfg.m_max, table=table).m_scanned
+    m_max = m_scanned
     if m_max < n + 1:
         return 0.0, CoefficientSequence(np.zeros(0))
 
@@ -336,12 +343,12 @@ def certify(
     n_values = [int(n) for n in n_values]
     if not n_values:
         return []
-    table = run_table(w, p, n_values, cfg.m_max)
+    table, rows = run_table(w, p, n_values, cfg.m_max)
     randoms = random_search_oracle(w, p, n_values, cfg)
     reports = []
-    for n, (random_sq, _) in zip(n_values, randoms):
-        bounds_result = class_bounds(w, p, n, cfg.m_max, table=table)
-        structure_sq, _ = structure_oracle(w, p, n, cfg, table=table)
+    for n, bounds_result, (random_sq, _) in zip(n_values, rows, randoms):
+        structure_sq, _ = structure_oracle(
+            w, p, n, cfg, table=table, m_scanned=bounds_result.m_scanned)
         checks = (
             ("structure_ge_scan_lower",
              structure_sq >= bounds_result.scan_lower_sq - _CERTIFY_TOL),

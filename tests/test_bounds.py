@@ -36,6 +36,7 @@ from nterm.bounds import (
     _tail_integrand_derivative,
     default_m_max,
     run_table,
+    scan_length,
 )
 
 import _ref
@@ -237,27 +238,6 @@ class TestBlockedTable:
         assert not t.log_domain
         assert t.sums.dtype == np.float64 and t.sums.size == M
         assert np.array_equal(t.sums, _ref.prefix_sums_p(w, p, M))
-
-    @pytest.mark.parametrize("M0, M", [(1, 2), (300, 2 ** 16 + 7),
-                                       (2 ** 16, 3 * 2 ** 16 + 5)])
-    @pytest.mark.parametrize("name", list(BLOCK_FAMILIES))
-    def test_extended_table_equals_one_built_whole(self, name, M0, M):
-        # the long double carry continues the sum with the same bits
-        w = BLOCK_FAMILIES[name]
-        base = build_table(w, 1.5, M0)
-        t = build_table(w, 1.5, M, (), base)
-        assert np.array_equal(t.sums, _ref.prefix_sums_p(w, 1.5, M))
-        assert t.weights == build_table(w, 1.5, M).weights
-
-    @pytest.mark.parametrize("w, p, M0, M", [
-        (LOG_DOMAIN_WEIGHTS, 5.0, 700, REF_M),          # log from the start
-        (SUM_OVERFLOW_WEIGHTS, 200.0, 19000, 19600),    # sum passes the max
-        (PowLogWeights(12.0, 0.0), 5.0, 2 ** 16, 2 ** 17)])  # last term does
-    def test_extended_into_log_domain(self, w, p, M0, M):
-        t = build_table(w, p, M, (), build_table(w, p, M0))
-        whole = build_table(w, p, M)
-        assert t.log_domain and whole.log_domain
-        assert np.array_equal(t.sums, whole.sums)
 
     def test_kept_weights(self):
         t = build_table(LINEAR, 1.0, 1000, (7, 999, 2000))
@@ -528,6 +508,19 @@ class TestClassBounds:
         assert class_bounds(LINEAR, 1.0, 3, m_max=4096,
                             table=build_table(LINEAR, 1.0, 256)).m_scanned \
             == 256
+
+    @pytest.mark.parametrize("w, p, n, m_max", [
+        (ConstantWeights(), 2.0, 17, None),         # plateau, cap 1088
+        (LogPowerWeights(0.5), 2.0, 256, 1500)])    # proved, open at 1500
+    def test_passed_table_need_not_keep_the_cap(self, w, p, n, m_max):
+        # neither cap is a multiple of 256: the weights the table does not
+        # keep there are read from w, and the row is the one built alone
+        table = build_table(w, p, 2048)
+        assert scan_length(w, n, m_max) not in table.weights
+        r = class_bounds(w, p, n, m_max, table=table)
+        assert r == class_bounds(w, p, n, m_max)
+        assert r.status == (STATUS_LIMIT if m_max is None
+                            else STATUS_TRUNCATED)
 
     def test_witness_consistency(self):
         # every equal-entry witness stays below the reported lower envelope

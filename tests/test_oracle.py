@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nterm.bounds
 from nterm import (
     ConstantWeights,
     LogPowerWeights,
@@ -267,7 +268,7 @@ class TestTwoFamiliesAgainstReference:
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
     def test_no_weights_read_at_p_le_2(self, weights_evaluated, p):
         cfg = OracleConfig()
-        table = run_table(LINEAR, p, [4, 64], cfg.m_max)
+        table, _ = run_table(LINEAR, p, [4, 64], cfg.m_max)
         weights_evaluated.clear()
         for n in (4, 64):
             structure_oracle(LINEAR, p, n, cfg, table=table)
@@ -284,7 +285,7 @@ class TestTwoFamiliesAgainstReference:
 
     def test_weights_read_once_per_call_above_2(self, weights_evaluated):
         cfg = OracleConfig()
-        table = run_table(LINEAR, 3.0, [4, 64], cfg.m_max)
+        table, _ = run_table(LINEAR, 3.0, [4, 64], cfg.m_max)
         weights_evaluated.clear()
         for n in (4, 64):
             structure_oracle(LINEAR, 3.0, n, cfg, table=table)
@@ -521,6 +522,20 @@ class TestCertify:
         assert certify(LINEAR, 2.0, grid, cfg) == per_n
         # one table, 2 (n_max + 256) long, holds the proof of every n
         assert table_sizes == [2 * (1024 + 256)]
+
+    def test_each_n_scanned_once(self, monkeypatch):
+        # the structure oracle ends where the bounds row stopped and reads
+        # that stop from the row, not from a scan of its own
+        scanned = []
+        real = nterm.bounds._scan
+
+        def counting(table, n, *args):
+            scanned.append(n)
+            return real(table, n, *args)
+
+        monkeypatch.setattr(nterm.bounds, "_scan", counting)
+        certify(LINEAR, 2.0, dyadic_grid(16, 1024), OracleConfig(iters=200))
+        assert scanned == dyadic_grid(16, 1024)
 
     def test_empty_grid(self):
         assert certify(LINEAR, 2.0, []) == []
