@@ -403,20 +403,24 @@ def _scan(table: CumulativeWeightTable, n: int, end: int, proved: bool,
     return None
 
 
+class _ShortTable(ValueError):
+    """The table ends before the scan's stop."""
+
+
 def run_table(w: WeightModel, p: float, n_values: Sequence[int],
               m_max: int | None = None
               ) -> tuple[CumulativeWeightTable, list[BoundResult]]:
-    """The one table of a run over ``n_values``, and each n's bounds row
-    read from it, as ``class_bounds`` gives it alone.
+    """The one table of a run over ``n_values``, and each n's
+    ``class_bounds`` row read from it.
 
     ``n`` and a given ``m_max`` are checked first, against every n in grid
     order, so that a bad one is named before any table is built.  The table
     keeps the weights at each n's cap and the index before it.  Where
     ``class_bounds`` proves its maximum (p <= 2), the table starts at
     2 (n_max + _STRIDE) entries; when an n's scan runs past its end before
-    the proof closes, it is dropped and built whole again at twice the
-    length, up to the largest cap, and that n is scanned again.  Otherwise
-    it is built to the largest cap at once.
+    the proof closes, it is dropped and built whole at twice the length, up
+    to the largest cap, and that n is scanned again.  Otherwise it is built
+    to the largest cap at once.
     """
     _check_p(p)
     n_values = [int(n) for n in n_values]
@@ -431,15 +435,15 @@ def run_table(w: WeightModel, p: float, n_values: Sequence[int],
     top = max(ends)
     size = min(top, 2 * (max(n_values) + _STRIDE)) if _proves(w, p) else top
     table, rows = None, []
-    for n, end in zip(n_values, ends):
+    for n in n_values:
         row = None
         while row is None:
             if table is None:
                 table = build_table(w, p, size, keep)
-            row = _bounds_row(w, p, n, end, table)
-            if row is None:
-                # the table ends before the proof closed: drop it before
-                # one twice as long is built
+            try:
+                row = class_bounds(w, p, n, m_max, table=table)
+            except _ShortTable:
+                # drop the table before one twice as long is built
                 table, size = None, min(2 * size, top)
         rows.append(row)
     return table, rows
@@ -473,6 +477,7 @@ def class_bounds(
         return run_table(w, p, [n], m_max)[1][0]
     if table.p != p:
         raise ValueError(f"table is for p = {table.p}, not {p}")
+
     end = scan_length(w, n, m_max)
     missing = [m for m in (end - 1, end)
                if 1 <= m <= table.sums.size and m not in table.weights]
@@ -480,23 +485,12 @@ def class_bounds(
         vals = w.values(missing[-1])
         table = replace(table, weights={
             **table.weights, **{m: float(vals[m - 1]) for m in missing}})
-    row = _bounds_row(w, p, n, end, table)
-    if row is None:
-        raise ValueError(f"table covers m in [1, {table.sums.size}], short "
-                         f"of the scan for n = {n} (cap {end})")
-    return row
-
-
-def _bounds_row(w: WeightModel, p: float, n: int, end: int,
-                table: CumulativeWeightTable) -> BoundResult | None:
-    """``class_bounds`` for n with the cap ``end``, read from ``table``,
-    which keeps w_m at ``end`` and ``end - 1``; None where the table ends
-    before the scan's stop."""
     divergent, plateau = _regime(w, p)
     proved = _proves(w, p)
     scan = _scan(table, n, end, proved)
     if scan is None:
-        return None
+        raise _ShortTable(f"table covers m in [1, {table.sums.size}], short "
+                          f"of the scan for n = {n} (cap {end})")
     scan_lower, scan_upper, m_star, stop, closed = scan
 
     def result(status, lower=scan_lower, upper=scan_upper, argmax=None):
