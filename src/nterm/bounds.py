@@ -40,10 +40,11 @@ monotonically towards c**-2.  Otherwise they read ``attained`` when the
 envelope's last max(64, m*/4) values, m* its argmax, lie below the
 maximum, else ``truncated-unknown``.
 
-``run_table`` is the one place that sizes a run's table, and it scans
-each n of the grid once.  At p <= 2 it doubles the table, building it
-whole again, until the proof of every n has closed or the largest cap is
-reached; otherwise it builds it to the largest cap.
+``run_table`` is the one place that sizes a run's table, and it reads
+each n's row from it.  At p <= 2 it starts at 2 (n_max + _STRIDE)
+entries and, when an n's proof runs past the table's end, builds it
+whole at twice the length and scans that n again, up to the largest cap;
+otherwise it builds it to the largest cap.
 
 For p = oo the squared error equals the tail sum of w_j**-2.
 ``class_error_infty`` sums a head and closes the tail with an integral, to
