@@ -13,8 +13,8 @@ import importlib
 # exported name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(("BoundResult", "CumulativeWeightTable", "InftyTailResult",
-                     "build_table", "class_bounds", "class_bounds_grid",
-                     "class_error_infty"), "bounds"),
+                     "build_table", "class_bounds", "class_error_infty",
+                     "run_table"), "bounds"),
     **dict.fromkeys(("CertificationReport", "OracleConfig", "certify",
                      "random_search_oracle", "structure_oracle"), "oracle"),
     **dict.fromkeys(("RateFit", "class_error_samples", "dyadic_grid",

@@ -37,14 +37,16 @@ Those rows scan to the cap and keep the classification by exponents:
 the plateau is reached when the last two weights of the scan are equal,
 and past its start W_m**2 = m c**2 + D, so both envelopes move
 monotonically towards c**-2.  Otherwise they read ``attained`` when the
-envelope's last max(64, m*/4) values, m* its argmax, lie below the
-maximum, else ``truncated-unknown``.
+envelope's last max(64, m*/4) values, m* its first argmax, lie below the
+maximum, that is when the scan's last argmax lies before them, else
+``truncated-unknown``.
 
-``run_table`` is the one place that sizes a run's table, and it reads
-each n's row from it.  At p <= 2 it starts at 2 (n_max + _STRIDE)
-entries and, when an n's proof runs past the table's end, builds it
-whole at twice the length and scans that n again, up to the largest cap;
-otherwise it builds it to the largest cap.
+``run_table`` makes a run: its one table and each n's row, one
+``class_bounds`` call on that table per n, which every consumer reads as
+made.  At p <= 2 it starts at 2 (n_max + _STRIDE) entries and, when an
+n's proof runs past the table's end, builds it whole at twice the length
+and scans that n again, up to the largest cap; otherwise it builds it to
+the largest cap.  An empty grid builds no table.
 
 For p = oo the squared error equals the tail sum of w_j**-2.
 ``class_error_infty`` sums a head and closes the tail with an integral, to
@@ -81,7 +83,6 @@ __all__ = [
     "scan_length",
     "run_table",
     "class_bounds",
-    "class_bounds_grid",
     "class_error_infty",
     "STATUS_ATTAINED",
     "STATUS_LIMIT",
@@ -126,8 +127,10 @@ _LOG_TINY = math.log(float(np.finfo(np.float64).tiny))
 
 
 def _check_p(p: float) -> None:
-    if not 0 < p < math.inf:
-        raise ValueError(f"p must be finite and positive, got {p}")
+    # 2/p is the envelopes' exponent
+    if not (0 < p < math.inf and math.isfinite(2.0 / float(p))):
+        raise ValueError(f"p must be finite and positive, with 2/p finite, "
+                         f"got {p}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,29 +353,30 @@ def _closed(table: CumulativeWeightTable, n: int, checks: np.ndarray,
                <= log_upper))
 
 
-def _scan(table: CumulativeWeightTable, n: int, end: int, proved: bool,
-          lo: int | None = None) -> tuple | None:
-    """Scan the envelopes (m - n [+ 1]) W_m**-2 over m in [lo, end], lo =
-    max(n, 1) unless given, a block at a time.
+def _scan(table: CumulativeWeightTable, n: int, end: int,
+          proved: bool) -> tuple | None:
+    """Scan the envelopes (m - n [+ 1]) W_m**-2 over m in [max(n, 1), end],
+    a block at a time.
 
-    Returns (lower, upper, m_star, stop, closed): the envelopes' maxima
-    over [lo, stop] and the first index of the upper one's.  With
-    ``proved`` set, stop is the first check index (a multiple of
-    ``_STRIDE``, or end) where the bounds past it are at or below both
-    maxima, and closed is True; else stop is end.  An empty range gives
-    zeros and stop = 0; None where the table ends before the scan.  A
-    block ends at a multiple of ``_STRIDE``, or at end, and holds about
-    ``_BLOCK`` entries at most; with ``proved`` set the first one runs
-    about as far past lo as lo itself, and each next one twice as far as
-    the last.  m - n is an integer below 2**53, exact in a float64
-    arange, so each product is the one of the whole-array formula.
+    Returns (lower, upper, m_star, m_last, stop, closed): the envelopes'
+    maxima over [max(n, 1), stop], and the first and the last index where
+    the upper one reaches its maximum.  With ``proved`` set, stop is the
+    first check index (a multiple of ``_STRIDE``, or end) where the bounds
+    past it are at or below both maxima, and closed is True; else stop is
+    end.  An empty range gives zeros and stop = 0; None where the table
+    ends before the scan.  A block ends at a multiple of ``_STRIDE``, or at
+    end, and holds about ``_BLOCK`` entries at most; with ``proved`` set
+    the first one runs about as far past max(n, 1) as that index itself,
+    and each next one twice as far as the last.  m - n is an integer below
+    2**53, exact in a float64 arange, so each product is the one of the
+    whole-array formula.
     """
-    lo = max(n, 1) if lo is None else lo
+    lo = max(n, 1)
     if end < lo:
-        return 0.0, 0.0, None, 0, False
+        return 0.0, 0.0, None, None, 0, False
     size = table.sums.size
     margin = _proof_margin(table, end)
-    lower, upper, m_star = 0.0, -1.0, None
+    lower, upper, m_star, m_last = 0.0, -1.0, None, None
     m, length = lo, max(lo, _STRIDE) if proved else _BLOCK
     while m <= size:
         hi = min(end, size, -(-(m + length - 1) // _STRIDE) * _STRIDE)
@@ -398,8 +402,11 @@ def _scan(table: CumulativeWeightTable, n: int, end: int, proved: bool,
         i = int(np.argmax(t_up))
         if t_up[i] > upper:
             upper, m_star = float(t_up[i]), m + i
+        if t_up[i] == upper:
+            # a later block that ties the maximum moves its last index
+            m_last = m + t_up.size - 1 - int(np.argmax(t_up[::-1]))
         if closed or stop == end:
-            return lower, upper, m_star, stop, closed
+            return lower, upper, m_star, m_last, stop, closed
         m, length = stop + 1, min(2 * length, _BLOCK)
     return None
 
@@ -410,9 +417,9 @@ class _ShortTable(ValueError):
 
 def run_table(w: WeightModel, p: float, n_values: Sequence[int],
               m_max: int | None = None
-              ) -> tuple[CumulativeWeightTable, list[BoundResult]]:
+              ) -> tuple[CumulativeWeightTable | None, list[BoundResult]]:
     """The one table of a run over ``n_values``, and each n's
-    ``class_bounds`` row read from it.
+    ``class_bounds`` row read from it, in grid order.
 
     ``n`` and a given ``m_max`` are checked first, against every n in grid
     order, so that a bad one is named before any table is built.  The table
@@ -421,7 +428,8 @@ def run_table(w: WeightModel, p: float, n_values: Sequence[int],
     2 (n_max + _STRIDE) entries; when an n's scan runs past its end before
     the proof closes, it is dropped and built whole at twice the length, up
     to the largest cap, and that n is scanned again.  Otherwise it is built
-    to the largest cap at once.
+    to the largest cap at once.  An empty grid gives no rows and builds no
+    table, None.
     """
     _check_p(p)
     n_values = [int(n) for n in n_values]
@@ -431,6 +439,8 @@ def run_table(w: WeightModel, p: float, n_values: Sequence[int],
         if m_max is not None and m_max < n + 1:
             raise ValueError(
                 f"m_max must be >= n + 1, got {m_max} < {n + 1}")
+    if not n_values:
+        return None, []
     ends = [scan_length(w, n, m_max) for n in n_values]
     keep = {m for end in ends for m in (end - 1, end)}
     top = max(ends)
@@ -492,7 +502,7 @@ def class_bounds(
     if scan is None:
         raise _ShortTable(f"table covers m in [1, {table.sums.size}], short "
                           f"of the scan for n = {n} (cap {end})")
-    scan_lower, scan_upper, m_star, stop, closed = scan
+    scan_lower, scan_upper, m_star, m_last, stop, closed = scan
 
     def result(status, lower=scan_lower, upper=scan_upper, argmax=None):
         return BoundResult(
@@ -517,24 +527,10 @@ def class_bounds(
         if limit >= scan_upper:
             return result(STATUS_LIMIT, lower, upper)
         return result(STATUS_ATTAINED, lower, upper, argmax=m_star)
-    window = max(64, m_star // 4)
-    if (end - max(n, 1) + 1 > window
-            and _scan(table, n, end, False, end - window + 1)[1] < scan_upper):
+    # every value in the last max(64, m*/4) of the scan is below the maximum
+    if m_last <= end - max(64, m_star // 4):
         return result(STATUS_ATTAINED, argmax=m_star)
     return result(STATUS_TRUNCATED)
-
-
-def class_bounds_grid(
-    w: WeightModel,
-    p: float,
-    n_values: Sequence[int],
-    m_max: int | None = None,
-) -> list[BoundResult]:
-    """``class_bounds`` for every n of a grid, read from one ``run_table``."""
-    n_values = [int(n) for n in n_values]
-    if not n_values:
-        return []
-    return run_table(w, p, n_values, m_max)[1]
 
 
 @dataclass(frozen=True)

@@ -70,9 +70,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .bounds import class_bounds_grid, class_error_infty, run_table
-from .oracle import (OracleConfig, certify, random_search_oracle,
-                     structure_oracle)
+from .bounds import class_error_infty, run_table
+from .oracle import OracleConfig, certify, run_oracles
 from .ratefit import class_error_samples, dyadic_grid, fit_rate, ratio_envelope
 from .sequences import CoefficientSequence, scaled_tail_sqs
 from .weights import (
@@ -118,8 +117,9 @@ def _parse_p(text: str) -> float:
         p = float(text)
     except ValueError:
         raise ValueError(f"cannot parse p value {text!r}") from None
-    if math.isnan(p) or p <= 0:
-        raise ValueError(f"p must be positive, got {text!r}")
+    # 2/p is the envelopes' exponent
+    if math.isnan(p) or p <= 0 or math.isinf(2.0 / p):
+        raise ValueError(f"p must be positive, with 2/p finite, got {text!r}")
     return p
 
 
@@ -154,7 +154,7 @@ def _run_bounds(ns) -> tuple[dict, int]:
         columns = ["n", "value_sq", "truncation_bound", "status",
                    "terms_summed"]
     else:
-        results = class_bounds_grid(w, ns.p, n_values, ns.m_max)
+        results = run_table(w, ns.p, n_values, ns.m_max)[1]
         columns = ["n", "lower_sq", "upper_sq", "status", "argmax_m",
                    "m_scanned"]
     rows = [{"n": n, **{c: getattr(r, c) for c in columns[1:]}}
@@ -186,19 +186,12 @@ def _oracle_config(ns) -> OracleConfig:
 
 def _run_oracle(ns) -> tuple[dict, int]:
     w = parse_weight_spec(ns.weights)
-    cfg = _oracle_config(ns)
-    n_values = parse_n_spec(ns.n)
-    table = bounds = None
-    if not math.isinf(ns.p):
-        table, bounds = run_table(w, ns.p, n_values, cfg.m_max)
-    randoms = random_search_oracle(w, ns.p, n_values, cfg)
     rows = []
     witnesses = {}
-    for i, (n, (r_sq, r_wit)) in enumerate(zip(n_values, randoms)):
-        if table is not None:
-            s_sq, s_wit = structure_oracle(
-                w, ns.p, n, cfg, table=table,
-                m_scanned=bounds[i].m_scanned)
+    for n, _, structure, (r_sq, r_wit) in run_oracles(
+            w, ns.p, parse_n_spec(ns.n), _oracle_config(ns)):
+        if structure is not None:
+            s_sq, s_wit = structure
             rows.append({"n": n, "engine": "structure", "value_sq": s_sq})
             witnesses[f"structure:{n}"] = s_wit.entries.tolist()
         rows.append({"n": n, "engine": "random", "value_sq": r_sq})

@@ -17,10 +17,11 @@ Two engines are checked against the analytic bounds:
 
 Both engines are bitwise reproducible given a seed and configuration.
 
-``certify`` and the ``oracle`` command read one cumulative weight table per
-run, ``bounds.run_table``, sized for the grid and shared by every n, and
-one random sample set per grid: ``random_search_oracle`` takes the whole
-n grid, and each n's result equals that of a one-n grid, bit for bit.
+``certify`` and the ``oracle`` command share one pass, ``run_oracles``: at
+finite p one ``bounds.run_table``, whose table serves every n's structure
+oracle up to the end of that n's bounds row, and one random sample set per
+grid: ``random_search_oracle`` takes the whole n grid, and each n's result
+equals that of a one-n grid, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,12 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import (
-    _BLOCK,
-    CumulativeWeightTable,
-    class_bounds,
-    run_table,
-)
+from .bounds import _BLOCK, CumulativeWeightTable, run_table
 from .sequences import CoefficientSequence, sigma_sq_exact
 from .weights import WeightModel
 
@@ -45,6 +41,7 @@ __all__ = [
     "CertificationReport",
     "structure_oracle",
     "random_search_oracle",
+    "run_oracles",
     "certify",
 ]
 
@@ -99,29 +96,26 @@ def structure_oracle(
 
     m_max is the end of the bound scan, ``m_scanned`` of n's bounds row:
     the cap, or at p <= 2 the index where its proof closed, past which no
-    flat block is worth more.  A caller that holds the row passes it as
-    ``m_scanned``; else it is read from ``class_bounds`` on ``table``, or
-    from ``run_table``.  Past a weight file's end, where no k > n is left,
-    the result is 0.0 with an empty witness.  The values are compared in
-    logarithms read from ``table``, used as given (of p, covering m_max),
-    or built by ``run_table``, so a log-domain table cannot overflow or
-    give NaN; the weights are read, once, only for Hoelder pairs.  Returns
-    the best squared value with its witness; the value is recomputed from
-    the witness through ``sigma_sq_exact``, so the pair is always
-    consistent.
+    flat block is worth more.  A ``table`` comes with that stop: a caller
+    that holds a run passes its table and the row's ``m_scanned``; without
+    a table both come from ``run_table``.  Past a weight file's end, where
+    no k > n is left, the result is 0.0 with an empty witness.  The values
+    are compared in logarithms read from the table, used as given (of p,
+    covering m_max), so a log-domain table cannot overflow or give NaN;
+    the weights are read, once, only for Hoelder pairs.  Returns the best
+    squared value with its witness; the value is recomputed from the
+    witness through ``sigma_sq_exact``, so the pair is always consistent.
     """
-    if not 0 < p < math.inf:
-        raise ValueError(f"p must be finite and positive, got {p}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     n = int(n)
     if table is None:
         table, (row,) = run_table(w, p, [n], cfg.m_max)
         m_scanned = row.m_scanned
+    elif m_scanned is None:
+        raise ValueError("a passed table needs its row's m_scanned")
     elif table.p != p:
         raise ValueError(f"table is for p = {table.p}, not {p}")
-    elif m_scanned is None:
-        m_scanned = class_bounds(w, p, n, cfg.m_max, table=table).m_scanned
     m_max = m_scanned
     if m_max < n + 1:
         return 0.0, CoefficientSequence(np.zeros(0))
@@ -280,6 +274,26 @@ def random_search_oracle(
     return [results.get(n, (0.0, empty)) for n in n_values]
 
 
+def run_oracles(w: WeightModel, p: float, n_values: Sequence[int],
+                cfg: OracleConfig) -> list[tuple]:
+    """Per n of the grid, in order: (n, bounds row, structure oracle's
+    result, random oracle's result).  At finite p one ``run_table`` checks
+    every n and m_max first and makes the table and the rows, and each
+    structure oracle reads that table up to its row's ``m_scanned``; at
+    p = inf the row and the structure result are None.  One
+    ``random_search_oracle`` sample set serves the whole grid."""
+    n_values = [int(n) for n in n_values]
+    table, rows = None, [None] * len(n_values)
+    if not math.isinf(p):
+        table, rows = run_table(w, p, n_values, cfg.m_max)
+    randoms = random_search_oracle(w, p, n_values, cfg)
+    return [(n, row,
+             None if row is None else structure_oracle(
+                 w, p, n, cfg, table=table, m_scanned=row.m_scanned),
+             random)
+            for n, row, random in zip(n_values, rows, randoms)]
+
+
 @dataclass(frozen=True)
 class CertificationReport:
     """Cross-check of the bound scan against both oracles.
@@ -319,15 +333,14 @@ def certify(
 ) -> list[CertificationReport]:
     """Run bounds, structure oracle, and random oracle; check containment.
 
-    One report per n of the grid, all read from one ``run_table`` and one
-    random sample set: ``random_search_oracle`` runs once for the grid,
-    and each n's ``random_sq`` equals that of a one-n grid.  Each check
-    has a fixed slack of 1e-9, the report's ``tol``.  Check failures set
-    the report's ``passed`` flag instead of raising, so harnesses can
-    collect every combination before deciding.  The structure oracle's two
-    families are flat blocks and, at p > 2, Hoelder pairs, over the bound
-    scan's range, whose end, the row's ``m_scanned``, is the report's
-    ``m_max``.  At p <= 2
+    One report per n of the grid, all read from one ``run_oracles`` pass:
+    one ``run_table`` and one random sample set, so each n's ``random_sq``
+    equals that of a one-n grid.  Each check has a fixed slack of 1e-9,
+    the report's ``tol``.  Check failures set the report's ``passed`` flag
+    instead of raising, so harnesses can collect every combination before
+    deciding.  The structure oracle's two families are flat blocks and, at
+    p > 2, Hoelder pairs, over the bound scan's range, whose end, the
+    row's ``m_scanned``, is the report's ``m_max``.  At p <= 2
     ``structure_ge_scan_lower`` is an identity: the best flat block is the
     lower envelope of the bound scan.  ``structure_le_upper`` compares with
     ``scan_upper_sq`` whatever the status, the stricter reference: a
@@ -340,15 +353,9 @@ def certify(
         raise ValueError(f"certify needs a finite p > 0, got {p}")
     if cfg is None:
         cfg = OracleConfig()
-    n_values = [int(n) for n in n_values]
-    if not n_values:
-        return []
-    table, rows = run_table(w, p, n_values, cfg.m_max)
-    randoms = random_search_oracle(w, p, n_values, cfg)
     reports = []
-    for n, bounds_result, (random_sq, _) in zip(n_values, rows, randoms):
-        structure_sq, _ = structure_oracle(
-            w, p, n, cfg, table=table, m_scanned=bounds_result.m_scanned)
+    for n, bounds_result, (structure_sq, _), (random_sq, _) in run_oracles(
+            w, p, n_values, cfg):
         checks = (
             ("structure_ge_scan_lower",
              structure_sq >= bounds_result.scan_lower_sq - _CERTIFY_TOL),

@@ -25,8 +25,8 @@ from .bounds import (
     STATUS_CONVERGED,
     STATUS_LIMIT,
     STATUS_TRUNCATED,
-    class_bounds_grid,
     class_error_infty,
+    run_table,
 )
 from .weights import RatePrediction, WeightModel
 
@@ -144,7 +144,7 @@ def class_error_samples(
         return out
 
     out = []
-    for r in class_bounds_grid(w, p, n_values, m_max):
+    for r in run_table(w, p, n_values, m_max)[1]:
         if r.status not in (STATUS_ATTAINED, STATUS_LIMIT):
             raise ValueError(
                 f"bounds not finite at n={r.n} (status {r.status})")

@@ -15,7 +15,6 @@ from nterm import (
     TabulatedWeights,
     build_table,
     class_bounds,
-    class_bounds_grid,
     class_error_infty,
     dyadic_grid,
     sigma_n_exact,
@@ -30,6 +29,7 @@ from nterm.bounds import (
     STATUS_LIMIT,
     STATUS_TRUNCATED,
     _TAIL_TOL,
+    CumulativeWeightTable,
     _log_tail_bound,
     _proof_margin,
     _tail_integral,
@@ -314,8 +314,8 @@ class TestBoundedMemory:
 
     def test_proved_grid_table_stops_near_twice_n(self):
         # the proof closes near 2n, so the table ends near 2**16, not 2**21
-        peak = self._peak(lambda: class_bounds_grid(
-            ConstantWeights(), 1.0, dyadic_grid(2 ** 4, 2 ** 15)))
+        peak = self._peak(lambda: run_table(
+            ConstantWeights(), 1.0, dyadic_grid(2 ** 4, 2 ** 15))[1])
         assert peak < 4 * 2 ** 20
 
     def test_plateau_read_costs_no_second_weight_array(self):
@@ -430,6 +430,12 @@ class TestClassBounds:
     def test_p_inf_rejected(self):
         with pytest.raises(ValueError):
             class_bounds(ConstantWeights(), math.inf, 1)
+
+    def test_p_whose_two_over_p_overflows_is_rejected(self):
+        # the smallest subnormal, and 2**-1023, whose 2/p is 2**1024
+        for p in (5e-324, math.ldexp(1.0, -1023)):
+            with pytest.raises(ValueError, match="2/p finite"):
+                class_bounds(ConstantWeights(), p, 1)
 
     def test_tabulated_exhaustion_is_not_an_error(self):
         # the bound at the file's end proves the maximum for every
@@ -572,7 +578,7 @@ class TestPlateauLimit:
         ref = _ref.powlog_plateau_sq(alpha, beta)
         assert abs(ref - expected) <= 1e-16 * ref
         n_values = dyadic_grid(n_min, 1024)
-        rows = class_bounds_grid(PowLogWeights(alpha, beta), 2.0, n_values)
+        rows = run_table(PowLogWeights(alpha, beta), 2.0, n_values)[1]
         assert {(r.status, r.lower_sq, r.upper_sq) for r in rows} == {
             (STATUS_LIMIT, rows[0].upper_sq, rows[0].upper_sq)}
         assert abs(rows[0].upper_sq - ref) <= 1e-15 * ref
@@ -588,14 +594,46 @@ class TestPlateauLimit:
         assert abs(r.lower_sq - ref) <= 1e-15 * ref
 
 
+class TestTrailingWindow:
+    """A row that neither a proof nor the exponents decide reads
+    ``attained`` only when the upper envelope's last max(64, m*/4) values
+    lie below its maximum, m* the first index of that maximum."""
+
+    @staticmethod
+    def row(last_sum):
+        # p = 4, n = 0: the upper envelope is (m + 1) / sqrt(S_m); with
+        # S_m = 128 (m + 1) up to m = 127 and 256 (m + 1) past it, it is
+        # exactly 1 at m = 127 and below 1 elsewhere, up to m = 255, whose
+        # sum is last_sum
+        m = np.arange(1.0, 256.0)
+        sums = np.where(m <= 127, 128.0, 256.0) * (m + 1)
+        sums[-1] = last_sum
+        table = CumulativeWeightTable(p=4.0, sums=sums, log_domain=False,
+                                      weights={})
+        return class_bounds(TabulatedWeights(np.ones(255)), 4.0, 0,
+                            table=table)
+
+    def test_tie_inside_the_window_is_truncated(self):
+        # S_255 = 256**2 ties the maximum at m = 255, inside the window of
+        # 64 at the scan's end
+        r = self.row(256.0 ** 2)
+        assert (r.status, r.argmax_m, r.upper_sq, r.m_scanned) == (
+            STATUS_TRUNCATED, None, 1.0, 255)
+
+    def test_below_the_maximum_in_the_window_is_attained(self):
+        r = self.row(256.0 ** 2 + 1.0)
+        assert (r.status, r.argmax_m, r.upper_sq) == (
+            STATUS_ATTAINED, 127, 1.0)
+
+
 class TestClassBoundsGrid:
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
     def test_matches_class_bounds_per_n(self, p):
         grid = dyadic_grid(1, 256)
         for w in (ConstantWeights(), LINEAR, LogPowerWeights(1.0)):
-            assert class_bounds_grid(w, p, grid) == [
+            assert run_table(w, p, grid)[1] == [
                 class_bounds(w, p, n) for n in grid]
-            assert class_bounds_grid(w, p, grid, 8192) == [
+            assert run_table(w, p, grid, 8192)[1] == [
                 class_bounds(w, p, n, m_max=8192) for n in grid]
 
     def test_clipped_to_tabulated_length(self):
@@ -603,19 +641,19 @@ class TestClassBoundsGrid:
         # the proof closes at the first multiple of 256 past about 1.4 n
         w = TabulatedWeights(np.arange(1.0, 4097.0))
         grid = dyadic_grid(16, 2048)
-        got = class_bounds_grid(w, 1.5, grid)
+        got = run_table(w, 1.5, grid)[1]
         assert [r.m_scanned for r in got] == (
             [256] * 4 + [512, 768, 1536, 3072])
         assert got == [class_bounds(w, 1.5, n) for n in grid]
 
     def test_bad_m_max_is_named(self):
         with pytest.raises(ValueError, match="m_max must be >= n"):
-            class_bounds_grid(ConstantWeights(), 1.0, [16, 64], 0)
+            run_table(ConstantWeights(), 1.0, [16, 64], 0)
         with pytest.raises(ValueError, match="m_max must be >= n"):
-            class_bounds_grid(ConstantWeights(), 1.0, [16, 64], 40)
+            run_table(ConstantWeights(), 1.0, [16, 64], 40)
 
     def test_empty_grid(self):
-        assert class_bounds_grid(ConstantWeights(), 1.0, []) == []
+        assert run_table(ConstantWeights(), 1.0, []) == (None, [])
 
 
 def _full_range_reference(table, n, m_hi):
@@ -644,7 +682,7 @@ class TestProvedScan:
         w = PROVED_FAMILIES[name]
         grid = dyadic_grid(1, 2 ** 12)
         table = build_table(w, p, default_m_max(grid[-1]))
-        for r in class_bounds_grid(w, p, grid):
+        for r in run_table(w, p, grid)[1]:
             lower, upper, argmax = _full_range_reference(
                 table, r.n, default_m_max(r.n))
             assert (r.scan_lower_sq, r.scan_upper_sq) == (lower, upper)
@@ -665,7 +703,7 @@ class TestProvedScan:
         # the bound, with its margin, against the 50-digit vertex maximum
         # over [M + 1, 16 M]
         w = PROVED_FAMILIES[name]
-        rows = class_bounds_grid(w, p, [0, 3, 40])
+        rows = run_table(w, p, [0, 3, 40])[1]
         top = 16 * max(r.m_scanned for r in rows)
         ref = _ref.table(w, p, top)
         table = build_table(w, p, top)
@@ -688,8 +726,8 @@ class TestProvedScan:
         for m_max in (None, 3000, 2 ** 13 + 1):
             ns = [n for n in grid if m_max is None or n < m_max]
             alone = [class_bounds(w, p, n, m_max) for n in ns]
-            assert class_bounds_grid(w, p, ns, m_max) == alone
-            assert class_bounds_grid(w, p, ns[::-1], m_max) == alone[::-1]
+            assert run_table(w, p, ns, m_max)[1] == alone
+            assert run_table(w, p, ns[::-1], m_max)[1] == alone[::-1]
 
     def test_cap_before_the_proof_is_truncated(self):
         # (m - 1000) / m**2 still rises at the cap m = 1500 (its peak is at
@@ -745,7 +783,7 @@ class TestSandwichWidth:
         for name, w in families.items():
             for p in (0.5, 1.0, 1.5, 2.0):
                 table = build_table(w, p, 4096)
-                for r in class_bounds_grid(w, p, [0, 1, 4, 16, 64], 4096):
+                for r in run_table(w, p, [0, 1, 4, 16, 64], 4096)[1]:
                     if r.status == STATUS_DIVERGENT:
                         continue
                     width = r.upper_sq - r.lower_sq

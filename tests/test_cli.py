@@ -666,6 +666,18 @@ class TestErrorPaths:
         assert code == EXIT_DOMAIN
         assert err.startswith("nterm: error=domain")
 
+    @pytest.mark.parametrize("command", ["bounds", "certify", "oracle"])
+    def test_p_whose_two_over_p_overflows(self, capsys, command):
+        # 2/p, the envelopes' exponent, is inf at a subnormal p: one error
+        # line, and no NumPy warning from a NaN bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                command, "--weights", "const", "--p", "1e-320", "--n", "4"])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("nterm: error=domain")
+        assert err.count("\n") == 1
+
     def test_bad_n_range(self, capsys):
         code, _, err = run_cli(capsys, ["bounds", "--weights", "const",
                                         "--p", "1", "--n", "8..4:dyadic"])

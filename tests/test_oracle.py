@@ -173,10 +173,11 @@ class TestStructureOracle:
     def test_witness_is_the_best_flat_block(self, p):
         # at p <= 2 the witness is k copies of W_k**-1 at the best k
         for name, w in builtin_families().items():
-            table = build_table(w, p, 256)
-            for n in (0, 1, 5):
+            table, rows = run_table(w, p, [0, 1, 5], 256)
+            for n, row in zip((0, 1, 5), rows):
                 value, witness = structure_oracle(
-                    w, p, n, OracleConfig(m_max=256), table=table)
+                    w, p, n, OracleConfig(m_max=256), table=table,
+                    m_scanned=row.m_scanned)
                 k = witness.entries.size
                 assert k > n, (name, n)
                 block = np.full(k, math.sqrt(table.inv_sq_slice(k, k)[0]))
@@ -268,27 +269,39 @@ class TestTwoFamiliesAgainstReference:
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
     def test_no_weights_read_at_p_le_2(self, weights_evaluated, p):
         cfg = OracleConfig()
-        table, _ = run_table(LINEAR, p, [4, 64], cfg.m_max)
+        table, rows = run_table(LINEAR, p, [4, 64], cfg.m_max)
         weights_evaluated.clear()
-        for n in (4, 64):
-            structure_oracle(LINEAR, p, n, cfg, table=table)
+        for n, row in zip((4, 64), rows):
+            structure_oracle(LINEAR, p, n, cfg, table=table,
+                             m_scanned=row.m_scanned)
         assert weights_evaluated == []
 
     def test_passed_table_is_used_as_given(self):
         cfg = OracleConfig(m_max=64)
+        [row] = run_table(LINEAR, 3.0, [4], cfg.m_max)[1]
         with pytest.raises(ValueError, match="table is for p = 2.0, not 3"):
             structure_oracle(LINEAR, 3.0, 4, cfg,
-                             table=build_table(LINEAR, 2.0, 64))
+                             table=build_table(LINEAR, 2.0, 64),
+                             m_scanned=row.m_scanned)
         with pytest.raises(ValueError, match="table covers m in"):
             structure_oracle(LINEAR, 3.0, 4, cfg,
-                             table=build_table(LINEAR, 3.0, 63))
+                             table=build_table(LINEAR, 3.0, 63),
+                             m_scanned=row.m_scanned)
+
+    def test_passed_table_needs_its_stop(self):
+        # the stop is the bounds row's, never scanned again here
+        cfg = OracleConfig(m_max=64)
+        with pytest.raises(ValueError, match="needs its row's m_scanned"):
+            structure_oracle(LINEAR, 3.0, 4, cfg,
+                             table=build_table(LINEAR, 3.0, 64))
 
     def test_weights_read_once_per_call_above_2(self, weights_evaluated):
         cfg = OracleConfig()
-        table, _ = run_table(LINEAR, 3.0, [4, 64], cfg.m_max)
+        table, rows = run_table(LINEAR, 3.0, [4, 64], cfg.m_max)
         weights_evaluated.clear()
-        for n in (4, 64):
-            structure_oracle(LINEAR, 3.0, n, cfg, table=table)
+        for n, row in zip((4, 64), rows):
+            structure_oracle(LINEAR, 3.0, n, cfg, table=table,
+                             m_scanned=row.m_scanned)
         assert weights_evaluated == [1024, 64 * 64]
 
 
@@ -523,7 +536,15 @@ class TestCertify:
         # one table, 2 (n_max + 256) long, holds the proof of every n
         assert table_sizes == [2 * (1024 + 256)]
 
-    def test_each_n_scanned_once(self, monkeypatch):
+    @pytest.mark.parametrize("w, p, grid", [
+        (LINEAR, 2.0, dyadic_grid(16, 1024)),
+        # above 2 the trailing window is read from the same walk
+        (PowLogWeights(0.5, -1.0), 3.0, dyadic_grid(16, 512)),
+        # a p = 2 plateau row whose cap stops short of the plateau, so the
+        # trailing window decides
+        (PowLogWeights(-0.01, 0.5), 2.0, [16, 64]),
+    ], ids=["linear-2", "powlog-3", "plateau-short-2"])
+    def test_each_n_scanned_once(self, monkeypatch, w, p, grid):
         # the structure oracle ends where the bounds row stopped and reads
         # that stop from the row, not from a scan of its own
         scanned = []
@@ -534,8 +555,8 @@ class TestCertify:
             return real(table, n, *args)
 
         monkeypatch.setattr(nterm.bounds, "_scan", counting)
-        certify(LINEAR, 2.0, dyadic_grid(16, 1024), OracleConfig(iters=200))
-        assert scanned == dyadic_grid(16, 1024)
+        certify(w, p, grid, OracleConfig(iters=200))
+        assert scanned == grid
 
     def test_empty_grid(self):
         assert certify(LINEAR, 2.0, []) == []

@@ -73,6 +73,17 @@ def test_one_function_sizes_a_table():
     assert _source_callers("build_table") == ["bounds.py: run_table"]
 
 
+def test_one_function_makes_the_rows():
+    # every bounds row is made by run_table; the rest read its rows
+    assert _source_callers("class_bounds") == ["bounds.py: run_table"]
+
+
+@pytest.mark.parametrize("name", ["random_search_oracle", "structure_oracle"])
+def test_one_pass_runs_the_oracles(name):
+    # certify and the oracle command read one pass; neither runs its own
+    assert _source_callers(name) == ["oracle.py: run_oracles"]
+
+
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "schemas"
                      / "output.json").read_text(encoding="utf-8"))
 
