@@ -122,7 +122,8 @@ _DE_ROUNDING = 64 * float(np.finfo(np.float64).eps)   # plus this * |value|
 _DE_ROUNDING_PER_EXPONENT = 4 * float(np.finfo(np.float64).eps)
 _LN2 = math.log(2.0)
 _LOG2E = 1.0 / _LN2
-_LOG_MAX = math.log(float(np.finfo(np.float64).max))
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+_LOG_MAX = math.log(_FLOAT_MAX)
 _LOG_TINY = math.log(float(np.finfo(np.float64).tiny))
 
 
@@ -224,7 +225,6 @@ def _prefix_sums_in_place(vals: np.ndarray, p: float) -> bool:
     """Replace vals by the float64 roundings of the long double prefix sums
     of vals**p; False, with vals partly overwritten, once a sum passes the
     float64 maximum."""
-    top = np.finfo(np.float64).max
     buf = np.empty(min(_BLOCK, vals.size), dtype=np.longdouble)
     carry = np.longdouble(0.0)
     for start in range(0, vals.size, _BLOCK):
@@ -236,7 +236,7 @@ def _prefix_sums_in_place(vals: np.ndarray, p: float) -> bool:
         np.cumsum(sums, out=sums)
         carry = sums[-1]
         # every term is below e**700, but their sum may pass float64's range
-        if carry > top:
+        if carry > _FLOAT_MAX:
             return False
         seg[:] = sums
     return True
@@ -316,13 +316,20 @@ def _log_tail_bound(A, log_B, log_c, p: float):
 
     (A + s) / (B + s c)**a rises up to s = (B - a c A) / ((a - 1) c) and
     falls past it; at a = 1 it is monotone, towards 1/c.
+
+    At a p near 0, a A or the power may pass the float64 range.  Then
+    r - a A < 0, so s is 1, and the bound's logarithm lies below -max: it
+    is returned as -max, not -inf, so that it proves nothing against an
+    envelope maximum that is 0.0 or fell to it.
     """
     a = 2.0 / p
     r = np.exp(log_B - log_c)            # B / c, in [1, M]
     if a == 1.0:
         return np.maximum(np.log(A + 1.0) - log_c - np.log(r + 1.0), -log_c)
-    s = np.maximum(1.0, (r - a * A) / (a - 1.0))
-    return np.log(A + s) - a * (log_c + np.log(r + s))
+    with np.errstate(over="ignore"):
+        s = np.maximum(1.0, (r - a * A) / (a - 1.0))
+        log_bound = np.log(A + s) - a * (log_c + np.log(r + s))
+    return np.maximum(log_bound, -_FLOAT_MAX)
 
 
 def _proof_margin(table: CumulativeWeightTable, end: int) -> float:

@@ -120,10 +120,13 @@ def structure_oracle(
     if m_max < n + 1:
         return 0.0, CoefficientSequence(np.zeros(0))
 
-    # log((k-n) / W_k**2) for k in [n + 1, m_max]
-    log_W = table.log_W_slice(n + 1, m_max)
+    # log((k-n) / W_k**2) for k in [n + 1, m_max]; at a p near 0 log W_k
+    # may pass the float64 range: inf, and the value, far below the
+    # smallest float, -inf
     log_excess = np.log(np.arange(1, m_max - n + 1, dtype=np.float64))
-    flat = log_excess - 2.0 * log_W
+    with np.errstate(over="ignore"):
+        log_W = table.log_W_slice(n + 1, m_max)
+        flat = log_excess - 2.0 * log_W
     i = int(np.argmax(flat))
     best = float(flat[i])
     k = n + 1 + i
@@ -155,12 +158,16 @@ def structure_oracle(
 def _unit_rows_in_logs(vals: np.ndarray, wrow: np.ndarray,
                        p: float) -> np.ndarray:
     """Rows of vals scaled to unit weighted lp norm, the norm taken in
-    logarithms: for rows whose norm is past the float64 range."""
+    logarithms: for rows whose norm is past the float64 range.  At a p
+    near 0 the norm's logarithm may pass it too: inf, and the row, far
+    below the smallest float, zeros."""
     with np.errstate(divide="ignore"):
         log_vals = np.log(vals)
     log_t = log_vals + np.log(wrow)
-    log_norm = (log_t.max(axis=1, keepdims=True) if math.isinf(p) else
-                np.logaddexp.reduce(p * log_t, axis=1, keepdims=True) / p)
+    with np.errstate(over="ignore"):
+        log_norm = (log_t.max(axis=1, keepdims=True) if math.isinf(p) else
+                    np.logaddexp.reduce(p * log_t, axis=1, keepdims=True)
+                    / p)
     return np.exp(log_vals - log_norm)
 
 

@@ -22,11 +22,13 @@ Models can also be written as short text specs (``const``,
 and config use; see ``parse_weight_spec``.
 
 ``read_number_lines`` reads both input files, weight tables and coefficient
-sequences, one number per line, into a float64 array of the numbers and a
-list of the blank lines' numbers.  A sequence drops blank lines; a weight
-table may only end in them.  Errors name ``PATH:LINE``: exit 2 in a weight
-file and 3 in a sequence file at the CLI, where a file that cannot be read
-is exit 4.
+sequences, one number per line, into one float64 array of the numbers,
+filled a chunk of lines at a time once a first pass has counted them, and a
+list of the blank lines' numbers.  A weight file's table keeps that array
+as it is, so each weight is held once.  A sequence drops blank lines; a
+weight table may only end in them.  Errors name ``PATH:LINE``: exit 2 in a
+weight file and 3 in a sequence file at the CLI, where a file that cannot
+be read is exit 4.
 """
 
 from __future__ import annotations
@@ -77,18 +79,17 @@ class NotANumberError(ValueError):
 
 def _check_values(vals: np.ndarray) -> None:
     """Raise unless w_1..w_m are finite, start at 1 or above and never
-    decrease."""
-    bad = np.nonzero(~np.isfinite(vals))[0]
-    if bad.size:
-        j = int(bad[0]) + 1
+    decrease.  Each test holds one bool per weight, no float64 array."""
+    if not np.isfinite(vals).all():
+        j = int(np.argmin(np.isfinite(vals))) + 1
         raise WeightValidationError(
-            f"w_{j} = {vals[bad[0]]} is not finite", index=j)
+            f"w_{j} = {vals[j - 1]} is not finite", index=j)
     if vals[0] < 1.0:
         raise WeightValidationError(
             f"w_1 = {vals[0]} is below 1", index=1)
-    bad = np.nonzero(np.diff(vals) < 0)[0]
-    if bad.size:
-        j = int(bad[0]) + 2
+    drops = vals[1:] < vals[:-1]
+    if drops.any():
+        j = int(np.argmax(drops)) + 2
         raise WeightValidationError(
             f"weights decrease at index {j}", index=j)
 
@@ -249,11 +250,25 @@ class PowLogWeights(WeightModel):
 
 
 class TabulatedWeights(WeightModel):
-    """Explicit weight table, index 1 first; validated exhaustively."""
+    """Explicit weight table, index 1 first; validated exhaustively.
+
+    The table is read-only.  It holds a copy of a caller's ``values``, so
+    that the caller cannot change a validated table; a weight file's table
+    keeps the array ``read_number_lines`` made, which nothing else holds,
+    as it is.  ``values(m)`` hands out copies.
+    """
 
     def __init__(self, values: Sequence[float], source: str | None = None):
-        # a copy, so that the caller cannot change a validated table
-        arr = np.array(values, dtype=np.float64).reshape(-1)
+        self._keep(np.array(values, dtype=np.float64).reshape(-1), source)
+
+    @classmethod
+    def _of_file(cls, values: np.ndarray, source: str) -> TabulatedWeights:
+        """The table of a weight file, keeping the reader's ``values``."""
+        table = cls.__new__(cls)
+        table._keep(values, source)
+        return table
+
+    def _keep(self, arr: np.ndarray, source: str | None) -> None:
         if arr.size == 0:
             raise WeightValidationError("weight table is empty")
         _check_values(arr)
@@ -381,7 +396,7 @@ def parse_weight_spec(spec: str) -> WeightModel:
         if blanks and blanks[0] <= values.size:
             raise WeightSpecError(f"{body}:{blanks[0]}: "
                                   "blank line inside weight table")
-        return TabulatedWeights(values, source=body)
+        return TabulatedWeights._of_file(values, body)
     raise WeightSpecError(f"unknown weight family {head!r}")
 
 
@@ -397,33 +412,45 @@ def read_number_lines(path: str) -> tuple[np.ndarray, list[int]]:
     its text: a float64 array of the non-blank lines' numbers, in order,
     and the 1-based numbers of the blank lines.
 
-    The file is read ``_CHUNK_LINES`` lines at a time, each chunk parsed
-    into float64 at once, so neither its text nor a list of all its lines
-    or numbers is held.  If a line does not parse, or the file holds a line
-    break other than \\n, the text is read again and cut by
-    ``str.splitlines``; that either parses or raises ``NotANumberError``
-    naming the first such line as ``PATH:LINE``.  ``OSError`` and
-    ``UnicodeDecodeError`` pass through.
+    The file is read twice.  The first pass reads its text in blocks and
+    counts the lines; the second reads ``_CHUNK_LINES`` lines at a time and
+    parses each chunk into its place in one float64 array of that many
+    entries, dropping the chunk's lines before it reads the next.  So the
+    array is the only thing held of the whole file; where blank lines leave
+    its end unfilled, the numbers are a view of its start.  If a line does
+    not parse, or the first pass finds a line break other than \\n, the
+    text is read again and cut by ``str.splitlines``; that either parses or
+    raises ``NotANumberError`` naming the first such line as ``PATH:LINE``.
+    ``OSError`` and ``UnicodeDecodeError`` pass through.
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            chunks, blanks = [], []
+            size, block = 0, "\n"
+            for block in iter(lambda: fh.read(2 ** 16), ""):
+                if any(c in block for c in _LINE_BREAKS):
+                    raise ValueError("cut the lines as splitlines does")
+                # the \n bytes of its UTF-8 text: numpy counts them about
+                # four times as fast as str.count
+                size += int(np.count_nonzero(
+                    np.frombuffer(block.encode(), np.uint8) == 10))
+            # the last line need not end in a line break
+            size += not block.endswith("\n")
+            fh.seek(0)
+            values, blanks, filled = np.empty(size), [], 0
             while lines := list(itertools.islice(fh, _CHUNK_LINES)):
                 try:
                     # parses as float() does, whitespace around a number too
-                    chunks.append(np.array(lines, dtype=np.float64))
+                    chunk = np.array(lines, dtype=np.float64)
                 except ValueError:
-                    # every chunk before this one is full
-                    first = len(chunks) * _CHUNK_LINES + 1
+                    # each line read so far was a number or blank
+                    first = filled + len(blanks) + 1
                     blanks += [i for i, t in enumerate(lines, first)
                                if t.isspace()]
-                    chunks.append(np.array(
-                        [t for t in lines if not t.isspace()],
-                        dtype=np.float64))
-            fh.seek(0)
-            blocks = iter(lambda: fh.read(2 ** 16), "")
-            if any(c in b for b in blocks for c in _LINE_BREAKS):
-                raise ValueError("cut the lines as splitlines does")
+                    chunk = np.array([t for t in lines if not t.isspace()],
+                                     dtype=np.float64)
+                values[filled:filled + chunk.size] = chunk
+                filled += chunk.size
+                del lines, chunk
         except ValueError:
             fh.seek(0)
             numbers, blanks = [], []
@@ -437,5 +464,5 @@ def read_number_lines(path: str) -> tuple[np.ndarray, list[int]]:
                 except ValueError:
                     raise NotANumberError(
                         f"{path}:{lineno}: not a number: {text!r}") from None
-            chunks = [np.array(numbers, dtype=np.float64)]
-    return np.concatenate(chunks) if chunks else np.empty(0), blanks
+            return np.array(numbers, dtype=np.float64), blanks
+    return values if filled == size else values[:filled], blanks

@@ -437,6 +437,28 @@ class TestClassBounds:
             with pytest.raises(ValueError, match="2/p finite"):
                 class_bounds(ConstantWeights(), p, 1)
 
+    @pytest.mark.parametrize("p, m_max", [
+        (1.2e-308, None), (1e-306, None), (1e-305, None), (1e-304, 2 ** 17)])
+    def test_p_near_zero_proves_nothing_it_cannot(self, p, m_max):
+        # 2/p times the index, or the bound's power, passes the float64
+        # range (at 1e-304 only past the default cap); every envelope value
+        # past m = 1 falls to 0.0, so no bound may close against it
+        for w in (ConstantWeights(), PowLogWeights(1.0, 0.0)):
+            r = class_bounds(w, p, 4, m_max=m_max)
+            assert (r.lower_sq, r.upper_sq, r.status) == (
+                0.0, 0.0, STATUS_TRUNCATED)
+            assert r.m_scanned == scan_length(w, 4, m_max)
+        # c = 1 and r = B below 2/p times A, so s = 1; a bound past the
+        # float64 range is -max
+        A, B = np.array([252.0, 2.0 ** 40]), np.array([256.0, 2.0 ** 41])
+        got = _log_tail_bound(A, np.log(B), 0.0, p)
+        with mpmath.workdps(30):
+            for g, A_, B_ in zip(got, A, B):
+                ref = float(mpmath.log(A_ + 1)
+                            - 2 / mpmath.mpf(p) * mpmath.log(B_ + 1))
+                assert g == pytest.approx(
+                    max(ref, -np.finfo(np.float64).max), rel=1e-12)
+
     def test_tabulated_exhaustion_is_not_an_error(self):
         # the bound at the file's end proves the maximum for every
         # nondecreasing continuation of the file

@@ -678,6 +678,30 @@ class TestErrorPaths:
         assert err.startswith("nterm: error=domain")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("p", ["1.2e-308", "1e-306", "1e-305"])
+    @pytest.mark.parametrize("command", ["bounds", "certify", "oracle"])
+    def test_p_near_zero_runs_quietly(self, capsys, command, p):
+        # 2/p is finite but 2/p times an index, or log W_m, passes the
+        # float64 range: no NumPy warning, and every value, far below the
+        # smallest float, is 0.0.  The envelopes' maxima fall to 0.0 too,
+        # so no bound proves them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                command, "--weights", "const", "--p", p, "--n", "4",
+                "--format", "json"])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        if command == "bounds":
+            (row,) = doc["rows"]
+            assert (row["lower_sq"], row["upper_sq"], row["status"]) == (
+                0.0, 0.0, "truncated-unknown")
+        elif command == "certify":
+            (report,) = doc["reports"]
+            assert report["passed"] and report["structure_sq"] == 0.0
+        else:
+            assert [r["value_sq"] for r in doc["rows"]] == [0.0, 0.0]
+
     def test_bad_n_range(self, capsys):
         code, _, err = run_cli(capsys, ["bounds", "--weights", "const",
                                         "--p", "1", "--n", "8..4:dyadic"])

@@ -18,10 +18,11 @@ from nterm import (
     parse_weight_spec,
     predicted_rate,
 )
+import nterm.weights
 from nterm.weights import NotANumberError, read_number_lines
 
 import _ref
-from conftest import builtin_families
+from conftest import builtin_families, random_monotone_weights
 
 
 class TestWeightValue:
@@ -376,6 +377,49 @@ def test_table_is_copied_on_construction():
     assert t.values(3).tolist() == [1.0, 1.0, 1.0]
 
 
+class TestWeightFileHeldOnce:
+    """A weight file's numbers are held once: the table keeps the reader's
+    array, read-only, and hands out copies."""
+
+    def test_peak_memory_of_parse(self, tmp_path, rng):
+        # the table's array (8 bytes per entry) and one chunk of 2**14
+        # lines, each a str of at most 100 bytes: no array of every chunk
+        # besides it, and no copy for the table
+        size = 2 ** 17
+        weights = random_monotone_weights(rng, size).values(size)
+        path = tmp_path / "w.txt"
+        path.write_text("\n".join(map(repr, weights.tolist())) + "\n")
+        tracemalloc.start()
+        try:
+            w = parse_weight_spec(f"file:{path}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * size + 100 * 2 ** 14
+        assert w.values(size).tobytes() == weights.tobytes()
+
+    def test_table_keeps_the_readers_array(self, tmp_path, monkeypatch):
+        read = []
+
+        def reading(path):
+            read.append(real(path))
+            return read[-1]
+
+        real = nterm.weights.read_number_lines
+        monkeypatch.setattr(nterm.weights, "read_number_lines", reading)
+        path = tmp_path / "w.txt"
+        path.write_text("1\n2\n4\n\n")
+        w = parse_weight_spec(f"file:{path}")
+        (values, _), = read
+        assert np.shares_memory(w._values, values)
+        assert not w._values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w._values[0] = 5.0
+        vals = w.values(3)
+        vals[:] = 7.0
+        assert w.values(3).tolist() == [1.0, 2.0, 4.0]
+
+
 CHUNK = 2 ** 14
 # float() and numpy's float64 parse agree on each of these
 ODD_NUMBERS = ["1_0", "\u0661\u0662", "nan", "-0", " \t1.5  ", "1e400",
@@ -427,6 +471,20 @@ class TestReadNumberLines:
         with pytest.raises(NotANumberError) as exc:
             read_number_lines(str(path))
         assert str(exc.value) == f"{path}:{line + 1}: not a number: 'x'"
+
+    def test_line_break_in_the_last_block(self, tmp_path):
+        # past one chunk of lines and one 2**16-character block of text, a
+        # form feed only in the last block still sends the file to
+        # str.splitlines, which cuts a line there
+        text = self._text(CHUNK + 1, "7\x0c", "\n", "\n")
+        assert text.index("\x0c") >= (len(text) - 1) // 2 ** 16 * 2 ** 16
+        assert 2 ** 16 < len(text) and text.count("\n") > CHUNK
+        path = tmp_path / "x.txt"
+        path.write_bytes(text.encode())
+        values, blanks = read_number_lines(str(path))
+        expected, expected_blanks = _as_float_and_splitlines(text)
+        assert values.tobytes() == np.array(expected).tobytes()
+        assert blanks == expected_blanks == [CHUNK + 2]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "x.txt"
