@@ -1,21 +1,23 @@
 """Worst-case n-term error bounds for weighted lp unit balls.
 
-For 0 < p < oo the squared worst-case error over the unit ball is squeezed
-between ``max_m (m-n) / W_m**2`` and ``max_m (m-n+1) / W_m**2``, where
-``W_m = (w_1**p + ... + w_m**p)**(1/p)``.  ``class_bounds`` scans both
-envelopes over m from n on, up to a cap, ``m_max`` or ``default_m_max(n)``
-clipped to a weight file's length, and classifies how the supremum behaves:
+For 0 < p < oo ``class_bounds`` scans the envelopes ``(m-n) / W_m**2`` and
+``(m-n+1) / W_m**2``, ``W_m = (w_1**p + ... + w_m**p)**(1/p)``, over m from
+n on, up to a cap, ``m_max`` or ``default_m_max(n)`` clipped to a weight
+file's length.  A flat block of m entries W_m**-1 is a unit vector, so the
+lower maximum bounds the squared worst-case error from below at every p;
+the upper one bounds it from above at p <= 2 only, since at p > 2 vectors
+with a tail beat it.  Each finite-p regime has one status rule:
 
-* ``attained``            the maximum sits at a finite index: at p <= 2 it is
-                          proved by the bound below; at p > 2 the scan
-                          confirms the envelope keeps falling past it, or,
-                          on a p = 2 plateau, stays below it;
+* ``attained``            at p <= 2: the maximum sits at a finite index,
+                          proved by the bound below or, on a reached p = 2
+                          plateau, inside the scan;
 * ``limit-at-infinity``   the envelope increases towards a finite limit,
                           c**-2 at p = 2 on weights that end on a plateau c;
-* ``divergent``           the envelope grows without bound (the class error
-                          is infinite for every n);
-* ``truncated-unknown``   the scan reached its cap before any of the above
-                          could be shown.
+* ``divergent``           at p > 2: the exponents show that the class error
+                          is infinite for every n;
+* ``truncated-unknown``   any other row: at p > 2 every one not divergent,
+                          at p <= 2 one whose proof did not close by the
+                          cap or whose plateau lies past the scan.
 
 At p <= 2 the maximum is proved, not guessed.  Weights never decrease, so
 past a check index M, W_m**p >= B + (m - M) c with B = W_M**p and
@@ -30,16 +32,15 @@ margin of ``_proof_margin``, so it holds for log-domain tables and for the
 rounded sums.  A row whose proof does not close by the cap is
 ``truncated-unknown``.  On a weight file the bound covers every
 nondecreasing continuation of the file, so ``attained`` is true of them all.
+No row diverges at p <= 2: every weight is at least 1, so W_m**2 >= m and
+no envelope value passes 2.
 
-The bound proves nothing at p > 2 (there a < 1), nor where the exponents
-decide: ``divergent``, or a plateau, the p = 2 case with exponents (0, 0).
-Those rows scan to the cap and keep the classification by exponents:
-the plateau is reached when the last two weights of the scan are equal,
-and past its start W_m**2 = m c**2 + D, so both envelopes move
-monotonically towards c**-2.  Otherwise they read ``attained`` when the
-envelope's last max(64, m*/4) values, m* its first argmax, lie below the
-maximum, that is when the scan's last argmax lies before them, else
-``truncated-unknown``.
+The bound proves nothing at p > 2 (there a < 1), nor on a plateau, the
+p = 2 case with exponents (0, 0).  Those rows scan to the cap.  The
+plateau is reached when the last two weights of the scan are equal, and
+past its start W_m**2 = m c**2 + D, so both envelopes move monotonically
+towards c**-2: the row is ``limit-at-infinity``, or ``attained`` where the
+scan's maximum lies above c**-2.
 
 ``run_table`` makes a run: its one table and each n's row, one
 ``class_bounds`` call on that table per n, which every consumer reads as
@@ -244,16 +245,18 @@ def _prefix_sums_in_place(vals: np.ndarray, p: float) -> bool:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Lower/upper squared worst-case error with attainment classification.
+    """The two envelopes' maxima for one n, with the row's status.
 
-    ``lower_sq``/``upper_sq`` are the class values: infinite when divergent,
-    and where the scan has reached a p = 2 plateau c, the larger of the
-    scanned supremum and the limit c**-2 (both equal to it when the
-    supremum is approached at infinity).  ``scan_lower_sq``/``scan_upper_sq``
-    always hold the finite suprema found over the scanned index range, up
-    to ``m_scanned``; they are what a finite witness or oracle can be
-    compared against.  ``argmax_m`` is the index where the upper envelope
-    peaks, when it does.
+    ``lower_sq`` is a lower bound on the squared class value at every p,
+    ``upper_sq`` an upper bound at p <= 2 only; at 2 < p < oo it is the
+    upper envelope's maximum, which bounds nothing.  Both are infinite
+    when divergent, and where the scan has reached a p = 2 plateau c, the
+    larger of the scanned supremum and the limit c**-2 (both equal to it
+    when the supremum is approached at infinity).
+    ``scan_lower_sq``/``scan_upper_sq`` always hold the finite suprema
+    found over the scanned index range, up to ``m_scanned``; they are what
+    a finite witness or oracle can be compared against.  ``argmax_m`` is
+    the first index of the upper envelope's maximum on an ``attained`` row.
     """
 
     n: int
@@ -281,32 +284,28 @@ def scan_length(w: WeightModel, n: int, m_max: int | None = None) -> int:
 
 def _regime(w: WeightModel, p: float) -> tuple[bool, bool]:
     """(divergent, plateau) from a closed-form model's exponents; a weight
-    file has none, and is neither."""
+    file has none, and is neither.  Divergent is possible at p > 2 only,
+    plateau at p <= 2 only."""
     prof = w.asymptotic_exponents
     if prof is None:
         return False, False
     alpha, beta = prof
     growth = 1.0 - 2.0 * (alpha + 1.0 / p)   # power of m in t_m
-    log_growth = -2.0 * beta                 # power of log m in t_m
-    # t_m grows for any growth > 0, whatever beta; only at growth in
-    # [-_EXPONENT_EPS, 0] does the log factor decide.  At 2 < p < oo the
-    # worst case carries a Hoelder tail sum_j w_j**-r, r = 2p/(p-2), which
-    # on the boundary (alpha r = 1) diverges for every beta r <= 1, though
-    # t_m itself may stay bounded there
     boundary = -_EXPONENT_EPS <= growth <= 0
-    if p > 2:
-        edge = beta * 2.0 * p / (p - 2.0) <= 1.0 + _EXPONENT_EPS
-    else:
-        edge = log_growth > _EXPONENT_EPS
-    divergent = growth > 0 or (boundary and edge)
-    # p = 2 with exponents (0, 0): weights that end on a plateau c
-    plateau = boundary and abs(log_growth) <= _EXPONENT_EPS
-    return divergent, plateau and not divergent
+    if p <= 2:
+        # p = 2 with exponents (0, 0): weights that end on a plateau c
+        return False, boundary and abs(2.0 * beta) <= _EXPONENT_EPS
+    # t_m grows for any growth > 0, whatever beta.  The worst case carries
+    # a Hoelder tail sum_j w_j**-r, r = 2p/(p-2), which on the boundary
+    # (alpha r = 1) diverges for every beta r <= 1, though t_m itself may
+    # stay bounded there
+    edge = beta * 2.0 * p / (p - 2.0) <= 1.0 + _EXPONENT_EPS
+    return growth > 0 or (boundary and edge), False
 
 
 def _proves(w: WeightModel, p: float) -> bool:
     """Whether ``class_bounds`` proves its maximum and stops there."""
-    return p <= 2 and not any(_regime(w, p))
+    return p <= 2 and not _regime(w, p)[1]
 
 
 def _log_tail_bound(A, log_B, log_c, p: float):
@@ -365,25 +364,24 @@ def _scan(table: CumulativeWeightTable, n: int, end: int,
     """Scan the envelopes (m - n [+ 1]) W_m**-2 over m in [max(n, 1), end],
     a block at a time.
 
-    Returns (lower, upper, m_star, m_last, stop, closed): the envelopes'
-    maxima over [max(n, 1), stop], and the first and the last index where
-    the upper one reaches its maximum.  With ``proved`` set, stop is the
-    first check index (a multiple of ``_STRIDE``, or end) where the bounds
-    past it are at or below both maxima, and closed is True; else stop is
-    end.  An empty range gives zeros and stop = 0; None where the table
-    ends before the scan.  A block ends at a multiple of ``_STRIDE``, or at
-    end, and holds about ``_BLOCK`` entries at most; with ``proved`` set
-    the first one runs about as far past max(n, 1) as that index itself,
-    and each next one twice as far as the last.  m - n is an integer below
-    2**53, exact in a float64 arange, so each product is the one of the
-    whole-array formula.
+    Returns (lower, upper, m_star, stop, closed): the envelopes' maxima
+    over [max(n, 1), stop], and the first index where the upper one reaches
+    its maximum.  With ``proved`` set, stop is the first check index (a
+    multiple of ``_STRIDE``, or end) where the bounds past it are at or
+    below both maxima, and closed is True; else stop is end.  An empty
+    range gives zeros and stop = 0; None where the table ends before the
+    scan.  A block ends at a multiple of ``_STRIDE``, or at end, and holds
+    about ``_BLOCK`` entries at most; with ``proved`` set the first one runs
+    about as far past max(n, 1) as that index itself, and each next one
+    twice as far as the last.  m - n is an integer below 2**53, exact in a
+    float64 arange, so each product is the one of the whole-array formula.
     """
     lo = max(n, 1)
     if end < lo:
-        return 0.0, 0.0, None, None, 0, False
+        return 0.0, 0.0, None, 0, False
     size = table.sums.size
     margin = _proof_margin(table, end)
-    lower, upper, m_star, m_last = 0.0, -1.0, None, None
+    lower, upper, m_star = 0.0, -1.0, None
     m, length = lo, max(lo, _STRIDE) if proved else _BLOCK
     while m <= size:
         hi = min(end, size, -(-(m + length - 1) // _STRIDE) * _STRIDE)
@@ -409,11 +407,8 @@ def _scan(table: CumulativeWeightTable, n: int, end: int,
         i = int(np.argmax(t_up))
         if t_up[i] > upper:
             upper, m_star = float(t_up[i]), m + i
-        if t_up[i] == upper:
-            # a later block that ties the maximum moves its last index
-            m_last = m + t_up.size - 1 - int(np.argmax(t_up[::-1]))
         if closed or stop == end:
-            return lower, upper, m_star, m_last, stop, closed
+            return lower, upper, m_star, stop, closed
         m, length = stop + 1, min(2 * length, _BLOCK)
     return None
 
@@ -504,12 +499,11 @@ def class_bounds(
         table = replace(table, weights={
             **table.weights, **{m: float(vals[m - 1]) for m in missing}})
     divergent, plateau = _regime(w, p)
-    proved = _proves(w, p)
-    scan = _scan(table, n, end, proved)
+    scan = _scan(table, n, end, _proves(w, p))
     if scan is None:
         raise _ShortTable(f"table covers m in [1, {table.sums.size}], short "
                           f"of the scan for n = {n} (cap {end})")
-    scan_lower, scan_upper, m_star, m_last, stop, closed = scan
+    scan_lower, scan_upper, m_star, stop, closed = scan
 
     def result(status, lower=scan_lower, upper=scan_upper, argmax=None):
         return BoundResult(
@@ -517,12 +511,9 @@ def class_bounds(
             status=status, m_scanned=stop,
             scan_lower_sq=scan_lower, scan_upper_sq=scan_upper)
 
-    if stop == 0:
-        return result(STATUS_TRUNCATED)
-    if proved:
-        if closed:
-            return result(STATUS_ATTAINED, argmax=m_star)
-        return result(STATUS_TRUNCATED)
+    # closed needs a proof, so p <= 2 and no plateau; divergent needs p > 2
+    if closed:
+        return result(STATUS_ATTAINED, argmax=m_star)
     if divergent:
         return result(STATUS_DIVERGENT, math.inf, math.inf)
     # the plateau family's running max rises strictly up to c, so the scan
@@ -534,9 +525,6 @@ def class_bounds(
         if limit >= scan_upper:
             return result(STATUS_LIMIT, lower, upper)
         return result(STATUS_ATTAINED, lower, upper, argmax=m_star)
-    # every value in the last max(64, m*/4) of the scan is below the maximum
-    if m_last <= end - max(64, m_star // 4):
-        return result(STATUS_ATTAINED, argmax=m_star)
     return result(STATUS_TRUNCATED)
 
 

@@ -292,9 +292,9 @@ _FLAGS = {
                          "unreadable file exit 4; at p <= 2 a file's "
                          "status is 'attained' when the bound past the "
                          "scan proves its maximum, for every "
-                         "nondecreasing continuation of the file, at "
-                         "2 < p < inf when its scan confirms it, else "
-                         "'truncated-unknown'; at p = inf "
+                         "nondecreasing continuation of the file, else "
+                         "'truncated-unknown', as at every 2 < p < inf; "
+                         "at p = inf "
                          "a file is summed to its end and always reads "
                          "'truncated-unknown'"),
     "p": dict(required=True, metavar="P",

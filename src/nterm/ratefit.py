@@ -7,9 +7,10 @@ usual workflow pins s to the predicted log exponent and fits r alone; the
 joint fit stays available for diagnostics.
 
 ``class_error_samples`` produces the (n, sigma) pairs from the bounds
-engine: sqrt of the upper envelope for finite p, sqrt of the exact tail sum
-for p = oo.  Either envelope has the same asymptotics, as the gap between
-them is at most W_n**-2.
+engine: sqrt of the upper envelope on rows that prove it a bound
+(``attained`` or ``limit-at-infinity``, p <= 2 only), sqrt of the exact
+tail sum for p = oo; it refuses any other row.  Either envelope has the
+same asymptotics, as the gap between them is at most W_n**-2.
 """
 
 from __future__ import annotations
@@ -147,7 +148,8 @@ def class_error_samples(
     for r in run_table(w, p, n_values, m_max)[1]:
         if r.status not in (STATUS_ATTAINED, STATUS_LIMIT):
             raise ValueError(
-                f"bounds not finite at n={r.n} (status {r.status})")
+                f"no finite bound is proved at n={r.n} "
+                f"(status {r.status})")
         out.append((r.n, math.sqrt(r.upper_sq)))
     return out
 

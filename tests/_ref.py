@@ -15,6 +15,9 @@ m, from that table.
 ``powlog_plateau_sq`` is the p = 2 limit c**-2 of a powlog family that
 ends on a plateau c.
 
+``infty_witness_sq`` is a lower bound on the squared worst-case error at
+any p from the weights alone: the truncated p = oo witness.
+
 ``scaled_tail_sq`` is the exact tail sum of one n by a sort and one
 ``math.fsum`` over the whole tail.
 
@@ -226,3 +229,24 @@ def prefix_sums_p(w, p: float, M: int) -> np.ndarray:
     """w_1**p + ... + w_m**p for m = 1..M from one long double cumsum."""
     vals = w.values(M)
     return np.cumsum(vals ** p, dtype=np.longdouble).astype(np.float64)
+
+
+def infty_witness_sq(w, p: float, n: int,
+                     K_max: int = 2 ** 16) -> tuple[float, int]:
+    """(S, K): the largest K**(-2/p) sum_{n<j<=K} w_j**-2 over K in
+    (n, K_max], and its K.
+
+    x_j = K**(-1/p) / w_j for j <= K is a unit vector of the weighted lp
+    ball, and its squared n-term error is that value, since the weights
+    never decrease.  The K is chosen on float64 prefix sums, and its value
+    is summed again by ``math.fsum``, so what is returned is the witness's
+    value, rounded.  n >= K_max gives (0.0, 0).
+    """
+    if n >= K_max:
+        return 0.0, 0
+    inv_sq = w.values(K_max) ** -2.0
+    K = np.arange(n + 1, K_max + 1, dtype=np.float64)
+    best = int(np.argmax(np.cumsum(inv_sq[n:]) * K ** (-2.0 / p)))
+    K_best = n + 1 + best
+    return (math.fsum(inv_sq[n:K_best].tolist())
+            * float(K_best) ** (-2.0 / p), K_best)

@@ -579,15 +579,15 @@ class TestPlateauLimit:
     """p = 2 on powlog weights that end on a plateau c: the limit c**-2,
     read from the weights once the scan has reached the plateau."""
 
-    def test_attained_inside_the_scan_as_with_a_long_scan(self):
-        # the formula peaks near i = e**50, far past both scans, so the
-        # trailing window decides, and it finds the same maximum
+    def test_short_of_the_plateau_is_truncated(self):
+        # the formula peaks near i = e**50, far past both scans, so neither
+        # reaches the plateau and nothing is proved; both scans find the
+        # same maxima, the upper one at m = 426
         w = PowLogWeights(-0.01, 0.5)
         rows = [class_bounds(w, 2.0, 64), class_bounds(w, 2.0, 64, 2 ** 20)]
         for r in rows:
-            assert r.status == STATUS_ATTAINED
+            assert (r.status, r.argmax_m) == (STATUS_TRUNCATED, None)
             assert r.upper_sq == 0.129160571929646
-            assert r.argmax_m == 426
         assert rows[0].lower_sq == rows[1].lower_sq
 
     @pytest.mark.parametrize("alpha, beta, n_min, expected", [
@@ -616,36 +616,77 @@ class TestPlateauLimit:
         assert abs(r.lower_sq - ref) <= 1e-15 * ref
 
 
-class TestTrailingWindow:
-    """A row that neither a proof nor the exponents decide reads
-    ``attained`` only when the upper envelope's last max(64, m*/4) values
-    lie below its maximum, m* the first index of that maximum."""
+class TestUnprovedAbove2:
+    """At 2 < p < oo nothing proves a maximum, and the upper envelope is no
+    bound: a row that the exponents do not show divergent reads
+    ``truncated-unknown``, wherever its scan peaks."""
 
-    @staticmethod
-    def row(last_sum):
+    @pytest.mark.parametrize("last_sum", [256.0 ** 2, 256.0 ** 2 + 1.0])
+    def test_peak_inside_the_scan_is_truncated(self, last_sum):
         # p = 4, n = 0: the upper envelope is (m + 1) / sqrt(S_m); with
         # S_m = 128 (m + 1) up to m = 127 and 256 (m + 1) past it, it is
         # exactly 1 at m = 127 and below 1 elsewhere, up to m = 255, whose
-        # sum is last_sum
+        # sum S_255 = 256**2 ties the maximum and 256**2 + 1 does not
         m = np.arange(1.0, 256.0)
         sums = np.where(m <= 127, 128.0, 256.0) * (m + 1)
         sums[-1] = last_sum
         table = CumulativeWeightTable(p=4.0, sums=sums, log_domain=False,
                                       weights={})
-        return class_bounds(TabulatedWeights(np.ones(255)), 4.0, 0,
-                            table=table)
-
-    def test_tie_inside_the_window_is_truncated(self):
-        # S_255 = 256**2 ties the maximum at m = 255, inside the window of
-        # 64 at the scan's end
-        r = self.row(256.0 ** 2)
+        r = class_bounds(TabulatedWeights(np.ones(255)), 4.0, 0, table=table)
         assert (r.status, r.argmax_m, r.upper_sq, r.m_scanned) == (
             STATUS_TRUNCATED, None, 1.0, 255)
 
-    def test_below_the_maximum_in_the_window_is_attained(self):
-        r = self.row(256.0 ** 2 + 1.0)
-        assert (r.status, r.argmax_m, r.upper_sq) == (
-            STATUS_ATTAINED, 127, 1.0)
+
+class TestEngineFreeWitness:
+    """The truncated p = oo witness of ``_ref.infty_witness_sq`` is a unit
+    vector built from the weights alone.  No bound may lie below it, and it
+    lies below the p = oo value, since the weighted lp ball grows with p."""
+
+    FAMILIES = {
+        "powlog(1, 0)": PowLogWeights(1.0, 0.0),
+        "powlog(0.5, -1)": PowLogWeights(0.5, -1.0),
+        "powlog(1, 1)": PowLogWeights(1.0, 1.0),
+        "const": ConstantWeights(),
+        "logpow(1)": LogPowerWeights(1.0),
+    }
+    P = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0, 32.0]
+    N = [1, 4, 16, 256]
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        return [(name, p, r, _ref.infty_witness_sq(w, p, r.n)[0])
+                for name, w in self.FAMILIES.items() for p in self.P
+                for r in run_table(w, p, self.N)[1]]
+
+    def test_witness_is_a_unit_vector_with_its_value(self):
+        # the row that beat the parent's attained upper_sq by most
+        w, p, n = PowLogWeights(0.5, -1.0), 8.0, 256
+        value, K = _ref.infty_witness_sq(w, p, n)
+        x = K ** (-1.0 / p) / w.values(K)
+        assert weighted_lp_norm(x, w, p) == pytest.approx(1.0, rel=1e-14)
+        assert sigma_n_exact(x, n) ** 2 == pytest.approx(value, rel=1e-13)
+        assert value > class_bounds(w, p, n).upper_sq
+
+    def test_no_claimed_bound_below_the_witness(self, sweep):
+        assert len(sweep) == 180
+        beaten = [(name, p, r.n, r.status, r.upper_sq, x)
+                  for name, p, r, x in sweep
+                  if r.status in (STATUS_ATTAINED, STATUS_LIMIT)
+                  and r.upper_sq < x * (1.0 - 1e-12)]
+        assert beaten == []
+
+    def test_no_claim_above_2(self, sweep):
+        assert {r.status for _, p, r, _ in sweep if p > 2} == {
+            STATUS_DIVERGENT, STATUS_TRUNCATED}
+
+    @pytest.mark.parametrize("name", [
+        "powlog(1, 0)", "powlog(0.5, -1)", "powlog(1, 1)"])
+    def test_witness_below_the_infty_value(self, sweep, name):
+        infty = {n: class_error_infty(self.FAMILIES[name], n) for n in self.N}
+        for family, p, r, x in sweep:
+            if family == name:
+                top = infty[r.n]
+                assert x <= top.value_sq + top.truncation_bound, (p, r.n)
 
 
 class TestClassBoundsGrid:
@@ -774,12 +815,16 @@ class TestProvedScan:
         assert r.m_scanned == default_m_max(40)
 
     @pytest.mark.parametrize("w, status", [
-        (PowLogWeights(1e-13, -1.0), STATUS_DIVERGENT),
+        # no p <= 2 row diverges; on weights this flat the proof does not
+        # close by the cap
+        (PowLogWeights(1e-13, -1.0), STATUS_TRUNCATED),
         (ConstantWeights(), STATUS_LIMIT),
-        (PowLogWeights(-0.01, 0.5), STATUS_ATTAINED)])   # short of the plateau
+        (PowLogWeights(-0.01, 0.5), STATUS_TRUNCATED)])  # short of the plateau
     def test_exponent_rows_scan_to_the_cap(self, w, status):
         r = class_bounds(w, 2.0, 40)
         assert (r.status, r.m_scanned) == (status, default_m_max(40))
+        # every weight is at least 1, so W_m**2 >= m
+        assert 0.0 < r.lower_sq <= r.upper_sq <= 2.0
 
 
 class TestSandwichWidth:

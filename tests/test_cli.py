@@ -193,7 +193,7 @@ class TestBounds:
 
     @pytest.mark.parametrize("beta, status", [
         ("0", "divergent"), ("0.2", "divergent"), ("0.25", "divergent"),
-        ("0.3", "attained")])
+        ("0.3", "truncated-unknown")])
     def test_hoelder_boundary_above_2(self, capsys, beta, status):
         # alpha = 1/2 - 1/p at p = 4: the tail diverges for 4 beta <= 1
         doc = run_json(capsys, ["bounds", "--weights",
@@ -555,6 +555,20 @@ class TestDeterminism:
 
 
 class TestRatefitCommand:
+    @pytest.mark.parametrize("weights, p, n, first", [
+        # both bounds are 0.0 and finite here, yet nothing is proved
+        ("const", "1e-300", "2^2..2^6:dyadic", 4),
+        ("powlog:alpha=1,beta=0", "3", "2^0..2^8:dyadic", 1),
+    ])
+    def test_unproved_rows_are_refused_by_status(self, capsys, weights, p,
+                                                  n, first):
+        code, out, err = run_cli(capsys, ["ratefit", "--weights", weights,
+                                          "--p", p, "--n", n])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        detail = (f"no finite bound is proved at n={first} "
+                  f"(status truncated-unknown)")
+        assert err == f"nterm: error=domain detail={detail!r}\n"
+
     def test_constant_weights_rate(self, capsys):
         doc = run_json(capsys, ["ratefit", "--weights", "const", "--p", "1",
                                 "--n", "2^6..2^14:dyadic"])
@@ -951,7 +965,9 @@ def _argv(draw, directory: str) -> list[str]:
         "weights": _weights(directory),
         "p": _mostly(st.one_of(
             st.sampled_from(["inf", "2", repr(2 + 1e-12), repr(2 - 1e-12),
-                             "0.5", "1", "3", "8"]),
+                             repr(2 + 1e-13), repr(2 - 1e-13), "0.5", "1",
+                             "3", "8", "1e-300", "1.2e-308", "1e6",
+                             "1e300"]),
             st.builds(repr, st.floats(1e-3, 40.0))), ["0", "nan", "x"]),
         "n": _mostly(st.sampled_from(
             ["0", "1", "3", "2^4", "2^6", "2^0..2^3:dyadic",
@@ -973,6 +989,28 @@ def _argv(draw, directory: str) -> list[str]:
                 or draw(st.booleans())):
             argv += ["--" + flag.replace("_", "-"), draw(values[flag])]
     return argv + ["--format", "json"]
+
+
+def _check_regime(argv: list[str], doc: dict) -> None:
+    """Every finite-p ``bounds`` row and ``certify`` report has a status of
+    its regime: at p <= 2 ``attained`` or ``truncated-unknown``, and
+    ``limit-at-infinity`` on the p = 2 plateau, where 2/p is within the
+    exponent tolerance 1e-12 of 1; at 2 < p < inf ``divergent`` or
+    ``truncated-unknown``."""
+    if argv[0] not in ("bounds", "certify"):
+        return
+    p = float(argv[argv.index("--p") + 1])
+    if math.isinf(p):
+        return
+    statuses = ({r["status"] for r in doc["rows"]} if argv[0] == "bounds"
+                else {r["bound_status"] for r in doc["reports"]})
+    if p > 2:
+        allowed = {"divergent", "truncated-unknown"}
+    else:
+        allowed = {"attained", "truncated-unknown"}
+        if 2.0 / p - 1.0 <= 1e-12:
+            allowed.add("limit-at-infinity")
+    assert statuses <= allowed, (argv, statuses)
 
 
 @pytest.fixture(scope="module")
@@ -1018,6 +1056,32 @@ class TestContract:
         jsonschema.validate(json.loads(out), SCHEMA)
         assert "nan" not in out
 
+    @pytest.mark.parametrize("p", [
+        "1.2e-308", "1e-300", repr(2 - 1e-13), repr(2 + 1e-13), "1e6",
+        "1e300"])
+    def test_extreme_p(self, capsys, contract_dir, p):
+        # four weight families through every command that takes weights
+        families = ("const", "logpow:beta=1.5", "powlog:alpha=1,beta=-1",
+                    f"file:{contract_dir}/w_steep")
+        for command in ("bounds", "certify", "oracle", "ratefit"):
+            for weights in families:
+                argv = [command, "--weights", weights, "--p", p,
+                        "--n", "2^0..2^4:dyadic", "--format", "json"]
+                if command in ("certify", "oracle"):
+                    argv += ["--iters", "20"]
+                code, out, err = run_cli(capsys, argv)
+                if command == "ratefit":
+                    # too few samples, or a row that proves no bound
+                    assert (code, out) == (EXIT_DOMAIN, ""), argv
+                    assert err.count("\n") == 1, argv
+                    continue
+                assert code in (EXIT_OK, EXIT_CERTIFY_FAIL), (argv, err)
+                assert err == "", argv
+                doc = json.loads(out)
+                jsonschema.validate(doc, SCHEMA)
+                assert "nan" not in out, argv
+                _check_regime(argv, doc)
+
     @settings(max_examples=300, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture,
                                      HealthCheck.too_slow])
@@ -1029,6 +1093,7 @@ class TestContract:
             assert err == "", argv
             doc = json.loads(out)
             jsonschema.validate(doc, SCHEMA)
+            _check_regime(argv, doc)
             if code == EXIT_CERTIFY_FAIL:
                 assert argv[0] == "certify", argv
                 assert not all(r["passed"] for r in doc["reports"]), argv
