@@ -6,13 +6,15 @@ n on, up to a cap, ``m_max`` or ``default_m_max(n)`` clipped to a weight
 file's length.  A flat block of m entries W_m**-1 is a unit vector, so the
 lower maximum bounds the squared worst-case error from below at every p;
 the upper one bounds it from above at p <= 2 only, since at p > 2 vectors
-with a tail beat it.  Each finite-p regime has one status rule:
+with a tail beat it.  ``_regime`` reads the exponents once, at every p,
+and each finite-p regime has one status rule:
 
 * ``attained``            at p <= 2: the maximum sits at a finite index,
-                          proved by the bound below or, on a reached p = 2
+                          proved by the bound below or, on a reached
                           plateau, inside the scan;
 * ``limit-at-infinity``   the envelope increases towards a finite limit,
-                          c**-2 at p = 2 on weights that end on a plateau c;
+                          c**-2 on the plateau: exactly p = 2 on exponents
+                          (0, 0), weights that end on a constant c;
 * ``divergent``           at p > 2: the exponents show that the class error
                           is infinite for every n;
 * ``truncated-unknown``   any other row: at p > 2 every one not divergent,
@@ -36,7 +38,7 @@ No row diverges at p <= 2: every weight is at least 1, so W_m**2 >= m and
 no envelope value passes 2.
 
 The bound proves nothing at p > 2 (there a < 1), nor on a plateau, the
-p = 2 case with exponents (0, 0).  Those rows scan to the cap.  The
+p = 2 case with exponents exactly (0, 0).  Those rows scan to the cap.  The
 plateau is reached when the last two weights of the scan are equal, and
 past its start W_m**2 = m c**2 + D, so both envelopes move monotonically
 towards c**-2: the row is ``limit-at-infinity``, or ``attained`` where the
@@ -47,12 +49,14 @@ scan's maximum lies above c**-2.
 made.  At p <= 2 it starts at 2 (n_max + _STRIDE) entries and, when an
 n's proof runs past the table's end, builds it whole at twice the length
 and scans that n again, up to the largest cap; otherwise it builds it to
-the largest cap.  An empty grid builds no table.
+the largest cap.  An empty grid builds no table, and neither does p = oo,
+whose rows are ``class_error_infty``'s tail sums.
 
 For p = oo the squared error equals the tail sum of w_j**-2.
 ``class_error_infty`` sums a head and closes the tail with an integral, to
 1e-12 (``converged``) or, where that target is missed, to the reported
-bound (``truncated-unknown``).  A weight file is summed to its end and
+bound (``truncated-unknown``), or is infinite (``divergent``) where
+``_regime`` says so at r = 2.  A weight file is summed to its end and
 reads ``truncated-unknown``.  One exp-sinh (double-exponential) rule in
 numpy integrates the integrand scaled to its start and peak, and the value
 is put together in logarithms; at 2 alpha = 1 the rule integrates the
@@ -283,24 +287,23 @@ def scan_length(w: WeightModel, n: int, m_max: int | None = None) -> int:
 
 
 def _regime(w: WeightModel, p: float) -> tuple[bool, bool]:
-    """(divergent, plateau) from a closed-form model's exponents; a weight
-    file has none, and is neither.  Divergent is possible at p > 2 only,
-    plateau at p <= 2 only."""
+    """(divergent, plateau) from a closed-form model's exponents, at every
+    p; a weight file has none, and is neither.  The plateau is p = 2 on
+    exponents exactly (0, 0).  At p > 2 the worst case carries a Hoelder
+    tail sum_j w_j**-r, r = 2p/(p-2) (2 at p = oo), which diverges where
+    alpha r < 1, or alpha r = 1 and beta r <= 1, each edge within
+    _EXPONENT_EPS."""
     prof = w.asymptotic_exponents
     if prof is None:
         return False, False
-    alpha, beta = prof
-    growth = 1.0 - 2.0 * (alpha + 1.0 / p)   # power of m in t_m
-    boundary = -_EXPONENT_EPS <= growth <= 0
     if p <= 2:
-        # p = 2 with exponents (0, 0): weights that end on a plateau c
-        return False, boundary and abs(2.0 * beta) <= _EXPONENT_EPS
-    # t_m grows for any growth > 0, whatever beta.  The worst case carries
-    # a Hoelder tail sum_j w_j**-r, r = 2p/(p-2), which on the boundary
-    # (alpha r = 1) diverges for every beta r <= 1, though t_m itself may
-    # stay bounded there
-    edge = beta * 2.0 * p / (p - 2.0) <= 1.0 + _EXPONENT_EPS
-    return growth > 0 or (boundary and edge), False
+        return False, p == 2 and prof == (0.0, 0.0)
+    alpha, beta = prof
+    r = 2.0 / (1.0 - 2.0 / p)
+    # the power of m in t_m, positive exactly where alpha r < 1
+    growth = 1.0 - 2.0 * (alpha + 1.0 / p)
+    boundary = -_EXPONENT_EPS <= growth <= 0
+    return growth > 0 or (boundary and beta * r <= 1.0 + _EXPONENT_EPS), False
 
 
 def _proves(w: WeightModel, p: float) -> bool:
@@ -419,9 +422,11 @@ class _ShortTable(ValueError):
 
 def run_table(w: WeightModel, p: float, n_values: Sequence[int],
               m_max: int | None = None
-              ) -> tuple[CumulativeWeightTable | None, list[BoundResult]]:
+              ) -> tuple[CumulativeWeightTable | None,
+                         list[BoundResult] | list[InftyTailResult]]:
     """The one table of a run over ``n_values``, and each n's
-    ``class_bounds`` row read from it, in grid order.
+    ``class_bounds`` row read from it, in grid order; at p = oo no table,
+    and each n's ``class_error_infty`` tail sum, with ``m_max`` unread.
 
     ``n`` and a given ``m_max`` are checked first, against every n in grid
     order, so that a bad one is named before any table is built.  The table
@@ -433,6 +438,8 @@ def run_table(w: WeightModel, p: float, n_values: Sequence[int],
     to the largest cap at once.  An empty grid gives no rows and builds no
     table, None.
     """
+    if p == math.inf:
+        return None, [class_error_infty(w, n) for n in n_values]
     _check_p(p)
     n_values = [int(n) for n in n_values]
     for n in n_values:
@@ -661,14 +668,10 @@ def class_error_infty(w: WeightModel, n: int) -> InftyTailResult:
     prof = w.asymptotic_exponents
     if prof is None:
         raise ValueError(f"unsupported weight model {type(w).__name__}")
-    alpha, beta = prof
-    # below 2 alpha = 1 the power alone diverges, whatever beta; only at
-    # 2 alpha in [1, 1 + _EXPONENT_EPS] does the log factor decide
-    convergent = 2 * alpha > 1 + _EXPONENT_EPS or (
-        2 * alpha >= 1 and 2 * beta > 1 + _EXPONENT_EPS)
-    if not convergent:
+    if _regime(w, math.inf)[0]:
         return InftyTailResult(math.inf, math.inf, STATUS_DIVERGENT, 0)
 
+    alpha, beta = prof
     # only PowLog reaches this point (const/logpow tails always diverge)
     assert isinstance(w, PowLogWeights)
     J = max(64, 2 * (n + 1))

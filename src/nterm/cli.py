@@ -5,7 +5,7 @@ unless bracketed) and ``_FLAGS`` declares each flag; the parser, the JSON
 ``params`` and the dispatch are all read from these two tables.
 
 * ``bounds --weights --p --n [--m-max]``: worst-case error bounds per n
-  (tail sums when p = inf)
+  (tail sums when p = inf, where ``--m-max`` has no effect)
 * ``exact --sequence --n``: exact sigma_n of a sequence file
 * ``oracle --weights --p --n [--m-max --seed --iters --max-support]``:
   structured and random-search maximizer values
@@ -70,7 +70,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .bounds import class_error_infty, run_table
+from .bounds import _check_p, run_table
 from .oracle import OracleConfig, certify, run_oracles
 from .ratefit import class_error_samples, dyadic_grid, fit_rate, ratio_envelope
 from .sequences import CoefficientSequence, scaled_tail_sqs
@@ -117,9 +117,8 @@ def _parse_p(text: str) -> float:
         p = float(text)
     except ValueError:
         raise ValueError(f"cannot parse p value {text!r}") from None
-    # 2/p is the envelopes' exponent
-    if math.isnan(p) or p <= 0 or math.isinf(2.0 / p):
-        raise ValueError(f"p must be positive, with 2/p finite, got {text!r}")
+    if p != math.inf:
+        _check_p(p)
     return p
 
 
@@ -149,12 +148,11 @@ def _jsonable(obj):
 def _run_bounds(ns) -> tuple[dict, int]:
     w = parse_weight_spec(ns.weights)
     n_values = parse_n_spec(ns.n)
+    results = run_table(w, ns.p, n_values, ns.m_max)[1]
     if math.isinf(ns.p):
-        results = [class_error_infty(w, n) for n in n_values]
         columns = ["n", "value_sq", "truncation_bound", "status",
                    "terms_summed"]
     else:
-        results = run_table(w, ns.p, n_values, ns.m_max)[1]
         columns = ["n", "lower_sq", "upper_sq", "status", "argmax_m",
                    "m_scanned"]
     rows = [{"n": n, **{c: getattr(r, c) for c in columns[1:]}}
@@ -304,7 +302,8 @@ _FLAGS = {
     "m_max": dict(type=int, default=None,
                   help="cap of the scan, default max(1024, 64n); clipped "
                        "to a weight file's length L; at p <= 2 the scan "
-                       "stops where its maximum is proved, m_scanned"),
+                       "stops where its maximum is proved, m_scanned; no "
+                       "effect at p = inf, where there is no scan"),
     "sequence": dict(required=True, metavar="PATH",
                      help="text file, one coefficient per line; blank "
                           "lines are skipped, a line that is not a number "

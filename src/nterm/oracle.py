@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _BLOCK, CumulativeWeightTable, run_table
+from .bounds import _BLOCK, CumulativeWeightTable, _check_p, run_table
 from .sequences import CoefficientSequence, sigma_sq_exact
 from .weights import WeightModel
 
@@ -110,6 +110,7 @@ def structure_oracle(
         raise ValueError(f"n must be >= 0, got {n}")
     n = int(n)
     if table is None:
+        _check_p(p)
         table, (row,) = run_table(w, p, [n], cfg.m_max)
         m_scanned = row.m_scanned
     elif m_scanned is None:

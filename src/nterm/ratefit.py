@@ -6,11 +6,12 @@ joint (r, s) fit is ill-conditioned because loglog n varies slowly, so the
 usual workflow pins s to the predicted log exponent and fits r alone; the
 joint fit stays available for diagnostics.
 
-``class_error_samples`` produces the (n, sigma) pairs from the bounds
-engine: sqrt of the upper envelope on rows that prove it a bound
-(``attained`` or ``limit-at-infinity``, p <= 2 only), sqrt of the exact
-tail sum for p = oo; it refuses any other row.  Either envelope has the
-same asymptotics, as the gap between them is at most W_n**-2.
+``class_error_samples`` produces the (n, sigma) pairs from the rows of one
+``bounds.run_table`` run: sqrt of the upper envelope on rows that prove it
+a bound (``attained`` or ``limit-at-infinity``, p <= 2 only), and at p = oo
+sqrt of the tail sum on every row but a ``divergent`` one.  It refuses any
+other row with one message at every p.  Either envelope has the same
+asymptotics, as the gap between them is at most W_n**-2.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .bounds import (
     STATUS_CONVERGED,
     STATUS_LIMIT,
     STATUS_TRUNCATED,
-    class_error_infty,
     run_table,
 )
 from .weights import RatePrediction, WeightModel
@@ -133,24 +133,15 @@ def class_error_samples(
 ) -> list[tuple[int, float]]:
     """sigma_n samples from the bounds engine over an n grid."""
     n_values = [int(n) for n in n_values]
-    if math.isinf(p):
-        out = []
-        for n in n_values:
-            r = class_error_infty(w, n)
-            if r.status not in (STATUS_CONVERGED, STATUS_TRUNCATED) \
-                    or not math.isfinite(r.value_sq):
-                raise ValueError(
-                    f"no finite tail sum at n={n} (status {r.status})")
-            out.append((n, math.sqrt(r.value_sq)))
-        return out
-
+    infty = math.isinf(p)
+    proved = ((STATUS_CONVERGED, STATUS_TRUNCATED) if infty
+              else (STATUS_ATTAINED, STATUS_LIMIT))
     out = []
-    for r in run_table(w, p, n_values, m_max)[1]:
-        if r.status not in (STATUS_ATTAINED, STATUS_LIMIT):
+    for n, r in zip(n_values, run_table(w, p, n_values, m_max)[1]):
+        if r.status not in proved:
             raise ValueError(
-                f"no finite bound is proved at n={r.n} "
-                f"(status {r.status})")
-        out.append((r.n, math.sqrt(r.upper_sq)))
+                f"no finite bound is proved at n={n} (status {r.status})")
+        out.append((n, math.sqrt(r.value_sq if infty else r.upper_sq)))
     return out
 
 

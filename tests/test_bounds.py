@@ -371,10 +371,21 @@ class TestClassBounds:
         assert r.status == STATUS_LIMIT
         assert r.lower_sq == r.upper_sq == 1.0
 
-    def test_p_within_eps_of_2_reads_the_plateau_limit(self):
-        r = class_bounds(ConstantWeights(), 2.0 - 1e-13, 5)
-        assert r.status == STATUS_LIMIT
-        assert r.lower_sq == r.upper_sq == 1.0
+    def test_p_within_eps_of_2_is_no_plateau(self):
+        # the plateau is p = 2 exactly: at p = 2 - 1e-13 the envelope peaks
+        # near m = 2e13, past the scan, at 0.99999999999842 (40-digit
+        # mpmath), below the limit 1 a plateau would read
+        r = class_bounds(ConstantWeights(), 2.0 - 1e-13, 1)
+        assert r.status == STATUS_TRUNCATED
+        assert r.lower_sq <= 0.9999999999984
+
+    def test_log_factor_within_eps_of_0_is_no_plateau(self):
+        # (1 + ln j)**1e-13 grows without end: at p = 2 the envelope's
+        # supremum, 0.99999999999928 near m = 2.8e15 (40-digit mpmath with
+        # Euler-Maclaurin), is approached past the scan
+        r = class_bounds(LogPowerWeights(1e-13), 2.0, 16)
+        assert r.status == STATUS_TRUNCATED
+        assert r.lower_sq <= 0.99999999999928
 
     @pytest.mark.parametrize("p", [2.5, 3.0])
     def test_const_supercritical_divergent(self, p):

@@ -209,6 +209,13 @@ class TestBounds:
         assert {"n", "value_sq", "truncation_bound", "status",
                 "terms_summed"} == set(doc["rows"][0])
 
+    def test_inf_p_ignores_m_max(self, capsys):
+        # a tail sum has no scan to cap, so --m-max below n + 1 is no error
+        argv = ["bounds", "--weights", "powlog:alpha=1,beta=0", "--p", "inf",
+                "--n", "16"]
+        assert (run_json(capsys, argv + ["--m-max", "3"])["rows"]
+                == run_json(capsys, argv)["rows"])
+
     def test_inf_p_near_boundary_is_quiet(self, capsys):
         # 2 alpha = 1 with beta just above 1/2: the tail past the head is
         # 3.47e6 and must not be lost with a warning on stderr
@@ -567,6 +574,15 @@ class TestRatefitCommand:
         assert (code, out) == (EXIT_DOMAIN, "")
         detail = (f"no finite bound is proved at n={first} "
                   f"(status truncated-unknown)")
+        assert err == f"nterm: error=domain detail={detail!r}\n"
+
+    def test_divergent_tail_is_refused_by_status(self, capsys):
+        # p = inf is refused in the words of every other p
+        code, out, err = run_cli(capsys, ["ratefit", "--weights", "const",
+                                          "--p", "inf", "--n",
+                                          "2^3..2^10:dyadic"])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        detail = "no finite bound is proved at n=8 (status divergent)"
         assert err == f"nterm: error=domain detail={detail!r}\n"
 
     def test_constant_weights_rate(self, capsys):
@@ -994,9 +1010,8 @@ def _argv(draw, directory: str) -> list[str]:
 def _check_regime(argv: list[str], doc: dict) -> None:
     """Every finite-p ``bounds`` row and ``certify`` report has a status of
     its regime: at p <= 2 ``attained`` or ``truncated-unknown``, and
-    ``limit-at-infinity`` on the p = 2 plateau, where 2/p is within the
-    exponent tolerance 1e-12 of 1; at 2 < p < inf ``divergent`` or
-    ``truncated-unknown``."""
+    ``limit-at-infinity`` on the plateau, at p = 2 exactly; at 2 < p < inf
+    ``divergent`` or ``truncated-unknown``."""
     if argv[0] not in ("bounds", "certify"):
         return
     p = float(argv[argv.index("--p") + 1])
@@ -1008,7 +1023,7 @@ def _check_regime(argv: list[str], doc: dict) -> None:
         allowed = {"divergent", "truncated-unknown"}
     else:
         allowed = {"attained", "truncated-unknown"}
-        if 2.0 / p - 1.0 <= 1e-12:
+        if p == 2:
             allowed.add("limit-at-infinity")
     assert statuses <= allowed, (argv, statuses)
 

@@ -78,6 +78,11 @@ def test_one_function_makes_the_rows():
     assert _source_callers("class_bounds") == ["bounds.py: run_table"]
 
 
+def test_one_function_sums_the_tails():
+    # p = inf rows are made by run_table too, so no caller picks the engine
+    assert _source_callers("class_error_infty") == ["bounds.py: run_table"]
+
+
 @pytest.mark.parametrize("name", ["random_search_oracle", "structure_oracle"])
 def test_one_pass_runs_the_oracles(name):
     # certify and the oracle command read one pass; neither runs its own
