@@ -30,10 +30,12 @@ closed form.  The scan checks that bound at every multiple of ``_STRIDE``
 and at its cap, and stops at the first check index where both bounds are
 at or below the running maxima: ``m_scanned`` is that index, and the row
 is ``attained``.  The comparison is made in logarithms with the relative
-margin of ``_proof_margin``, so it holds for log-domain tables and for the
-rounded sums.  A row whose proof does not close by the cap is
-``truncated-unknown``.  On a weight file the bound covers every
-nondecreasing continuation of the file, so ``attained`` is true of them all.
+margin of ``_proof_margin`` at M, which covers the float sums' rounding,
+u + gamma_M**2, and a few ulp per log entry up to M, so it depends on
+(w, p, M) alone, not on the table's length.  A row whose proof does not
+close by the cap is ``truncated-unknown``.  On a weight file the bound
+covers every nondecreasing continuation of the file, so ``attained`` is
+true of them all.
 No row diverges at p <= 2: every weight is at least 1, so W_m**2 >= m and
 no envelope value passes 2.
 
@@ -102,16 +104,15 @@ STATUS_DIVERGENT = "divergent"
 STATUS_TRUNCATED = "truncated-unknown"
 STATUS_CONVERGED = "converged"
 
-# switch the prefix sums to log-domain accumulation before w_j**p overflows
-LOG_DOMAIN_THRESHOLD = 700.0
-# entries per block of the long double prefix sum (a 1 MiB buffer), of
-# the envelope scan and of the p = oo head's fsum
+# entries per block of the envelope scan and of the p = oo head's fsum;
+# the prefix sums take a quarter of it, so that their four float64
+# temporaries make 512 KiB
 _BLOCK = 2 ** 16
 # the proof's check indices are the multiples of _STRIDE and the cap, so
 # that a row's stop depends on (w, p, n, m_max) alone, never on the grid
 _STRIDE = 256
 # relative margin of the proof's comparison per unit of a = 2/p, besides
-# the rounding of the sums (see _proof_margin)
+# the rounding of the log entries (see _proof_margin)
 _PROOF_MARGIN = 2.0 ** -30
 _EXPONENT_EPS = 1e-12
 _TAIL_TOL = 1e-12
@@ -141,39 +142,46 @@ def _check_p(p: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class CumulativeWeightTable:
-    """Prefix sums of w_j**p as float64, or their logarithms.
+    """Prefix sums of w_j**p as float64, then their logarithms.
 
-    ``sums[k]`` is w_1**p + ... + w_{k+1}**p: the terms are float64, the
-    running sum is accumulated in long double and rounded once to float64.
-    ``build_table`` runs that sum in blocks of ``_BLOCK`` terms, carrying
-    the last long double sum of a block into the first term of the next, so
-    it makes the same additions in the same order as one long double
-    ``cumsum`` over all terms and gives the same bits.  With
-    ``log_domain`` set, ``sums`` holds the logarithms of those sums instead;
-    that mode is taken when a term or the sum would leave the float64
-    range.  ``weights`` maps m to w_m at every multiple of ``_STRIDE``, at
-    the last two indices and at the indices ``run_table`` asks for: what
-    the proof and the plateau test of ``class_bounds`` read.
+    ``sums[k]`` is S_{k+1} = w_1**p + ... + w_{k+1}**p for k < ``switch``
+    and ln S_{k+1} from ``switch`` on, where ``switch`` is the first index
+    whose term or sum leaves the float64 range, or the table's length.
+    The float entries are Sum2 sums (Ogita, Rump & Oishi 2005), within
+    u + gamma_m**2 of S_m at index m (u = 2**-53, gamma_m = m u / (1 - m u),
+    the terms being positive); each log entry adds a few ulp of a log-sum
+    to the one before.  Every entry depends on (w, p, m) alone, never on
+    the table's length.  ``weights`` maps m to w_m at every multiple of
+    ``_STRIDE``, at the last two indices and at the indices ``run_table``
+    asks for: what the proof and the plateau test of ``class_bounds`` read.
     """
 
     p: float
     sums: np.ndarray
-    log_domain: bool
+    switch: int
     weights: dict
 
+    @property
+    def log_domain(self) -> bool:
+        """Whether the table holds any log entry."""
+        return self.switch < self.sums.size
+
     def log_W_slice(self, m_lo: int, m_hi: int) -> np.ndarray:
-        """log W_m for m in [m_lo, m_hi] as a float64 array."""
-        seg = self._slice(m_lo, m_hi)
-        if self.log_domain:
-            return seg / self.p
-        return np.log(seg) / self.p
+        """log W_m for m in [m_lo, m_hi] as a new float64 array."""
+        seg, k = self._slice(m_lo, m_hi)
+        out = seg.copy()
+        np.log(out[:k], out=out[:k])
+        out /= self.p
+        return out
 
     def inv_sq_slice(self, m_lo: int, m_hi: int) -> np.ndarray:
         """W_m**-2 for m in [m_lo, m_hi] as a new float64 array."""
-        seg = self._slice(m_lo, m_hi)
-        if self.log_domain:
-            return np.exp((-2.0 / self.p) * seg)
-        return seg ** (-2.0 / self.p)
+        seg, k = self._slice(m_lo, m_hi)
+        out = np.empty_like(seg)
+        np.power(seg[:k], -2.0 / self.p, out=out[:k])
+        np.multiply(seg[k:], -2.0 / self.p, out=out[k:])
+        np.exp(out[k:], out=out[k:])
+        return out
 
     def weight(self, m: int) -> float:
         """w_m, where the table keeps it."""
@@ -182,26 +190,31 @@ class CumulativeWeightTable:
         except KeyError:
             raise ValueError(f"table keeps no weight w_{m}") from None
 
-    def _slice(self, m_lo: int, m_hi: int) -> np.ndarray:
+    def _slice(self, m_lo: int, m_hi: int) -> tuple[np.ndarray, int]:
+        """The entries for m in [m_lo, m_hi], and how many of them are
+        float sums."""
         for m in (m_lo, m_hi):
             if not 1 <= m <= self.sums.size:
                 raise ValueError(
                     f"table covers m in [1, {self.sums.size}], got {m}")
-        return self.sums[m_lo - 1:m_hi]
+        seg = self.sums[m_lo - 1:m_hi]
+        return seg, min(max(self.switch - m_lo + 1, 0), seg.size)
 
 
 def build_table(w: WeightModel, p: float, M: int,
                 keep=()) -> CumulativeWeightTable:
     """Tabulate prefix p-th power sums of the weights up to index M.
 
-    The weights are raised to p and summed in place, a block of ``_BLOCK``
-    terms at a time through one long double buffer; the table holds the
-    weights' array and that buffer, nothing of length M besides, and keeps
-    w_m at the multiples of ``_STRIDE``, at M - 1 and M and at every index
-    of ``keep``.  Sums only grow, so the first block whose last long double
-    sum passes the float64 maximum sends the whole table to log domain,
-    before any of it is rounded: the same decision as testing the last sum
-    of all.
+    The weights are raised to p and summed by Sum2, a block of
+    ``_BLOCK // 4`` terms at a time, and the sums overwrite the weights'
+    array up to the switch, the first index whose sum is not finite; from
+    it on the weights become ln S_m, p ln w_m continued by ``np.logaddexp``
+    from the last float sum.  The table holds that array and keeps w_m at
+    the multiples of ``_STRIDE``, at M - 1 and M and at every index of
+    ``keep``.  A float entry is within u + gamma_m**2 of S_m (see
+    ``CumulativeWeightTable``), far below ``_PROOF_MARGIN`` for any m below
+    2**37; a log entry's error grows by a few ulp of a log-sum per log
+    entry up to it.
     """
     _check_p(p)
     if M < 1:
@@ -212,39 +225,51 @@ def build_table(w: WeightModel, p: float, M: int,
                     vals[_STRIDE - 1::_STRIDE].tolist()))
     kept.update((m, float(vals[m - 1])) for m in (*keep, M - 1, M)
                 if 1 <= m <= M)
-    # values() hands out a fresh nondecreasing array, so w_M is the largest
-    # term and the sums may overwrite it
-    if p * float(np.log(vals[-1])) <= LOG_DOMAIN_THRESHOLD:
-        if _prefix_sums_in_place(vals, p):
-            return CumulativeWeightTable(p=float(p), sums=vals,
-                                         log_domain=False, weights=kept)
-        vals = w.values(M)
-    log_sums = np.log(vals, out=vals)
-    log_sums *= p
-    np.logaddexp.accumulate(log_sums, out=log_sums)
-    return CumulativeWeightTable(p=float(p), sums=log_sums, log_domain=True,
+    switch = _prefix_sums_in_place(vals, p)
+    if switch < M:
+        log_sums = vals[switch:]
+        np.log(log_sums, out=log_sums)
+        log_sums *= p
+        if switch:
+            log_sums[0] = np.logaddexp(np.log(vals[switch - 1]), log_sums[0])
+        np.logaddexp.accumulate(log_sums, out=log_sums)
+    return CumulativeWeightTable(p=float(p), sums=vals, switch=switch,
                                  weights=kept)
 
 
-def _prefix_sums_in_place(vals: np.ndarray, p: float) -> bool:
-    """Replace vals by the float64 roundings of the long double prefix sums
-    of vals**p; False, with vals partly overwritten, once a sum passes the
-    float64 maximum."""
-    buf = np.empty(min(_BLOCK, vals.size), dtype=np.longdouble)
-    carry = np.longdouble(0.0)
-    for start in range(0, vals.size, _BLOCK):
-        seg = vals[start:start + _BLOCK]
-        np.power(seg, p, out=seg)
-        sums = buf[:seg.size]
-        sums[:] = seg
-        sums[0] += carry
-        np.cumsum(sums, out=sums)
-        carry = sums[-1]
-        # every term is below e**700, but their sum may pass float64's range
-        if carry > _FLOAT_MAX:
-            return False
-        seg[:] = sums
-    return True
+def _prefix_sums_in_place(vals: np.ndarray, p: float) -> int:
+    """Overwrite vals with the Sum2 prefix sums of vals**p up to the first
+    index whose sum is not finite, and return that index, or vals.size.
+
+    Per block, s is the ``cumsum`` of the terms after the last block's s,
+    err each step's TwoSum error of s_{k-1} + x_k = s_k, and the sum is s
+    plus the ``cumsum`` of err after the last block's: the bits of one pass.
+    """
+    s_last = err_sum = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, vals.size, _BLOCK // 4):
+            seg = vals[start:start + _BLOCK // 4]
+            x = np.power(seg, p)
+            s = np.cumsum(np.concatenate(([s_last], x)))
+            prev, s = s[:-1], s[1:]
+            # TwoSum: err = (prev - (s - d)) + (x - d) with d = s - prev,
+            # formed in d and x
+            d = s - prev
+            x -= d
+            d -= s
+            d += prev
+            d += x
+            d[0] += err_sum
+            np.cumsum(d, out=d)
+            s_last, err_sum = float(s[-1]), float(d[-1])
+            s += d
+            finite = np.isfinite(s)
+            if not finite.all():
+                k = int(np.argmin(finite))
+                seg[:k] = s[:k]
+                return start + k
+            seg[:] = s
+    return vals.size
 
 
 @dataclass(frozen=True)
@@ -334,25 +359,24 @@ def _log_tail_bound(A, log_B, log_c, p: float):
     return np.maximum(log_bound, -_FLOAT_MAX)
 
 
-def _proof_margin(table: CumulativeWeightTable, end: int) -> float:
-    """The proof's relative margin for a scan capped at ``end``, taken as a
-    logarithm: a = 2/p times _PROOF_MARGIN, for the rounding of the bound,
-    of the envelope and of the structure oracle's logarithms, plus ``end``
-    times the rounding of one entry of the sums past the check index,
-    the long double epsilon of a long double sum or, in log domain, 2**-40
-    (a few ulp of a log-sum below 1500)."""
-    per_entry = (2.0 ** -40 if table.log_domain
-                 else float(np.finfo(np.longdouble).eps))
-    return 2.0 / table.p * (_PROOF_MARGIN + end * per_entry)
+def _proof_margin(table: CumulativeWeightTable, M):
+    """The proof's relative margin at check index M, taken as a logarithm:
+    a = 2/p times _PROOF_MARGIN, for the rounding of the bound, of the
+    envelope, of the structure oracle's logarithms and of a float sum (u +
+    gamma_M**2, far below it), plus 2**-40 (a few ulp of a log-sum below
+    1500) per log entry up to M."""
+    return 2.0 / table.p * (_PROOF_MARGIN + 2.0 ** -40
+                            * np.maximum(M - table.switch, 0))
 
 
 def _closed(table: CumulativeWeightTable, n: int, checks: np.ndarray,
-            lower: np.ndarray, upper: np.ndarray,
-            margin: float) -> np.ndarray:
+            lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """At each check index M, whether both envelopes' bounds past M are at
-    or below the running maxima ``lower`` and ``upper``, with ``margin``."""
+    or below the running maxima ``lower`` and ``upper``, with the margin
+    at M."""
     sums = table.sums[checks - 1]
-    log_B = sums if table.log_domain else np.log(sums)
+    log_B = np.log(sums, out=sums, where=checks <= table.switch)
+    margin = _proof_margin(table, checks)
     log_c = table.p * np.log([table.weight(int(M)) for M in checks])
     A = (checks - n).astype(np.float64)
     with np.errstate(divide="ignore"):
@@ -383,7 +407,6 @@ def _scan(table: CumulativeWeightTable, n: int, end: int,
     if end < lo:
         return 0.0, 0.0, None, 0, False
     size = table.sums.size
-    margin = _proof_margin(table, end)
     lower, upper, m_star = 0.0, -1.0, None
     m, length = lo, max(lo, _STRIDE) if proved else _BLOCK
     while m <= size:
@@ -402,7 +425,7 @@ def _scan(table: CumulativeWeightTable, n: int, end: int,
             ok = _closed(
                 table, n, checks,
                 np.maximum(np.maximum.accumulate(t_low)[at], lower),
-                np.maximum(np.maximum.accumulate(t_up)[at], upper), margin)
+                np.maximum(np.maximum.accumulate(t_up)[at], upper))
             if ok.any():
                 stop, closed = int(checks[np.argmax(ok)]), True
                 t_low, t_up = t_low[:stop - m + 1], t_up[:stop - m + 1]

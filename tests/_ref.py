@@ -21,9 +21,8 @@ any p from the weights alone: the truncated p = oo witness.
 ``scaled_tail_sq`` is the exact tail sum of one n by a sort and one
 ``math.fsum`` over the whole tail.
 
-``prefix_sums_p`` is the float table as one long double ``cumsum`` over all
-terms, rounded once to float64: what the blocked sum of ``build_table``
-must reproduce bit for bit.
+``prefix_sums_p`` is the float table as one unblocked Sum2 pass over all
+terms: what the blocked sum of ``build_table`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -226,9 +225,14 @@ def scaled_tail_sq(x, n: int) -> tuple[float, int]:
 
 
 def prefix_sums_p(w, p: float, M: int) -> np.ndarray:
-    """w_1**p + ... + w_m**p for m = 1..M from one long double cumsum."""
-    vals = w.values(M)
-    return np.cumsum(vals ** p, dtype=np.longdouble).astype(np.float64)
+    """w_1**p + ... + w_m**p for m = 1..M by Sum2 (Ogita, Rump & Oishi
+    2005) over the whole array at once: the running sum s, each step's
+    TwoSum error e_k of s_{k-1} + x_k, and s plus the running sum of e."""
+    x = w.values(M) ** p
+    s = np.cumsum(x)
+    prev = np.concatenate(([0.0], s[:-1]))
+    d = s - prev
+    return s + np.cumsum((prev - (s - d)) + (x - d))
 
 
 def infty_witness_sq(w, p: float, n: int,

@@ -1,7 +1,9 @@
 import functools
+import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -127,7 +129,6 @@ class TestBuildTable:
 # to first order in U.  C_F ulps are allowed for each elementary function
 # (pow, log, exp, log1p), which covers libm and NumPy's vectorised kernels.
 U = 2.0 ** -53
-LONG_U = float(np.finfo(np.longdouble).eps) / 2
 C_F = 4
 REF_M = 1500
 REF_FAMILIES = {
@@ -169,9 +170,10 @@ class TestTableAgainstReference:
         assert w_err <= (2 + abs(beta)) * C_F * U + U
         m = np.arange(1, REF_M + 1)
         log_S = np.abs(p * ref["log_W"])
-        # S_m: the terms w**p carry p*w_err + C_F ulps, the long double
-        # running sum m ulps of long double, the final rounding one ulp
-        rel_S = p * w_err + (C_F + 1) * U + m * LONG_U
+        # S_m: the terms w**p carry p*w_err + C_F ulps, and the Sum2 of
+        # positive terms u + gamma_m**2 (Ogita, Rump & Oishi 2005)
+        gamma = m * U / (1 - m * U)
+        rel_S = p * w_err + (C_F + 1) * U + gamma ** 2
         # S**y with y = fl(-2/p) or fl(1/p): the rounding of y costs
         # |y ln S| ulps, on top of |y| rel_S and the pow call itself
         inv_sq_bound = (2 / p) * (rel_S + log_S * U) + C_F * U
@@ -215,7 +217,7 @@ class TestTableAgainstReference:
         assert np.all(_ref.abs_errors(log_W, ref["log_W"]) <= log_W_bound)
 
 
-# lengths at and around the 2**16-term blocks of the long double prefix sum
+# lengths at and around 2**16, a multiple of the prefix sum's blocks
 BLOCK_LENGTHS = [1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5]
 BLOCK_FAMILIES = {
     "const": ConstantWeights(),
@@ -227,7 +229,7 @@ BLOCK_FAMILIES = {
 
 
 class TestBlockedTable:
-    """The blocked prefix sum against one long double cumsum, bit for bit."""
+    """The blocked prefix sum against one unblocked Sum2, bit for bit."""
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("M", BLOCK_LENGTHS)
@@ -248,16 +250,38 @@ class TestBlockedTable:
             t.weight(8)
 
     def test_sum_past_float64_range_in_a_later_block(self):
-        # 1e303 * m passes the float64 maximum at m = 179,770, in the third
-        # block; the first two blocks alone would fit
+        # 1e303 * m passes the float64 maximum at m = 179,770, in a later
+        # block: the entries before it stay float, those from it on are
+        # logarithms continued from the last float sum
         w = TabulatedWeights(np.full(2 ** 18, 1e303))
-        assert 2 * 2 ** 16 * 1e303 < np.finfo(np.float64).max
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             t = build_table(w, 1.0, 2 ** 18)
-        assert t.log_domain
-        assert np.array_equal(t.sums, np.logaddexp.accumulate(
-            1.0 * np.log(w.values(2 ** 18))))
+        assert t.switch == 179769 and t.log_domain
+        assert t.sums[t.switch - 1] == 1.79769e308
+        assert np.array_equal(t.sums[:t.switch],
+                              _ref.prefix_sums_p(w, 1.0, t.switch))
+        logs = np.log(w.values(2 ** 18)[t.switch - 1:])
+        logs[0] = math.log(1.79769e308)
+        assert np.array_equal(t.sums[t.switch:],
+                              np.logaddexp.accumulate(logs)[1:])
+
+    def test_sum_past_float64_range_reads_the_weights_once(
+            self, weights_evaluated):
+        build_table(TabulatedWeights(np.full(2 ** 18, 1e303)), 1.0, 2 ** 18)
+        assert weights_evaluated == [2 ** 18]
+
+    @pytest.mark.parametrize("w, p", [
+        (PowLogWeights(0.5, -1.0), 1.5), (LogPowerWeights(1.0), 0.5),
+        (LINEAR, 1.0), (PowLogWeights(1.0, 1.0), 1.5)])
+    def test_every_sum_is_correctly_rounded(self, w, p):
+        # against the exact rational sums of the same float64 terms
+        M = 2 ** 13
+        t = build_table(w, p, M)
+        assert not t.log_domain
+        terms = (w.values(M) ** p).tolist()
+        exact = itertools.accumulate(map(Fraction, terms))
+        assert t.sums.tolist() == [float(s) for s in exact]
 
     @pytest.mark.parametrize("w, p", [
         (ConstantWeights(), 1.0), (LINEAR, 2.0), (LogPowerWeights(1.0), 0.5),
@@ -277,6 +301,37 @@ class TestBlockedTable:
         assert r.scan_lower_sq == t_low.max()
         if r.argmax_m is not None:
             assert r.argmax_m == m_lo + int(np.argmax(t_up))
+
+
+GEOMSPACE = TabulatedWeights(np.geomspace(1, 1e306, 20000))
+# (weights, p, an n whose table runs far past the tables of n <= 256,
+# into terms or sums near or past the float64 maximum)
+LONG_TABLE_FAMILIES = {
+    "geomspace, p=1": (GEOMSPACE, 1.0, 16384),
+    "geomspace, p=1.5": (GEOMSPACE, 1.5, 16384),
+    "powlog(12, 0), p=5": (PowLogWeights(12.0, 0.0), 5.0, 2048),
+    "powlog(60, 0), p=2": (PowLogWeights(60.0, 0.0), 2.0, 512),
+    "powlog(40, 0), p=2": (PowLogWeights(40.0, 0.0), 2.0, 4096),
+}
+
+
+class TestRowsOfTheirOwn:
+    """A table entry depends on (w, p, m) alone, so a row reads the same
+    bits alone and in a grid whose table is longer."""
+
+    def test_geomspace_row_alone_equals_the_row_in_a_grid(self):
+        alone = class_bounds(GEOMSPACE, 1.0, 16)
+        assert alone.lower_sq == 0.0058219985950354455
+        assert run_table(GEOMSPACE, 1.0, [16, 16384])[1] == [
+            alone, class_bounds(GEOMSPACE, 1.0, 16384)]
+
+    @pytest.mark.parametrize("name", list(LONG_TABLE_FAMILIES))
+    def test_row_alone_equals_the_row_beside_a_long_table(self, name):
+        w, p, far = LONG_TABLE_FAMILIES[name]
+        far_row = class_bounds(w, p, far)
+        for n in (1, 4, 16, 64, 256):
+            assert run_table(w, p, [n, far])[1] == [
+                class_bounds(w, p, n), far_row], n
 
 
 class TestBoundedMemory:
@@ -641,7 +696,7 @@ class TestUnprovedAbove2:
         m = np.arange(1.0, 256.0)
         sums = np.where(m <= 127, 128.0, 256.0) * (m + 1)
         sums[-1] = last_sum
-        table = CumulativeWeightTable(p=4.0, sums=sums, log_domain=False,
+        table = CumulativeWeightTable(p=4.0, sums=sums, switch=255,
                                       weights={})
         r = class_bounds(TabulatedWeights(np.ones(255)), 4.0, 0, table=table)
         assert (r.status, r.argmax_m, r.upper_sq, r.m_scanned) == (
@@ -784,7 +839,7 @@ class TestProvedScan:
         for r in rows:
             M, n = r.m_scanned, r.n
             assert r.status == STATUS_ATTAINED
-            margin = _proof_margin(table, default_m_max(n))
+            margin = _proof_margin(table, M)
             log_B = math.log(table.sums[M - 1])
             log_c = p * math.log(table.weight(M))
             for delta in (0, 1):

@@ -68,6 +68,13 @@ def test_one_reader_opens_input_files():
     assert _source_callers("open") == ["weights.py: read_number_lines"]
 
 
+def test_one_number_format_on_every_platform():
+    # long double is 80-bit on some platforms and float64 on others, so a
+    # table summed in it would read different bits on each
+    assert [path.name for path in SOURCE_MODULES
+            if "longdouble" in path.read_text(encoding="utf-8")] == []
+
+
 def test_one_function_sizes_a_table():
     # a run's table length is decided in one place
     assert _source_callers("build_table") == ["bounds.py: run_table"]
@@ -169,13 +176,15 @@ def test_every_bench_layer_resolves(spans):
 
 def test_bench_counts_read_the_current_signatures(spans):
     # each count reads the arguments or result of its span by name
-    from nterm import OracleConfig, PowLogWeights, certify
+    from nterm import OracleConfig, PowLogWeights, certify, class_bounds
 
     tracer = spans.Tracer()
     tracer.install()
     try:
         certify(PowLogWeights(1.0, 0.0), 3.0, [4, 64],
                 OracleConfig(iters=200, seed=1))
+        # w_j**2 = j**120: the sums pass the float64 range at m = 367
+        class_bounds(PowLogWeights(60.0, 0.0), 2.0, 1)
     finally:
         tracer.uninstall()
     assert tracer.missing == []
@@ -183,3 +192,4 @@ def test_bench_counts_read_the_current_signatures(spans):
     assert totals["oracle.random_search_oracle"]["calls"] == 1
     assert totals["oracle.random_search_oracle"]["samples"] == 200
     assert totals["oracle.structure_oracle"]["m_scanned"] > 0
+    assert totals["bounds.build_table"]["log_domain_calls"] == 1
