@@ -55,16 +55,22 @@ the largest cap.  An empty grid builds no table, and neither does p = oo,
 whose rows are ``class_error_infty``'s tail sums.
 
 For p = oo the squared error equals the tail sum of w_j**-2.
-``class_error_infty`` sums a head and closes the tail with an integral, to
-1e-12 (``converged``) or, where that target is missed, to the reported
-bound (``truncated-unknown``), or is infinite (``divergent``) where
-``_regime`` says so at r = 2.  A weight file is summed to its end and
-reads ``truncated-unknown``.  One exp-sinh (double-exponential) rule in
-numpy integrates the integrand scaled to its start and peak, and the value
-is put together in logarithms; at 2 alpha = 1 the rule integrates the
-difference from the leading u**(-2 beta) term, which is added in closed
-form.  The reported ``truncation_bound`` is the Euler-Maclaurin remainder
-bound plus the rule's error estimate.
+``class_error_infty`` sums a head of h terms past n, h = 64 unless the
+remainder bound or the weights' plateau w_j = 1 asks for more, and closes
+the tail from J + 1/2, J = n + h, with the midpoint Euler-Maclaurin
+formula, to 1e-12 (``converged``) or, where that target is missed, to the
+reported bound (``truncated-unknown``), or is infinite (``divergent``)
+where ``_regime`` says so at r = 2.  At beta >= 0 the integrand g is
+completely monotone, so the closure runs to third order and its
+remainder is bounded by the first omitted term; at beta < 0 it is the
+integral alone, with the first-order bound.  A weight file is summed to
+its end and reads ``truncated-unknown``.  One exp-sinh (double-
+exponential) rule in numpy integrates the integrand scaled to its start
+and peak, and the value is put together in logarithms; at 2 alpha = 1 the
+rule integrates the difference from the leading u**(-2 beta) term, which
+is added in closed form.  The reported ``truncation_bound`` is the
+Euler-Maclaurin remainder bound plus the rule's error estimate and the
+rounding of the head.
 
 Squared errors are the internal currency throughout; square roots are taken
 only at presentation boundaries.
@@ -114,9 +120,9 @@ _STRIDE = 256
 # relative margin of the proof's comparison per unit of a = 2/p, besides
 # the rounding of the log entries (see _proof_margin)
 _PROOF_MARGIN = 2.0 ** -30
-_EXPONENT_EPS = 1e-12
 _TAIL_TOL = 1e-12
-# longest p = oo head; past it truncation_bound may exceed _TAIL_TOL
+# last index of a p = oo head that doubles: h doubles only while n + 2h
+# stays at or below it, and past it truncation_bound may exceed _TAIL_TOL
 _MAX_TERMS = 10_000_000
 # exp-sinh rule for the p = oo tail integral (Takahasi & Mori 1974)
 _DE_T_MAX = 6.0          # nodes t in [-6, 6] of u = ln X + exp(pi/2 sinh t)
@@ -316,19 +322,25 @@ def _regime(w: WeightModel, p: float) -> tuple[bool, bool]:
     p; a weight file has none, and is neither.  The plateau is p = 2 on
     exponents exactly (0, 0).  At p > 2 the worst case carries a Hoelder
     tail sum_j w_j**-r, r = 2p/(p-2) (2 at p = oo), which diverges where
-    alpha r < 1, or alpha r = 1 and beta r <= 1, each edge within
-    _EXPONENT_EPS."""
+    alpha r < 1, or alpha r = 1 and beta r <= 1, each edge decided exactly
+    on the given floats."""
     prof = w.asymptotic_exponents
     if prof is None:
         return False, False
     if p <= 2:
         return False, p == 2 and prof == (0.0, 0.0)
-    alpha, beta = prof
-    r = 2.0 / (1.0 - 2.0 / p)
-    # the power of m in t_m, positive exactly where alpha r < 1
-    growth = 1.0 - 2.0 * (alpha + 1.0 / p)
-    boundary = -_EXPONENT_EPS <= growth <= 0
-    return growth > 0 or (boundary and beta * r <= 1.0 + _EXPONENT_EPS), False
+    alpha_edge, beta_edge = (_edge_sign(x, p) for x in prof)
+    return alpha_edge < 0 or (alpha_edge == 0 and beta_edge <= 0), False
+
+
+def _edge_sign(x: float, p: float) -> int:
+    """The sign of x r - 1, r = 2p/(p-2), p > 2, in integers: with
+    x = a/b and p = P/Q (P/0 at p = oo), x r - 1 = (2Pa - b(P - 2Q)) /
+    (b(P - 2Q))."""
+    a, b = float(x).as_integer_ratio()
+    P, Q = (1, 0) if p == math.inf else float(p).as_integer_ratio()
+    v = 2 * P * a - b * (P - 2 * Q)
+    return (v > 0) - (v < 0)
 
 
 def _proves(w: WeightModel, p: float) -> bool:
@@ -568,15 +580,37 @@ class InftyTailResult:
     terms_summed: int
 
 
-def _tail_integrand_derivative(alpha: float, beta: float, x: float) -> float:
-    """g'(x) for g(x) = x**(-2 alpha) * log2(x + 1)**(-2 beta), g taken in
-    logarithms; inf where g passes the float64 maximum."""
+def _tail_integrand_derivatives(alpha: float, beta: float,
+                                x: float) -> list[float]:
+    """g^(k)(x) for k = 0..5, g(x) = x**(-2 alpha) * log2(x + 1)**(-2 beta),
+    from the Taylor series of ln g at x; all inf where g passes the float64
+    maximum.  q(t) = ln g(x + t) - ln g(x) sums the series of ln(x + t) and
+    of ln ln(x + 1 + t), and g(x + t) = g(x) e**q(t); ln(1 + v) and e**q
+    are taken term by term from (1 + v) L' = v' and E' = q' E.  At
+    beta >= 0 the terms of each sum share one sign, so none cancels."""
+    y = x + 1.0
     try:
-        g = math.exp(-2.0 * alpha * math.log(x)
-                     - 2.0 * beta * math.log(math.log2(x + 1.0)))
+        g = x ** (-2.0 * alpha) * math.log2(y) ** (-2.0 * beta)
     except OverflowError:
-        return math.inf
-    return g * (-2.0 * alpha / x - 2.0 * beta / ((x + 1.0) * math.log(x + 1.0)))
+        g = 0.0
+    if not 0.0 < g < math.inf:
+        # a factor left the float64 range: the product in logarithms
+        try:
+            g = math.exp(-2.0 * alpha * math.log(x)
+                         - 2.0 * beta * math.log(math.log2(y)))
+        except OverflowError:
+            return [math.inf] * 6
+    # the series of ln(x + t) - ln x and of v = ln(y + t) / ln y - 1
+    lx = [0.0] + [-(-1.0 / x) ** k / k for k in range(1, 6)]
+    v = [0.0] + [-(-1.0 / y) ** k / (k * math.log(y)) for k in range(1, 6)]
+    L = [0.0] * 6
+    for k in range(1, 6):
+        L[k] = v[k] - sum(j * L[j] * v[k - j] for j in range(1, k)) / k
+    q = [-2.0 * alpha * a - 2.0 * beta * b for a, b in zip(lx, L)]
+    e = [1.0] + [0.0] * 5
+    for k in range(1, 6):
+        e[k] = sum(j * q[j] * e[k - j] for j in range(1, k + 1)) / k
+    return [g * math.factorial(k) * e[k] for k in range(6)]
 
 
 def _tail_integral(alpha: float, beta: float, X: float,
@@ -603,7 +637,7 @@ def _tail_integral(alpha: float, beta: float, X: float,
     smallest subnormal.
     """
     a = math.log(X)
-    boundary = abs(2.0 * alpha - 1.0) <= _EXPONENT_EPS
+    boundary = 2.0 * alpha == 1.0
     c = 0.0 if boundary else 2.0 * alpha - 1.0
     # h(u) = e**(log_unit - shift) e**(-c s) (u/a)**(-2b) (1 + d(u)/u)**(-2b)
     # with s = u - a and d(u) = ln(1 + e**-u); the rule integrates the part
@@ -664,16 +698,26 @@ def _fsum(a: np.ndarray) -> float:
 def class_error_infty(w: WeightModel, n: int) -> InftyTailResult:
     """Sum w_j**-2 for j > n to an absolute truncation bound of _TAIL_TOL.
 
-    The target is fixed at 1e-12.  Closed-form families sum an explicit
-    head to index J and close the tail with the midpoint integral from
-    J + 1/2, evaluated by the exp-sinh rule of ``_tail_integral`` (at
-    2 alpha = 1 with the leading term subtracted and added in closed form).
-    ``truncation_bound`` adds the Euler-Maclaurin bound |g'(J + 1/2)|/12 of
-    the integral comparison and the rule's error estimate.  The status is
-    ``converged`` when that bound meets the target and ``truncated-unknown``
-    when it does not: the head stops at _MAX_TERMS, and the rule's rounding
-    allowance, 64 eps of the integral, alone passes 1e-12 for an integral
-    above about 70.
+    The target is fixed at 1e-12.  Closed-form families sum a head of h
+    terms, j in [n + 1, J] with J = n + h, and close the tail with the
+    midpoint Euler-Maclaurin formula from J + 1/2: the integral of
+    g(x) = x**(-2 alpha) log2(x + 1)**(-2 beta), by the exp-sinh rule of
+    ``_tail_integral`` (at 2 alpha = 1 with the leading term subtracted
+    and added in closed form), and, at beta >= 0, the third-order
+    correction g'(J + 1/2)/24 - 7 g'''(J + 1/2)/5760.  There g is
+    completely monotone on (0, oo), a completely monotone power times a
+    negative power of the Bernstein function log(1 + x), so the remainder
+    is bounded by the first omitted term, 31 |g^(5)(J + 1/2)|/967680.  At
+    beta < 0 no such sign argument is at hand: no correction is added, and
+    the remainder bound is the first-order |g'(J + 1/2)|/12.  h starts at
+    64 and doubles until the remainder bound is at most half the target
+    and w_J is past the plateau w_j = 1, while n + 2h stays at or below
+    _MAX_TERMS.  ``truncation_bound`` adds the remainder bound, the rule's
+    error estimate and the rounding of the head and of the sum.  The
+    status is ``converged`` when that meets the target and
+    ``truncated-unknown`` when it does not: the head stopped at
+    _MAX_TERMS, or the rule's rounding allowance, 64 eps of the integral,
+    alone passes 1e-12, as it does for an integral above about 70.
     A weight file is summed to its end, terms j in [n + 1, L], and the
     remainder past it is unknown: ``truncated-unknown`` with an infinite
     bound, and 0.0 past the file's end.
@@ -697,21 +741,26 @@ def class_error_infty(w: WeightModel, n: int) -> InftyTailResult:
     alpha, beta = prof
     # only PowLog reaches this point (const/logpow tails always diverge)
     assert isinstance(w, PowLogWeights)
-    J = max(64, 2 * (n + 1))
 
-    def em_bound(J_: int) -> float:
-        return abs(_tail_integrand_derivative(alpha, beta, J_ + 0.5)) / 12.0
+    def closure(J: int) -> tuple[float, float]:
+        # the correction from J + 1/2 and the bound on what it leaves
+        g = _tail_integrand_derivatives(alpha, beta, J + 0.5)
+        if beta >= 0.0:
+            return (g[1] / 24.0 - 7.0 * g[3] / 5760.0,
+                    31.0 * abs(g[5]) / 967680.0)
+        return 0.0, abs(g[1]) / 12.0
 
-    def past_plateau(J_: int) -> bool:
+    def past_plateau(J: int) -> bool:
         # the raw formula starts at 1 and at most dips before it rises, so
         # it is the running max once back at 1 (non-finite passes to values)
         with np.errstate(over="ignore", invalid="ignore"):
-            return not w.raw_value(np.float64(J_)) < 1.0
+            return not w.raw_value(np.float64(J)) < 1.0
 
-    while (em_bound(J) > 0.5 * _TAIL_TOL or not past_plateau(J)):
-        if 2 * J > _MAX_TERMS:
-            break
-        J *= 2
+    h = 64
+    while ((closure(n + h)[1] > 0.5 * _TAIL_TOL or not past_plateau(n + h))
+           and n + 2 * h <= _MAX_TERMS):
+        h *= 2
+    J = n + h
     if not past_plateau(J):
         raise ValueError(f"weights stay on their plateau w_j = 1 past "
                          f"index {J}, the longest p = inf head")
@@ -719,10 +768,16 @@ def class_error_infty(w: WeightModel, n: int) -> InftyTailResult:
     head = _fsum(w.values(J)[n:] ** -2.0)
     integral, rule_err = _tail_integral(
         alpha, beta, J + 0.5, epsabs=0.25 * _TAIL_TOL)
-    bound = em_bound(J) + rule_err
+    correction, remainder = closure(J)
+    value = math.fsum((head, integral, correction))
+    # a head term carries the rounding of j**alpha, of log2(j + 1)**beta,
+    # which |beta| multiplies, and of the square: within 4 eps (2 + |2 beta|)
+    # of w_j**-2; the value is within half an ulp of its three parts' sum
+    bound = (remainder + rule_err + math.ulp(value) + _DE_ROUNDING_PER_EXPONENT
+             * (2.0 + abs(2.0 * beta)) * head)
     return InftyTailResult(
-        value_sq=head + integral,
+        value_sq=value,
         truncation_bound=bound,
         status=STATUS_CONVERGED if bound <= _TAIL_TOL else STATUS_TRUNCATED,
-        terms_summed=J - n,
+        terms_summed=h,
     )

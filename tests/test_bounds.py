@@ -34,8 +34,9 @@ from nterm.bounds import (
     CumulativeWeightTable,
     _log_tail_bound,
     _proof_margin,
+    _regime,
     _tail_integral,
-    _tail_integrand_derivative,
+    _tail_integrand_derivatives,
     default_m_max,
     run_table,
     scan_length,
@@ -451,11 +452,42 @@ class TestClassBounds:
 
     @pytest.mark.parametrize("alpha", [0.2499999999999, 0.25 - 1e-15])
     def test_growth_just_above_zero_diverges(self, alpha):
-        # growth = 1 - 2 (alpha + 1/p) = 2 (0.25 - alpha) > 0 is below
-        # _EXPONENT_EPS, yet the envelope grows like m**growth without bound
+        # alpha r < 1 at r = 4 by less than 1e-12, yet the envelope grows
+        # like m**(1 - 4 alpha) without bound
         r = class_bounds(PowLogWeights(alpha, 0.0), 4.0, 16)
         assert r.status == STATUS_DIVERGENT
         assert r.upper_sq == r.lower_sq == math.inf
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 5.0, 10.0, 32.0, math.inf])
+    def test_edges_are_decided_on_the_given_floats(self, p):
+        # divergent exactly where alpha r < 1, or alpha r = 1 and
+        # beta r <= 1, r = 2p/(p - 2) (2 at p = oo), with no band round the
+        # edges; x r - 1 has the sign of 2 p x - (p - 2), exact at 60 digits
+        edge = 0.5 if p == math.inf else (p - 2.0) / (2.0 * p)
+        offsets = [0.0, 4e-13, -4e-13, 1e-12, -1e-12, 3e-12, -3e-12] + [
+            k * 2.0 ** -54 for k in (-3, -2, -1, 1, 2, 3)]
+
+        def side(x: float) -> int:
+            with mpmath.workdps(60):
+                x = mpmath.mpf(x)
+                d = (2 * x - 1 if p == math.inf
+                     else 2 * mpmath.mpf(p) * x - (mpmath.mpf(p) - 2))
+                return (d > 0) - (d < 0)
+
+        for da, db in itertools.product(offsets, repeat=2):
+            alpha, beta = edge + da, edge + db
+            a, b = side(alpha), side(beta)
+            assert _regime(PowLogWeights(alpha, beta), p)[0] == (
+                a < 0 or (a == 0 and b <= 0)), (alpha, beta)
+
+    def test_decimal_exponents_are_read_as_their_floats(self):
+        # 0.3 is 0.29999999999999998890 as a float, below the edge 3/10 of
+        # p = 5; 0.4 is 0.40000000000000002220, above the edge 2/5 of p = 10
+        r = class_bounds(PowLogWeights(0.3, 1.0), 5.0, 16)
+        assert r.status == STATUS_DIVERGENT
+        r = class_bounds(PowLogWeights(0.4, 0.0), 10.0, 16)
+        assert r.status == STATUS_TRUNCATED
+        assert 0.0 < r.lower_sq <= r.upper_sq < math.inf
 
     def test_zero_growth_has_a_limit(self):
         assert class_bounds(ConstantWeights(), 2.0, 16).status == STATUS_LIMIT
@@ -1057,10 +1089,10 @@ class TestClassErrorInfty:
     def test_boundary_tail_near_half_beta(self, beta):
         # 2 alpha = 1: the terms decay like 1/(j log2(j)**(2 beta)), and as
         # beta -> 1/2 almost all of the sum lies past the head (the integral
-        # past 131072.5 is 3.47e6 at beta = 0.5000001)
+        # past 80.5 is 3.47e6 at beta = 0.5000001)
         r = class_error_infty(PowLogWeights(0.5, beta), 16)
         # the rule's rounding allowance alone misses 1e-12 on the 3.47e6
-        # and 68.3 integrals of the first two
+        # and 68.0 integrals of the first two
         missed = beta in (0.5000001, 0.505)
         assert r.status == (STATUS_TRUNCATED if missed else STATUS_CONVERGED)
         assert (r.truncation_bound > _TAIL_TOL) == missed
@@ -1078,6 +1110,52 @@ class TestClassErrorInfty:
         with mpmath.workdps(_ref.DIGITS):
             gap = float(abs(mpmath.mpf(r.value_sq) - ref))
         assert gap <= r.truncation_bound
+
+    # beta >= 0: a head of 64 terms past n and the third-order closure;
+    # the first-order bound |g'|/12 took 8,176 to 65,538 terms here
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.5, 1.0)])
+    @pytest.mark.parametrize("n", [16, 4096, 65536])
+    def test_short_head_at_every_n(self, alpha, beta, n):
+        r = class_error_infty(PowLogWeights(alpha, beta), n)
+        assert r.status == STATUS_CONVERGED
+        assert r.terms_summed <= 256
+
+    def test_near_critical_power_has_a_short_head(self):
+        # j**-1.1: the first-order bound took 262,128 terms
+        r = class_error_infty(PowLogWeights(0.55, 0.0), 16)
+        assert r.status == STATUS_CONVERGED
+        assert r.terms_summed <= 2 ** 12
+
+    # beta = 0: sum_{j > n} j**(-2 alpha) is zeta(2 alpha, n + 1), a
+    # reference with no Euler-Maclaurin in it
+    @pytest.mark.parametrize("alpha", [0.5 + 5e-10, 0.5000005, 0.5005, 0.55,
+                                       0.75, 1.0, 1.5, 3.0, 12.0])
+    @pytest.mark.parametrize("n", [0, 16, 4096, 65536])
+    def test_power_tail_within_bound_of_hurwitz_zeta(self, alpha, n):
+        r = class_error_infty(PowLogWeights(alpha, 0.0), n)
+        with mpmath.workdps(30):
+            ref = mpmath.zeta(2 * mpmath.mpf(alpha), n + 1)
+            assert abs(mpmath.mpf(r.value_sq) - ref) <= r.truncation_bound
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (0.5, 1.0), (0.5, 3.0), (0.75, 2.5), (1.0, 1.0), (1.5, 0.5)])
+    @pytest.mark.parametrize("n", [0, 16, 4096])
+    def test_log_tail_within_bound_of_reference(self, alpha, beta, n):
+        r = class_error_infty(PowLogWeights(alpha, beta), n)
+        assert r.status == STATUS_CONVERGED
+        ref = _ref.powlog_tail_sq(alpha, beta, n)
+        with mpmath.workdps(_ref.DIGITS):
+            assert abs(mpmath.mpf(r.value_sq) - ref) <= r.truncation_bound
+
+    def test_power_just_past_the_edge_converges(self):
+        # 2 alpha - 1 = 8e-13: the sum is finite, about 1.25e12, and the
+        # rule's rounding allowance alone misses 1e-12 on it
+        alpha = 0.5 + 4e-13
+        r = class_error_infty(PowLogWeights(alpha, 0.0), 16)
+        assert r.status == STATUS_TRUNCATED
+        with mpmath.workdps(30):
+            ref = mpmath.zeta(2 * mpmath.mpf(alpha), 17)
+            assert abs(mpmath.mpf(r.value_sq) - ref) <= r.truncation_bound
 
     @pytest.mark.parametrize("beta", [-6.0, -17.0, -100.0])
     def test_plateau_past_the_head_is_a_domain_error(self, monkeypatch,
@@ -1148,7 +1226,7 @@ class TestClassErrorInfty:
         # does not: past the plateau of powlog(30, -150) the tail is small
         alpha, beta, X = 30.0, -150.0, 2.0 ** 23 + 0.5
         value, _ = _tail_integral(alpha, beta, X, epsabs=0.0)
-        deriv = _tail_integrand_derivative(alpha, beta, X)
+        deriv = _tail_integrand_derivatives(alpha, beta, X)[1]
         with mpmath.workdps(30):
             def g(x):
                 return x ** -60 * mpmath.log(x + 1, 2) ** 300
@@ -1158,4 +1236,24 @@ class TestClassErrorInfty:
         assert deriv == pytest.approx(float(ref_deriv), rel=1e-12)
 
     def test_overflowing_derivative_is_inf(self):
-        assert math.isinf(_tail_integrand_derivative(1.0, -1000.0, 64.5))
+        assert all(map(math.isinf,
+                       _tail_integrand_derivatives(1.0, -1000.0, 64.5)))
+
+
+class TestTailIntegrandDerivatives:
+    @pytest.mark.parametrize("alpha, beta", [
+        (1.0, 0.0), (0.5, 1.0), (0.75, 2.5), (12.0, 0.0)])
+    @pytest.mark.parametrize("x", [64.5, 1e4 + 0.5, 2.0 ** 20 + 0.5])
+    def test_against_mpmath_diff(self, alpha, beta, x):
+        got = _tail_integrand_derivatives(alpha, beta, x)
+        # g is completely monotone at beta >= 0: g**(k) has the sign (-1)**k
+        assert all((-1) ** k * d > 0 for k, d in enumerate(got))
+        with mpmath.workdps(40):
+            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+
+            def g(t):
+                return t ** (-2 * a) * mpmath.log(t + 1, 2) ** (-2 * b)
+
+            for k in (0, 1, 3, 5):
+                ref = mpmath.diff(g, mpmath.mpf(x), k)
+                assert abs(got[k] - ref) <= 1e-14 * abs(ref), k

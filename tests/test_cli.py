@@ -239,6 +239,15 @@ def test_import_leaves_scipy_unloaded():
     assert out.strip() == b"[]"
 
 
+def test_import_leaves_fractions_and_decimal_unloaded():
+    # the exponent edges are decided on integer ratios, without either
+    # module: importing fractions costs about 4 ms
+    out = fresh_python(
+        "-c", "import sys, nterm.cli; print(sorted(m for m in sys.modules "
+        "if m in ('fractions', 'decimal', '_decimal', '_pydecimal')))")
+    assert out.strip() == b"[]"
+
+
 def test_exact_sums_leave_numpy_ma_unloaded():
     # the first np.unique call imports numpy.ma, about 10 ms per process
     out = fresh_python(

@@ -75,6 +75,13 @@ def test_one_number_format_on_every_platform():
             if "longdouble" in path.read_text(encoding="utf-8")] == []
 
 
+@pytest.mark.parametrize("text", ["_EXPONENT_EPS", "2 * (n + 1)"])
+def test_no_exponent_band_and_no_doubled_head(text):
+    # the divergence edges are exact, and a p = inf head is h terms past n
+    assert [path.name for path in SOURCE_MODULES
+            if text in path.read_text(encoding="utf-8")] == []
+
+
 def test_one_function_sizes_a_table():
     # a run's table length is decided in one place
     assert _source_callers("build_table") == ["bounds.py: run_table"]
