@@ -23,21 +23,26 @@ and each finite-p regime has one status rule:
 
 At p <= 2 the maximum is proved, not guessed.  Weights never decrease, so
 past a check index M, W_m**p >= B + (m - M) c with B = W_M**p and
-c = w_M**p, and with a = 2/p >= 1 and A = M - n + delta (delta = 0 for the
-lower envelope, 1 for the upper) every later value is at most
-sup_{s >= 1} (A + s) / (B + s c)**a, which ``_log_tail_bound`` gives in
-closed form.  The scan checks that bound at every multiple of ``_STRIDE``
-and at its cap, and stops at the first check index where both bounds are
-at or below the running maxima: ``m_scanned`` is that index, and the row
-is ``attained``.  The comparison is made in logarithms with the relative
-margin of ``_proof_margin`` at M, which covers the float sums' rounding,
-u + gamma_M**2, and a few ulp per log entry up to M, so it depends on
-(w, p, M) alone, not on the table's length.  A row whose proof does not
-close by the cap is ``truncated-unknown``.  On a weight file the bound
-covers every nondecreasing continuation of the file, so ``attained`` is
-true of them all.
-No row diverges at p <= 2: every weight is at least 1, so W_m**2 >= m and
-no envelope value passes 2.
+c = w_M**p, and with a = 2/p >= 1 and A = M - n every later value of the
+lower envelope is at most sup_{s >= 1} (A + s) / (B + s c)**a, which
+``_log_tail_bound`` gives in closed form.  The scan checks that bound at
+every multiple of ``_STRIDE`` and at its cap, and stops at the first check
+index where it is at or below the running lower maximum: ``m_scanned`` is
+that index, and the row is ``attained``.  The comparison is made in
+logarithms with the relative margin of ``_proof_margin`` at M, which
+covers the float sums' rounding, u + gamma_M**2, and a few ulp per log
+entry up to M, so it depends on (w, p, M) alone, not on the table's
+length.  A row whose proof does not close by the cap is
+``truncated-unknown``.  On a weight file the bound covers every
+nondecreasing continuation of the file, so ``attained`` is true of them
+all.  No row diverges at p <= 2: every weight is at least 1, so
+W_m**2 >= m and no envelope value passes 2.
+
+The one bound closes the upper envelope too: with L the lower maximum,
+first reached at m_1 <= M, and U the upper one, every m > M has
+(m - n + 1) W_m**-2 = (m - n) W_m**-2 + W_m**-2 <= L + W_{m_1}**-2 <= U.
+In floats both sides carry a few ulp of L, since L > 0 puts m_1 past n
+and so W_{m_1}**-2 <= L; the margin, at least 2**-30 a, covers them.
 
 The bound proves nothing at p > 2 (there a < 1), nor on a plateau, the
 p = 2 case with exponents exactly (0, 0).  Those rows scan to the cap.  The
@@ -80,12 +85,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .weights import PowLogWeights, WeightModel
+from .weights import PowLogWeights, WeightModel, _finite
 
 __all__ = [
     "CumulativeWeightTable",
@@ -343,15 +348,10 @@ def _edge_sign(x: float, p: float) -> int:
     return (v > 0) - (v < 0)
 
 
-def _proves(w: WeightModel, p: float) -> bool:
-    """Whether ``class_bounds`` proves its maximum and stops there."""
-    return p <= 2 and not _regime(w, p)[1]
-
-
 def _log_tail_bound(A, log_B, log_c, p: float):
     """log sup_{s >= 1} (A + s) / (B + s c)**a, a = 2/p >= 1, from log B
-    and log c: a bound on (m - n + delta) / W_m**2 for every m > M, where
-    A = M - n + delta, B = W_M**p and c = w_M**p.
+    and log c: a bound on the lower envelope (m - n) / W_m**2 for every
+    m > M, where A = M - n, B = W_M**p and c = w_M**p.
 
     (A + s) / (B + s c)**a rises up to s = (B - a c A) / ((a - 1) c) and
     falls past it; at a = 1 it is monotone, towards 1/c.
@@ -382,45 +382,47 @@ def _proof_margin(table: CumulativeWeightTable, M):
 
 
 def _closed(table: CumulativeWeightTable, n: int, checks: np.ndarray,
-            lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """At each check index M, whether both envelopes' bounds past M are at
-    or below the running maxima ``lower`` and ``upper``, with the margin
-    at M."""
+            lower: np.ndarray) -> np.ndarray:
+    """At each check index M, whether the lower envelope's bound past M,
+    with the margin at M, is at or below its running maximum ``lower``."""
     sums = table.sums[checks - 1]
     log_B = np.log(sums, out=sums, where=checks <= table.switch)
-    margin = _proof_margin(table, checks)
     log_c = table.p * np.log([table.weight(int(M)) for M in checks])
-    A = (checks - n).astype(np.float64)
     with np.errstate(divide="ignore"):
-        log_lower, log_upper = np.log(lower), np.log(upper)
-    return ((_log_tail_bound(A, log_B, log_c, table.p) + margin <= log_lower)
-            & (_log_tail_bound(A + 1.0, log_B, log_c, table.p) + margin
-               <= log_upper))
+        log_lower = np.log(lower)
+    return (_log_tail_bound((checks - n).astype(np.float64), log_B, log_c,
+                            table.p)
+            + _proof_margin(table, checks) <= log_lower)
+
+
+class _ShortTable(ValueError):
+    """The table ends before the scan's stop."""
 
 
 def _scan(table: CumulativeWeightTable, n: int, end: int,
-          proved: bool) -> tuple | None:
+          proved: bool) -> tuple:
     """Scan the envelopes (m - n [+ 1]) W_m**-2 over m in [max(n, 1), end],
     a block at a time.
 
     Returns (lower, upper, m_star, stop, closed): the envelopes' maxima
     over [max(n, 1), stop], and the first index where the upper one reaches
     its maximum.  With ``proved`` set, stop is the first check index (a
-    multiple of ``_STRIDE``, or end) where the bounds past it are at or
-    below both maxima, and closed is True; else stop is end.  An empty
-    range gives zeros and stop = 0; None where the table ends before the
-    scan.  A block ends at a multiple of ``_STRIDE``, or at end, and holds
-    about ``_BLOCK`` entries at most; with ``proved`` set the first one runs
-    about as far past max(n, 1) as that index itself, and each next one
-    twice as far as the last.  m - n is an integer below 2**53, exact in a
-    float64 arange, so each product is the one of the whole-array formula.
+    multiple of ``_STRIDE``, or end) where the lower envelope's bound past
+    it is at or below its maximum, and closed is True; else stop is end.
+    An empty range gives zeros and stop = 0; a table that ends before stop
+    raises ``_ShortTable``.  A block ends at a multiple of ``_STRIDE``, or
+    at end; the first one runs about as far past max(n, 1) as that index
+    itself, within [_STRIDE, _BLOCK], and each next one twice as far as
+    the last, up to ``_BLOCK``.  m - n is an integer below 2**53, exact in
+    a float64 arange, so each product is the one of the whole-array
+    formula.
     """
     lo = max(n, 1)
     if end < lo:
         return 0.0, 0.0, None, 0, False
     size = table.sums.size
     lower, upper, m_star = 0.0, -1.0, None
-    m, length = lo, max(lo, _STRIDE) if proved else _BLOCK
+    m, length = lo, min(max(lo, _STRIDE), _BLOCK)
     while m <= size:
         hi = min(end, size, -(-(m + length - 1) // _STRIDE) * _STRIDE)
         t_up = table.inv_sq_slice(m, hi)
@@ -433,11 +435,8 @@ def _scan(table: CumulativeWeightTable, n: int, end: int,
             checks = np.arange(-(-m // _STRIDE) * _STRIDE, hi + 1, _STRIDE)
             if hi == end and not (checks.size and checks[-1] == end):
                 checks = np.append(checks, end)
-            at = checks - m
-            ok = _closed(
-                table, n, checks,
-                np.maximum(np.maximum.accumulate(t_low)[at], lower),
-                np.maximum(np.maximum.accumulate(t_up)[at], upper))
+            ok = _closed(table, n, checks, np.maximum(
+                np.maximum.accumulate(t_low)[checks - m], lower))
             if ok.any():
                 stop, closed = int(checks[np.argmax(ok)]), True
                 t_low, t_up = t_low[:stop - m + 1], t_up[:stop - m + 1]
@@ -448,11 +447,8 @@ def _scan(table: CumulativeWeightTable, n: int, end: int,
         if closed or stop == end:
             return lower, upper, m_star, stop, closed
         m, length = stop + 1, min(2 * length, _BLOCK)
-    return None
-
-
-class _ShortTable(ValueError):
-    """The table ends before the scan's stop."""
+    raise _ShortTable(f"table covers m in [1, {size}], short of the scan "
+                      f"for n = {n} (cap {end})")
 
 
 def run_table(w: WeightModel, p: float, n_values: Sequence[int],
@@ -488,7 +484,8 @@ def run_table(w: WeightModel, p: float, n_values: Sequence[int],
     ends = [scan_length(w, n, m_max) for n in n_values]
     keep = {m for end in ends for m in (end - 1, end)}
     top = max(ends)
-    size = min(top, 2 * (max(n_values) + _STRIDE)) if _proves(w, p) else top
+    proved = p <= 2 and not _regime(w, p)[1]
+    size = min(top, 2 * (max(n_values) + _STRIDE)) if proved else top
     table, rows = None, []
     for n in n_values:
         row = None
@@ -520,8 +517,9 @@ def class_bounds(
     docstring).  Past a weight file's end, where the scan is empty, the row
     is ``truncated-unknown`` with zero values.  A reusable ``table`` may be
     passed when several n share one weight model; it is used as given, so
-    it must be of p and reach the scan's stop, and the weights at the cap
-    and the index before it that it does not keep are read from ``w``.
+    it must be of p, reach the scan's stop and keep w at the cap and the
+    index before it, as every ``run_table`` table does; a table that lacks
+    a weight the row reads is refused (``CumulativeWeightTable.weight``).
     Without one, ``run_table`` builds it.
     """
     _check_p(p)
@@ -534,18 +532,9 @@ def class_bounds(
         raise ValueError(f"table is for p = {table.p}, not {p}")
 
     end = scan_length(w, n, m_max)
-    missing = [m for m in (end - 1, end)
-               if 1 <= m <= table.sums.size and m not in table.weights]
-    if missing:
-        vals = w.values(missing[-1])
-        table = replace(table, weights={
-            **table.weights, **{m: float(vals[m - 1]) for m in missing}})
     divergent, plateau = _regime(w, p)
-    scan = _scan(table, n, end, _proves(w, p))
-    if scan is None:
-        raise _ShortTable(f"table covers m in [1, {table.sums.size}], short "
-                          f"of the scan for n = {n} (cap {end})")
-    scan_lower, scan_upper, m_star, stop, closed = scan
+    scan_lower, scan_upper, m_star, stop, closed = _scan(
+        table, n, end, p <= 2 and not plateau)
 
     def result(status, lower=scan_lower, upper=scan_upper, argmax=None):
         return BoundResult(
@@ -712,8 +701,10 @@ def class_error_infty(w: WeightModel, n: int) -> InftyTailResult:
     the remainder bound is the first-order |g'(J + 1/2)|/12.  h starts at
     64 and doubles until the remainder bound is at most half the target
     and w_J is past the plateau w_j = 1, while n + 2h stays at or below
-    _MAX_TERMS.  ``truncation_bound`` adds the remainder bound, the rule's
-    error estimate and the rounding of the head and of the sum.  The
+    _MAX_TERMS.  The head's weights alone are evaluated, as max(1, formula)
+    (see ``past_plateau``).  ``truncation_bound`` adds the remainder bound,
+    the rule's error estimate and the rounding of the head and of the sum.
+    The
     status is ``converged`` when that meets the target and
     ``truncated-unknown`` when it does not: the head stopped at
     _MAX_TERMS, or the rule's rounding allowance, 64 eps of the integral,
@@ -752,7 +743,7 @@ def class_error_infty(w: WeightModel, n: int) -> InftyTailResult:
 
     def past_plateau(J: int) -> bool:
         # the raw formula starts at 1 and at most dips before it rises, so
-        # it is the running max once back at 1 (non-finite passes to values)
+        # the running max is max(1, formula) (non-finite fails in the head)
         with np.errstate(over="ignore", invalid="ignore"):
             return not w.raw_value(np.float64(J)) < 1.0
 
@@ -765,7 +756,9 @@ def class_error_infty(w: WeightModel, n: int) -> InftyTailResult:
         raise ValueError(f"weights stay on their plateau w_j = 1 past "
                          f"index {J}, the longest p = inf head")
 
-    head = _fsum(w.values(J)[n:] ** -2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        head = np.maximum(w.raw_value(np.arange(n + 1.0, J + 1.0)), 1.0)
+    head = _fsum(_finite(head, n + 1) ** -2.0)
     integral, rule_err = _tail_integral(
         alpha, beta, J + 0.5, epsabs=0.25 * _TAIL_TOL)
     correction, remainder = closure(J)

@@ -94,11 +94,12 @@ def _check_values(vals: np.ndarray) -> None:
             f"weights decrease at index {j}", index=j)
 
 
-def _finite(vals: np.ndarray) -> np.ndarray:
-    """Return nondecreasing weights, or raise naming the first that is not
-    finite.  NaN survives a running maximum, so w_m decides for all."""
+def _finite(vals: np.ndarray, first: int = 1) -> np.ndarray:
+    """Return nondecreasing weights w_first.., or raise naming the first
+    that is not finite.  NaN survives a running maximum, so the last
+    weight decides for all."""
     if not math.isfinite(vals[-1]):
-        j = int(np.argmin(np.isfinite(vals))) + 1
+        j = int(np.argmin(np.isfinite(vals))) + first
         raise ValueError(f"weight w_{j} is not finite")
     return vals
 

@@ -635,14 +635,22 @@ class TestClassBounds:
                             table=build_table(LINEAR, 1.0, 256)).m_scanned \
             == 256
 
-    @pytest.mark.parametrize("w, p, n, m_max", [
-        (ConstantWeights(), 2.0, 17, None),         # plateau, cap 1088
-        (LogPowerWeights(0.5), 2.0, 256, 1500)])    # proved, open at 1500
-    def test_passed_table_need_not_keep_the_cap(self, w, p, n, m_max):
-        # neither cap is a multiple of 256: the weights the table does not
-        # keep there are read from w, and the row is the one built alone
+    @pytest.mark.parametrize("w, p, n, m_max, missing", [
+        # plateau, cap 1088: the plateau test reads w_1087 first
+        (ConstantWeights(), 2.0, 17, None, 1087),
+        # proved, open at 1500: the check at the cap reads w_1500
+        (LogPowerWeights(0.5), 2.0, 256, 1500, 1500)])
+    def test_passed_table_must_keep_the_cap(self, w, p, n, m_max, missing):
+        # neither cap is a multiple of 256, and a table built without them
+        # keeps no weight there: the row is refused, not patched from w
+        end = scan_length(w, n, m_max)
         table = build_table(w, p, 2048)
-        assert scan_length(w, n, m_max) not in table.weights
+        assert end not in table.weights
+        with pytest.raises(ValueError,
+                           match=f"^table keeps no weight w_{missing}$"):
+            class_bounds(w, p, n, m_max, table=table)
+        # a table that keeps them, as run_table's do, gives the row
+        table = build_table(w, p, 2048, keep=(end - 1, end))
         r = class_bounds(w, p, n, m_max, table=table)
         assert r == class_bounds(w, p, n, m_max)
         assert r.status == (STATUS_LIMIT if m_max is None
@@ -861,8 +869,10 @@ class TestProvedScan:
         (name, p) for name in PROVED_FAMILIES for p in (0.5, 1.0, 2.0)
         if (name, p) != ("const", 2.0)])
     def test_bound_at_the_stop_covers_the_vertices_past_it(self, name, p):
-        # the bound, with its margin, against the 50-digit vertex maximum
-        # over [M + 1, 16 M]
+        # the lower envelope's bound, with its margin, against the 50-digit
+        # vertex maximum over [M + 1, 16 M]; the upper vertices there stay
+        # at or below the row's upper_sq, which no bound of their own
+        # proves: (m - n + 1) W_m**-2 <= L + W_{m_1}**-2 <= U
         w = PROVED_FAMILIES[name]
         rows = run_table(w, p, [0, 3, 40])[1]
         top = 16 * max(r.m_scanned for r in rows)
@@ -874,11 +884,12 @@ class TestProvedScan:
             margin = _proof_margin(table, M)
             log_B = math.log(table.sums[M - 1])
             log_c = p * math.log(table.weight(M))
-            for delta in (0, 1):
-                bound = math.exp(float(_log_tail_bound(
-                    M - n + delta, log_B, log_c, p)) + margin)
-                vertex = _ref.envelope_max(ref, n, M + 1, top, delta)
-                assert vertex <= bound, (name, p, n, delta)
+            bound = math.exp(float(_log_tail_bound(
+                M - n, log_B, log_c, p)) + margin)
+            assert _ref.envelope_max(ref, n, M + 1, top, 0) <= bound, (
+                name, p, n)
+            assert _ref.envelope_max(ref, n, M + 1, top, 1) <= r.upper_sq, (
+                name, p, n)
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0])
     def test_stop_is_the_same_alone_and_in_a_grid(self, p):
@@ -1157,19 +1168,41 @@ class TestClassErrorInfty:
             ref = mpmath.zeta(2 * mpmath.mpf(alpha), 17)
             assert abs(mpmath.mpf(r.value_sq) - ref) <= r.truncation_bound
 
+    def test_head_reads_no_weight_before_it(self, monkeypatch):
+        # the head's weights come from the formula, w_1..w_n are never
+        # evaluated; the bits are those of the running max of every weight
+        # (the constructor checks w_1..w_1024 before the patch)
+        w = PowLogWeights(1.0, 0.0)
+
+        def refused(self, m):
+            raise AssertionError(f"values({m}) evaluated")
+
+        monkeypatch.setattr(PowLogWeights, "values", refused)
+        r = class_error_infty(w, 65536)
+        assert (r.value_sq.hex(), r.truncation_bound.hex()) == (
+            "0x1.ffff000055553p-17", "0x1.144c99f066e7fp-44")
+        assert (r.status, r.terms_summed) == (STATUS_CONVERGED, 64)
+
+    @pytest.mark.parametrize("n, j", [(137250, 137271), (200000, 200001)])
+    def test_non_finite_head_weight_is_named(self, n, j):
+        # j**60 first overflows at j = 137271: inside the head of n = 137250,
+        # before the head of n = 200000, whose first weight is named
+        with pytest.raises(ValueError, match=f"^weight w_{j} is not finite$"):
+            class_error_infty(PowLogWeights(60.0, 0.0), n)
+
     @pytest.mark.parametrize("beta", [-6.0, -17.0, -100.0])
     def test_plateau_past_the_head_is_a_domain_error(self, monkeypatch,
                                                       beta):
         # at alpha = 1 the running max stays at w_j = 1 up to about 2**29.5
         # for beta = -6, and further for the others; the head may not read
         # past _MAX_TERMS weights on the way to saying so
-        real = PowLogWeights.values
+        real = PowLogWeights.raw_value
 
-        def capped(self, m):
-            assert m <= _MAX_TERMS, f"requested {m} weights"
-            return real(self, m)
+        def capped(self, j):
+            assert np.size(j) <= _MAX_TERMS, f"requested {np.size(j)} weights"
+            return real(self, j)
 
-        monkeypatch.setattr(PowLogWeights, "values", capped)
+        monkeypatch.setattr(PowLogWeights, "raw_value", capped)
         with pytest.raises(ValueError, match="plateau w_j = 1"):
             class_error_infty(PowLogWeights(1.0, beta), 16)
 

@@ -35,8 +35,8 @@ def test_no_name_is_defined_twice(path):
     assert rebound == []
 
 
-SOURCE_MODULES = sorted(
-    (Path(__file__).resolve().parent.parent / "src" / "nterm").glob("*.py"))
+SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "nterm"
+SOURCE_MODULES = sorted(SRC_DIR.glob("*.py"))
 
 
 def _callers(node: ast.AST, name: str, where: str = "<module>") -> list[str]:
@@ -95,6 +95,23 @@ def test_one_function_makes_the_rows():
 def test_one_function_sums_the_tails():
     # p = inf rows are made by run_table too, so no caller picks the engine
     assert _source_callers("class_error_infty") == ["bounds.py: run_table"]
+
+
+def test_one_bound_decides_a_proved_row():
+    # the lower envelope's bound closes the upper maximum too, and the scan
+    # reads whether it proves from the row's own regime
+    assert _source_callers("_log_tail_bound") == ["bounds.py: _closed"]
+    assert [path.name for path in SOURCE_MODULES
+            if "_proves" in path.read_text(encoding="utf-8")] == []
+
+
+def test_a_passed_table_is_not_patched():
+    # a row reads the weights its table keeps; none is copied in from w
+    tree = ast.parse((SRC_DIR / "bounds.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert "replace" not in imported
 
 
 @pytest.mark.parametrize("name", ["random_search_oracle", "structure_oracle"])
