@@ -6,7 +6,10 @@ unless bracketed) and ``_FLAGS`` declares each flag; the parser, the JSON
 
 * ``bounds --weights --p --n [--m-max]``: worst-case error bounds per n
   (tail sums when p = inf, where ``--m-max`` has no effect)
-* ``exact --sequence --n``: exact sigma_n of a sequence file
+* ``exact --sequence --n``: exact sigma_n of a sequence file; the
+  reader's array, 8 bytes per entry, is the one full-length array it
+  holds: checked finite, overwritten by |x|, sorted in place and summed a
+  block at a time (``sequences.sorted_tail_sqs``)
 * ``oracle --weights --p --n [--m-max --seed --iters --max-support]``:
   structured and random-search maximizer values
 * ``certify``, with the flags of ``oracle``: bounds vs. oracles
@@ -23,11 +26,13 @@ The two input files, ``--sequence PATH`` and ``--weights file:PATH``, have
 one format and one reader, ``weights.read_number_lines``: one number per
 line, lines cut as ``str.splitlines`` cuts them, read into a float64 array
 of the numbers and the line numbers of the blank lines.  A sequence skips
-blank lines.  A weight table, line k being w_k, may end in blank lines but
-holds none inside; one there is exit 2, named as ``PATH:LINE``.  A line that is
-not a number is named as ``PATH:LINE`` too, and a file that is not UTF-8 text
-is named by its path: either is exit 2 in a weight file, exit 3 in a sequence
-file.  A file that cannot be read is exit 4.
+blank lines; a number in it that is not finite (``nan``, ``inf`` or one
+past the float64 range) is exit 3, named as ``PATH:LINE``.  A weight
+table, line k being w_k, may end in blank lines but holds none inside; one
+there is exit 2, named as ``PATH:LINE``.  A line that is not a number is
+named as ``PATH:LINE`` too, and a file that is not UTF-8 text is named by
+its path: either is exit 2 in a weight file, exit 3 in a sequence file.  A
+file that cannot be read is exit 4.
 
 Formats: ``table`` (human), ``csv``, ``json``.  JSON documents validate
 against ``schemas/output.json``; numbers serialize as shortest round-trip
@@ -73,7 +78,7 @@ import numpy as np
 from .bounds import _check_p, run_table
 from .oracle import OracleConfig, certify, run_oracles
 from .ratefit import class_error_samples, dyadic_grid, fit_rate, ratio_envelope
-from .sequences import CoefficientSequence, scaled_tail_sqs
+from .sequences import check_finite, sorted_tail_sqs
 from .weights import (
     UnsupportedFamilyError,
     WeightSpecError,
@@ -162,17 +167,21 @@ def _run_bounds(ns) -> tuple[dict, int]:
 
 def _run_exact(ns) -> tuple[dict, int]:
     try:
-        # blank lines are skipped
-        x = CoefficientSequence(read_number_lines(ns.sequence)[0])
+        # blank lines hold no entry
+        x, blanks = read_number_lines(ns.sequence)
     except OSError as exc:
         raise IOError(f"cannot read sequence file: {exc}") from exc
+    check_finite(x, ns.sequence, blanks)
     n_values = parse_n_spec(ns.n)
+    # the reader's array becomes the sorted |x|, the one array the run holds
+    np.abs(x, out=x)
+    x.sort()
     rows = []
-    for n, (s, e) in zip(n_values, scaled_tail_sqs(x, n_values)):
+    for n, (s, e) in zip(n_values, sorted_tail_sqs(x, n_values)):
         # one exact sum gives both, so sigma_sq is not the square of sigma
         rows.append({"n": n, "sigma_sq": math.ldexp(s, 2 * e),
                      "sigma": math.ldexp(math.sqrt(s), e),
-                     "support_len": x.support_len})
+                     "support_len": x.size})
     return ({"rows": rows, "columns": ["n", "sigma_sq", "sigma", "support_len"]},
             EXIT_OK)
 
@@ -307,7 +316,8 @@ _FLAGS = {
     "sequence": dict(required=True, metavar="PATH",
                      help="text file, one coefficient per line; blank "
                           "lines are skipped, a line that is not a number "
-                          "is exit 3, an unreadable file exit 4"),
+                          "or not finite is exit 3, an unreadable file "
+                          "exit 4"),
     "seed": dict(type=int, default=0,
                  help="seed of the random oracle's sample set"),
     "iters": dict(type=int, default=20000,

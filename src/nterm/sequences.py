@@ -7,15 +7,22 @@ remaining tail of the decreasing rearrangement.  All operations are pure
 functions on immutable inputs.
 
 Every tail is a prefix of the ascending sort of |x|, so ``scaled_tail_sqs``
-sorts once and answers a whole n grid from exact integer sums over the few
-segments its tails cut; each sigma_n**2 is the correctly rounded sum of the
-tail's rounded, power-of-two scaled squares (its docstring gives the
-algorithm).
+sorts a copy of |x| once and ``sorted_tail_sqs`` answers a whole n grid from
+exact integer sums over the few segments its tails cut; each sigma_n**2 is
+the correctly rounded sum of the tail's rounded, power-of-two scaled squares
+(``sorted_tail_sqs``'s docstring gives the algorithm).  The sums read the
+sorted array and hold one block of ``_BLOCK`` entries besides it, so
+``scaled_tail_sqs`` holds 8 bytes per entry beyond x, the copy.  A caller
+that owns its array, as the ``exact`` command owns the one it read, sorts
+|x| in place and holds nothing of the input's length but that array.
+``check_finite`` is the one rule for an entry that is not finite, for a
+``CoefficientSequence`` and for that command's array alike.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +31,11 @@ from .weights import WeightModel
 
 __all__ = [
     "CoefficientSequence",
+    "check_finite",
     "as_sequence",
     "weighted_lp_norm",
     "scaled_tail_sqs",
+    "sorted_tail_sqs",
     "sigma_sq_exact",
     "sigma_n_exact",
 ]
@@ -43,10 +52,7 @@ class CoefficientSequence:
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=np.float64).reshape(-1)
-        bad = np.nonzero(~np.isfinite(arr))[0]
-        if bad.size:
-            raise ValueError(
-                f"entry {int(bad[0]) + 1} is {arr[bad[0]]}, not finite")
+        check_finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -59,6 +65,31 @@ class CoefficientSequence:
 
     def __repr__(self) -> str:
         return f"CoefficientSequence({self.entries.tolist()!r})"
+
+
+def check_finite(entries: np.ndarray, path: str | None = None,
+                 blanks: Sequence[int] = ()) -> None:
+    """Raise ``ValueError`` naming the first entry that is not finite.
+
+    It is named ``entry K`` (1-based) or, for the numbers and blank lines
+    ``weights.read_number_lines`` read from the file ``path``, ``PATH:LINE``,
+    blank lines counted.  The minimum and the maximum carry a NaN or an
+    infinity, so a full-length mask is built only when one is there.
+    """
+    if entries.size == 0 or (math.isfinite(entries.min())
+                             and math.isfinite(entries.max())):
+        return
+    i = int(np.flatnonzero(~np.isfinite(entries))[0])
+    where = f"entry {i + 1}"
+    if path is not None:
+        # the line of entry i: each blank line up to it moves it down one
+        line = i + 1
+        for blank in blanks:
+            if blank > line:
+                break
+            line += 1
+        where = f"{path}:{line}"
+    raise ValueError(f"{where} is {entries[i]}, not finite")
 
 
 def as_sequence(x) -> CoefficientSequence:
@@ -85,6 +116,8 @@ def weighted_lp_norm(x, w: WeightModel, p: float) -> float:
 _LIMB_BITS = 18
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _LIMB_SHIFTS = np.array([2 * _LIMB_BITS, _LIMB_BITS, 0])
+# entries whose squares are split into limbs at a time
+_BLOCK = 2 ** 13
 
 
 def scaled_tail_sqs(x, n_values) -> list[tuple[float, int]]:
@@ -98,31 +131,43 @@ def scaled_tail_sqs(x, n_values) -> list[tuple[float, int]]:
     a rounded root.  n at or beyond the support, or a tail of zeros, gives
     (0.0, 0).  ``n_values`` may be unsorted and repeat.
 
-    The algorithm sorts |x| once; every tail is a prefix of that sort.  A
-    positive entry a = f * 2**k (f in [0.5, 1)) has the rounded square
+    Every tail is a prefix of the ascending sort of |x|, which is copied
+    and sorted once and handed to ``sorted_tail_sqs``.  Besides x, the copy's
+    8 bytes per entry and one block of ``_BLOCK`` entries are held.
+    """
+    a = np.abs(as_sequence(x).entries)
+    a.sort()
+    return sorted_tail_sqs(a, n_values)
+
+
+def sorted_tail_sqs(a: np.ndarray, n_values) -> list[tuple[float, int]]:
+    """``scaled_tail_sqs`` of the ascending, finite, nonnegative array ``a``.
+
+    A positive entry a = f * 2**k (f in [0.5, 1)) has the rounded square
     fl(f*f) * 2**(2k), where Q = fl(f*f) * 2**54 is an integer below 2**54.
     Where a * 2**-e >= 2**-511, its scaled square is normal and equals
     Q * 2**(2k - 54 - 2e) exactly.  Q is split into three 18-bit limbs.  k
-    is nondecreasing along the sort, so the entries sharing a k are one
-    contiguous run.  The limb sums are kept only at the indices a tail
-    reads: the run starts and each n's first normal square and end.  They
-    are the running sums of ``np.add.reduceat`` over those segments,
-    integers held exactly while they stay below 2**53, that is for fewer
-    than 2**35 entries, and give each run's limb sums within the tail by
-    one subtraction.  Each limb sum times its power of two is exact, so one
-    short ``math.fsum`` per n, over those terms and the squares below
+    is nondecreasing along ``a``, so the entries sharing a k are one
+    contiguous run, which starts at the first entry >= 2**(k-1): one
+    ``np.searchsorted`` per exponent finds every run.  The limb sums are
+    kept only at the indices a tail reads: the run starts and each n's
+    first normal square and end.  Q and its limbs are formed one block of
+    ``_BLOCK`` entries at a time; the block ends are cuts too, so each block
+    adds the limb sums of its segments to the running sums at its cuts,
+    integers exact below 2**63.  One subtraction gives each run's limb sums
+    within the tail, exact in a float while below 2**53, that is for fewer
+    than 2**35 entries.  Each limb sum times its power of two is exact, so
+    one short ``math.fsum`` per n, over those terms and the squares below
     2**-1022 (a sorted prefix of the tail, usually empty, squared as they
     are), rounds the same exact total: the result does not depend on the
-    grid.  Besides x, the sort's 8 bytes per entry and then Q and one limb,
-    16 bytes per entry, are held.
+    grid.  ``a`` is only read; besides it, one block is held, 44 bytes per
+    entry of it (the mantissas, exponents, Q and three limbs), and the cuts.
     """
     n_values = [int(n) for n in n_values]
     for n in n_values:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-    pos = np.abs(as_sequence(x).entries)
-    pos.sort()
-    pos = pos[int(np.searchsorted(pos, 0.0, side="right")):]
+    pos = a[int(np.searchsorted(a, 0.0, side="right")):]
     # tails[n] = (hi, e, lo): the tail pos[:hi] is scaled by 2**-e, and the
     # scaled squares of pos[:lo] are below 2**-1022
     tails = {}
@@ -134,27 +179,33 @@ def scaled_tail_sqs(x, n_values) -> list[tuple[float, int]]:
             tails[n] = (hi, e, lo)
     if not tails:
         return [(0.0, 0)] * len(n_values)
-    tiny = pos[:max(lo for _, _, lo in tails.values())].copy()
-    # the mantissas take the place of the entries
-    f, k = np.frexp(pos, out=(pos, None))
-    # the first index of each run of equal k; the first run starts at 0
-    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-    run_k = k[starts].astype(np.int64)
-    del k
-    f *= f
-    q = np.ldexp(f, 54, out=f).astype(np.int64)
-    del f, pos
+    # the first index of each run of equal k, from one probe per exponent
+    ks = np.arange(math.frexp(float(pos[0]))[1],
+                   math.frexp(float(pos[-1]))[1] + 1)
+    probes = np.searchsorted(pos, np.ldexp(1.0, ks - 1))
+    held = np.append(probes[1:], pos.size) > probes
+    starts, run_k = probes[held], ks[held]
     # sorted by Python, not np.unique, whose first call imports numpy.ma
-    cuts = np.array(sorted({q.size, *starts.tolist(), *(
-        i for hi, _, lo in tails.values() for i in (lo, hi))}))
+    cuts = np.array(sorted({
+        *range(_BLOCK, pos.size, _BLOCK), pos.size, *starts.tolist(),
+        *(i for hi, _, lo in tails.values() for i in (lo, hi))}))
     # cum[:, c] = limb sums over the entries before cuts[c]
-    cum = np.zeros((3, cuts.size))
-    limb = np.empty_like(q)
-    for row, shift in zip(cum, _LIMB_SHIFTS):
-        np.right_shift(q, shift, out=limb)
-        np.bitwise_and(limb, _LIMB_MASK, out=limb)
-        row[1:] = np.cumsum(np.add.reduceat(limb, cuts[:-1]))
-    del q, limb
+    cum = np.zeros((3, cuts.size), dtype=np.int64)
+    size = min(_BLOCK, pos.size)
+    f, q = np.empty(size), np.empty(size, dtype=np.int64)
+    limbs = np.empty((3, size), dtype=np.int64)
+    for b0 in range(0, pos.size, size):
+        m = min(size, pos.size - b0)
+        fb, qb, lb = f[:m], q[:m], limbs[:, :m]
+        np.frexp(pos[b0:b0 + m], out=(fb, None))
+        fb *= fb
+        qb[:] = np.ldexp(fb, 54, out=fb)
+        np.right_shift(qb, _LIMB_SHIFTS[:, None], out=lb)
+        np.bitwise_and(lb, _LIMB_MASK, out=lb)
+        # cuts[c0 - 1] = b0; the block's segments end at cuts[c0:c1]
+        c0, c1 = np.searchsorted(cuts, (b0, b0 + m)) + 1
+        seg = np.add.reduceat(lb, cuts[c0 - 1:c1 - 1] - b0, axis=1)
+        cum[:, c0:c1] = cum[:, c0 - 1:c0] + np.cumsum(seg, axis=1)
 
     out = []
     for n in n_values:
@@ -162,7 +213,7 @@ def scaled_tail_sqs(x, n_values) -> list[tuple[float, int]]:
             out.append((0.0, 0))
             continue
         hi, e, lo = tails[n]
-        terms = (np.ldexp(tiny[:lo], -e) ** 2).tolist()
+        terms = (np.ldexp(pos[:lo], -e) ** 2).tolist()
         first = int(np.searchsorted(starts, lo, side="right")) - 1
         last = int(np.searchsorted(starts, hi - 1, side="right")) - 1
         at = np.searchsorted(cuts, np.concatenate(

@@ -787,13 +787,17 @@ class TestErrorPaths:
         assert err.count("\n") == 1
 
     def test_non_finite_sequence_entry(self, capsys, tmp_path):
+        # named by its line, the blank lines before it counted
         path = tmp_path / "seq.txt"
-        path.write_text("1\nnan\n3\n")
-        code, _, err = run_cli(capsys, ["exact", "--sequence", str(path),
-                                        "--n", "0"])
-        assert code == EXIT_DOMAIN
-        assert err.startswith("nterm: error=domain")
-        assert err.count("\n") == 1
+        for text, where in [("1\n\nnan\n3\n", "3 is nan"),
+                            (" \n\n2\n-1e999", "4 is -inf"),
+                            ("1\r\n\r\ninf\r\n", "3 is inf")]:
+            path.write_text(text)
+            code, out, err = run_cli(capsys, [
+                "exact", "--sequence", str(path), "--n", "0"])
+            assert code == EXIT_DOMAIN and out == ""
+            detail = f"{path}:{where}, not finite"
+            assert err == f"nterm: error=domain detail={detail!r}\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "x"])
     def test_fix_log_must_be_finite(self, capsys, value):

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import tracemalloc
@@ -16,7 +17,8 @@ from nterm import (
     sigma_n_exact,
     weighted_lp_norm,
 )
-from nterm.sequences import scaled_tail_sqs, sigma_sq_exact
+from nterm.cli import main
+from nterm.sequences import _BLOCK, scaled_tail_sqs, sigma_sq_exact
 from nterm.weights import read_number_lines
 
 import _ref
@@ -166,6 +168,53 @@ def _per_n(entries, grid):
     return [_ref.scaled_tail_sq(entries, n) for n in grid]
 
 
+def _random_sequence(seed):
+    """Long runs of one exponent, a log-uniform spread over every binade,
+    ties and zeros, and a grid that reaches past the support."""
+    rng = np.random.default_rng(seed)
+    size = 20000
+    entries = np.concatenate([
+        rng.uniform(0.5, 1.0, size),
+        np.ldexp(rng.uniform(0.5, 1.0, size),
+                 rng.integers(-1074, 1024, size)),
+        np.repeat(rng.standard_normal(50), 40),
+        np.zeros(100),
+    ])
+    entries *= rng.choice([-1.0, 1.0], entries.size)
+    grid = [0, 1, 5, 100, 4000, 20000, 30000, 40000, 42000, 42099,
+            42100, 42101, 5, 0]
+    return entries, grid
+
+
+def _block_edges_sequence(size):
+    """``size`` nonzero magnitudes whose ascending sort is 100 subnormals,
+    then one binade with ties up to index 2 blocks - 2 and the next binade
+    from there, then one entry near 2**900; and a grid whose tails end
+    one before, at and one past every block edge.
+
+    The binade runs across every block edge inside it, and at size one
+    block + 1 the top entry's run starts at the edge.  The top entry scales
+    the n = 0 tail so that every other square is below 2**-1022, so that
+    tail's first normal square is a cut at index size - 1 as well.
+    """
+    rng = np.random.default_rng(size)
+    middle = size - 101
+    low = min(middle, 2 * _BLOCK - 2 - 100)
+    entries = np.concatenate([
+        np.ldexp(rng.uniform(0.5, 1.0, 100), rng.integers(-1070, -1022, 100)),
+        np.floor(rng.uniform(0.5, 1.0, low) * 2 ** 12) / 2 ** 12,
+        rng.uniform(1.0, 2.0, middle - low),
+        [math.ldexp(rng.uniform(0.5, 1.0), 900)],
+    ])
+    entries *= rng.choice([-1.0, 1.0], size)
+    rng.shuffle(entries)
+    tail_ends = {size - 1, size, 100, 101}
+    for edge in range(_BLOCK, size + 1, _BLOCK):
+        tail_ends |= {edge - 1, edge, edge + 1}
+    grid = sorted(size - end for end in tail_ends if 0 <= size - end)
+    return entries, grid + [size + 1, 0]
+
+
 class TestTailGrid:
     """``scaled_tail_sqs`` equals the per-n sort and fsum, bit for bit."""
 
@@ -190,38 +239,37 @@ class TestTailGrid:
         assert scaled_tail_sqs(entries, [0]) == [(expected, 0)]
         assert _ref.scaled_tail_sq(entries, 0) == (expected, 0)
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_long_sequences(self, seed):
-        rng = np.random.default_rng(seed)
-        size = 20000
-        # long runs of one exponent, a log-uniform spread over every binade,
-        # ties, and zeros
-        entries = np.concatenate([
-            rng.uniform(0.5, 1.0, size),
-            np.ldexp(rng.uniform(0.5, 1.0, size),
-                     rng.integers(-1074, 1024, size)),
-            np.repeat(rng.standard_normal(50), 40),
-            np.zeros(100),
-        ])
-        entries *= rng.choice([-1.0, 1.0], entries.size)
-        grid = [0, 1, 5, 100, 4000, 20000, 30000, 40000, 42000, 42099,
-                42100, 42101, 5, 0]
+    @pytest.mark.parametrize("build, arg", [
+        *(pytest.param(_random_sequence, seed, id=str(seed))
+          for seed in (1, 2, 3)),
+        *(pytest.param(_block_edges_sequence, size, id=f"block-edges-{size}")
+          for size in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK)),
+    ])
+    def test_long_sequences(self, build, arg):
+        entries, grid = build(arg)
         assert scaled_tail_sqs(entries, grid) == _per_n(entries, grid)
 
     def test_empty_grid(self):
         assert scaled_tail_sqs([1.0, 2.0], []) == []
 
     def test_peak_memory_of_read_and_sums(self, tmp_path):
-        # the arrays each step holds, in bytes per entry: the reader, the
-        # chunks' float64 arrays and their concatenation (16) plus one chunk
-        # of 2**14 lines, each a str of at most 100 bytes; the sums, besides
-        # x, the sort and then Q and one limb (16) plus the run starts and
-        # the cut indices, a few hundred entries here
+        # bytes held beyond the input, per entry and per step: the reader,
+        # its array (8) and one chunk of 2**14 lines, each a str of at most
+        # 100 bytes; the public sums, besides x, the copy of |x| (8) and one
+        # block, at most 2**14 entries of 32 bytes, or 2**13 of 64; the
+        # exact command, the reader's array (8) and then one chunk of lines
+        # or one block, whichever is larger
         size = 2 ** 17
+        chunk, block = 100 * 2 ** 14, 32 * 2 ** 14
         numbers = np.random.default_rng(5).standard_normal(size)
         path = tmp_path / "x.txt"
         path.write_text("\n".join(map(repr, numbers.tolist())) + "\n")
+        out = tmp_path / "out.json"
         grid = [2 ** i for i in range(4, 18)]
+        # a first call sets up what every later one reuses (the parser's
+        # compiled patterns and the like), which is not held per entry
+        assert main(["exact", "--sequence", str(path), "--n", "0",
+                     "--output", str(out)]) == 0
         tracemalloc.start()
         try:
             values, blanks = read_number_lines(str(path))
@@ -232,11 +280,23 @@ class TestTailGrid:
             held = tracemalloc.get_traced_memory()[0]
             sums = scaled_tail_sqs(x, grid)
             sums_peak = tracemalloc.get_traced_memory()[1] - held
+            del x
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            code = main(["exact", "--sequence", str(path), "--n",
+                         "2^4..2^17:dyadic", "--format", "json",
+                         "--output", str(out)])
+            exact_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert read_peak <= 16 * size + 100 * 2 ** 14
-        assert sums_peak <= 17 * size
+        assert read_peak <= 8 * size + chunk
+        assert sums_peak <= 8 * size + block
+        assert exact_peak <= 8 * size + max(chunk, block)
         assert sums == _per_n(numbers, grid)
+        assert code == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [row["sigma_sq"] for row in rows] == [
+            math.ldexp(s, 2 * e) for s, e in sums]
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError, match="n must be >= 0"):

@@ -68,6 +68,48 @@ def test_one_reader_opens_input_files():
     assert _source_callers("open") == ["weights.py: read_number_lines"]
 
 
+def test_exact_holds_the_array_it_read():
+    # the exact command sorts the reader's array in place; a sequence
+    # object would copy it
+    tree = ast.parse((SRC_DIR / "cli.py").read_text(encoding="utf-8"))
+    assert _callers(tree, "CoefficientSequence") == []
+
+
+def _raised_messages(node: ast.AST, where: str = "<module>") -> list:
+    """(innermost enclosing function, message) of every ``raise E(msg)``
+    under ``node``; an f-string's fields read as ``{}``."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _raised_messages(child, child.name)
+            continue
+        if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                and child.exc.args):
+            msg = child.exc.args[0]
+            parts = msg.values if isinstance(msg, ast.JoinedStr) else [msg]
+            found.append((where, "".join(
+                p.value if isinstance(getattr(p, "value", None), str)
+                else "{}" for p in parts)))
+        found += _raised_messages(child, where)
+    return found
+
+
+def test_one_rule_names_a_non_finite_entry():
+    # an entry that is not finite is named by check_finite alone, as entry
+    # K or as PATH:LINE; the weights' messages name a weight w_j
+    raised = [f"{path.name}: {where}" for path in SOURCE_MODULES
+              for where, msg in _raised_messages(ast.parse(
+                  path.read_text(encoding="utf-8")))
+              if "not finite" in msg and "w_" not in msg]
+    assert raised == ["sequences.py: check_finite"]
+
+
+def test_no_unique_call():
+    # the first np.unique call imports numpy.ma, about 10 ms per process
+    # (tests/test_cli.py::test_exact_sums_leave_numpy_ma_unloaded)
+    assert _source_callers("unique") == []
+
+
 def test_one_number_format_on_every_platform():
     # long double is 80-bit on some platforms and float64 on others, so a
     # table summed in it would read different bits on each
